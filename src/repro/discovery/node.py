@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.net.addressing import Address, MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
@@ -73,7 +73,9 @@ class DiscoveryNode(Process):
         self.node_id = node_id
         self.role = role
         self.transports = transports
-        self.endpoint = Endpoint(node_id, handler=self._on_message)
+        self.endpoint = Endpoint(
+            node_id, handler=self._on_message, accepts=type(self).accepted_kinds()
+        )
         #: kind -> bound handler (or ``None`` for unhandled kinds), filled
         #: lazily by :meth:`_on_message`; message dispatch is per delivery.
         self._dispatch: Dict[str, Optional[Callable[[Message], None]]] = {}
@@ -157,6 +159,23 @@ class DiscoveryNode(Process):
         return message
 
     # ------------------------------------------------------------------ receiving
+    @classmethod
+    def accepted_kinds(cls) -> FrozenSet[str]:
+        """The kinds this class has a ``handle_<kind>`` method for.
+
+        Computed once per class from method names only, so wrapping a
+        handler at class level keeps its kind.  The node's endpoint accepts
+        exactly these kinds: multicast copies of any other kind are counted
+        by the network, never delivered.
+        """
+        kinds = vars(cls).get("_accepted_kinds")
+        if kinds is None:
+            kinds = frozenset(
+                name[len("handle_") :] for name in dir(cls) if name.startswith("handle_")
+            )
+            cls._accepted_kinds = kinds
+        return kinds
+
     def _on_message(self, message: Message) -> None:
         if self.stopped:
             return
@@ -170,7 +189,11 @@ class DiscoveryNode(Process):
         handler(message)
 
     def on_unhandled(self, message: Message) -> None:
-        """Hook for messages without a dedicated handler (ignored by default)."""
+        """Hook for messages without a dedicated handler (ignored by default).
+
+        Only unicasts reach it: multicast copies of kinds outside
+        :meth:`accepted_kinds` are filtered out by the network.
+        """
         if self.sim.tracer.enabled:
             self.trace("unhandled_message", kind=message.kind, sender=message.sender)
 

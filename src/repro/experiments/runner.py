@@ -18,6 +18,7 @@ tracker and the network's message statistics.
 
 from __future__ import annotations
 
+import gc
 import importlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -128,9 +129,23 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------ execution
     def run(self, spec: ScenarioSpec) -> RunResult:
-        """Execute one run and return its :class:`~repro.core.metrics.RunResult`."""
+        """Execute one run and return its :class:`~repro.core.metrics.RunResult`.
+
+        The run's object graph is reclaimed before returning.  It is full of
+        reference cycles (node and its bound-method endpoint handler,
+        timers, leases) that only the cyclic collector frees, and its
+        automatic collections are too rare to keep up with a sweep.  So the
+        context is dropped and collected here, and everything that survives
+        (the results kept so far, imported modules) is frozen out of later
+        collections, which then scan only the next run's objects.
+        """
         context = self.setup(spec)
-        return self.execute(context)
+        try:
+            return self.execute(context)
+        finally:
+            del context
+            gc.collect()
+            gc.freeze()
 
     def execute(self, context: RunContext) -> RunResult:
         """Run an assembled :class:`RunContext` to the deadline and collect results.

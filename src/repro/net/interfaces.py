@@ -9,7 +9,7 @@ run; while a direction is down, messages in that direction are lost silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Optional
 
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -118,6 +118,10 @@ class Endpoint:
     through an endpoint; the network delivers messages by calling
     :meth:`deliver`, which forwards to the registered handler only when the
     receiver interface is up.
+
+    ``accepts`` is the set of message kinds the handler acts on (``None``:
+    every kind).  Multicast copies of any other kind are counted as ignored
+    by the network instead of being simulated as delivery events.
     """
 
     def __init__(
@@ -125,10 +129,12 @@ class Endpoint:
         address: Address,
         handler: Optional[Callable[[Message], Any]] = None,
         interface: Optional[NetworkInterface] = None,
+        accepts: Optional[AbstractSet[str]] = None,
     ) -> None:
         self.address = address
         self.interface = interface if interface is not None else NetworkInterface(address)
         self._handler = handler
+        self.accepts = accepts
 
     def bind(self, handler: Callable[[Message], Any]) -> None:
         """Attach (or replace) the receive handler."""

@@ -78,6 +78,9 @@ class Network:
         self._cut_links: set = set()
         #: Deliveries dropped on the wire by severed links (telemetry).
         self.link_cut_drops = 0
+        #: Multicast copies not simulated because the receiving endpoint does
+        #: not accept their kind (telemetry; see :attr:`Endpoint.accepts`).
+        self.ignored = 0
 
     # ------------------------------------------------------------------ membership
     def join(self, endpoint: Endpoint) -> Endpoint:
@@ -290,7 +293,9 @@ class Network:
         :attr:`NetworkConfig.multicast_copy_spacing` seconds.  The first copy
         is emitted immediately and the return value reports whether it left
         the transmitter; later copies are evaluated against the interface
-        state at their own emission times.
+        state at their own emission times.  Copies for endpoints that do not
+        accept the message's kind are counted in :attr:`ignored` instead of
+        being delivered.
         """
         if message.receiver != MULTICAST_GROUP:
             raise ValueError("multicast message must be addressed to MULTICAST_GROUP")
@@ -340,8 +345,14 @@ class Network:
         delay_span = config.max_delay - min_delay
         post = self.sim.post
         sender = message.sender
+        kind = message.kind
         loss_p = self._loss_p
         cuts = self._cut_links
+        # Every receiver consumes its cut check, loss draw and delay draw in
+        # endpoint order whether or not it accepts the kind, so the copies
+        # that are simulated keep exactly the timestamps they would have if
+        # every copy were; the rest are only counted.
+        ignored = 0
         if loss_p or cuts:
             loss_rand = self._loss_rand
             for address, endpoint in self._endpoints.items():
@@ -353,12 +364,23 @@ class Network:
                 if loss_p and loss_rand() < loss_p:
                     self.link_losses += 1
                     continue
-                post(min_delay + delay_span * rand(), endpoint.deliver, message)
+                delay = min_delay + delay_span * rand()
+                accepts = endpoint.accepts
+                if accepts is None or kind in accepts:
+                    post(delay, endpoint.deliver, message)
+                else:
+                    ignored += 1
         else:
             for address, endpoint in self._endpoints.items():
                 if address == sender:
                     continue
-                post(min_delay + delay_span * rand(), endpoint.deliver, message)
+                delay = min_delay + delay_span * rand()
+                accepts = endpoint.accepts
+                if accepts is None or kind in accepts:
+                    post(delay, endpoint.deliver, message)
+                else:
+                    ignored += 1
+        self.ignored += ignored
         return True
 
     # ------------------------------------------------------------------ queries

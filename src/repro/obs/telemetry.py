@@ -43,9 +43,16 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     the metric *y* additionally applies the change-time window).
 ``net.delivered``
     Messages that reached a receiver handler (receiver interface up).
+    Multicast copies count only at receivers that accept their kind.
 ``net.dropped_tx`` / ``net.dropped_rx``
     Transmission attempts suppressed by a downed transmitter / deliveries
-    suppressed by a downed receiver, summed over all interfaces.
+    suppressed by a downed receiver, summed over all interfaces.  Like
+    ``net.delivered``, ``dropped_rx`` covers only accepted multicast copies.
+``net.ignored``
+    Multicast copies not simulated because the receiver has no handler for
+    their kind (:attr:`~repro.net.interfaces.Endpoint.accepts`).  They
+    consume the same random draws as delivered copies but post no event,
+    fire no callback and leave no ``unhandled_message`` trace record.
 ``net.link_losses``
     Deliveries dropped on the wire by scenario loss windows (zero outside
     lossy-link scenarios).
@@ -78,7 +85,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 2
+TELEMETRY_SCHEMA_VERSION = 3
 
 
 def collect_run_telemetry(
@@ -128,6 +135,7 @@ def collect_run_telemetry(
             "dropped_tx": dropped_tx,
             "dropped_rx": dropped_rx,
             "link_losses": network.link_losses,
+            "ignored": network.ignored,
         },
     }
     if injector is not None:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.net.addressing import MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.tracing import Tracer
 
 
 def make_network(n_nodes=3):
@@ -137,3 +139,127 @@ def test_duplicate_join_rejected():
     sim, network, _ = make_network(2)
     with pytest.raises(ValueError):
         network.join(Endpoint("node-0", handler=lambda m: None))
+
+
+# --------------------------------------------------------------------------- accepted kinds
+def make_logging_network(accepts):
+    """A network of ``node-0`` .. ``node-<n>`` whose receivers log delivery times.
+
+    ``accepts[i]`` is the ``accepts`` set of ``node-<i>``.
+    """
+    sim = Simulator()
+    network = Network(sim, RngRegistry(1234))
+    logs = {}
+    for index, kinds in enumerate(accepts):
+        address = f"node-{index}"
+        log = logs[address] = []
+        network.join(
+            Endpoint(address, handler=lambda m, log=log: log.append(sim.now), accepts=kinds)
+        )
+    return sim, network, logs
+
+
+def test_endpoint_without_accepts_receives_every_copy():
+    sim, network, logs = make_logging_network([None, None])
+    assert Endpoint("x").accepts is None
+    network.transmit_multicast(msg("node-0", MULTICAST_GROUP, kind="anything"), copies=3)
+    sim.run()
+    assert len(logs["node-1"]) == 3
+    assert network.ignored == 0
+
+
+def test_non_accepting_endpoint_leaves_other_delivery_times_unchanged():
+    copies = 4
+    ping = {"ping"}
+    sim, network, logs = make_logging_network([None, ping, {"pong"}, ping])
+    network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
+    sim.run()
+    assert logs["node-2"] == []
+    assert network.ignored == copies
+    assert network.endpoint("node-2").interface.counters.received == 0
+
+    # The all-accepting network delivers at exactly the same instants ...
+    all_sim, all_network, all_logs = make_logging_network([None, ping, ping, ping])
+    all_network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
+    all_sim.run()
+    assert all_network.ignored == 0
+    assert logs["node-1"] == all_logs["node-1"]
+    assert logs["node-3"] == all_logs["node-3"]
+
+    # ... which are the ("network", "delay") draws in endpoint order, one per
+    # receiver and copy, whether the receiver accepts the kind or not.
+    config = network.config
+    rand = RngRegistry(1234).stream("network", "delay").random
+    expected = {"node-1": [], "node-3": []}
+    for copy_index in range(copies):
+        emitted = 0.0 + copy_index * config.multicast_copy_spacing
+        for address in ("node-1", "node-2", "node-3"):
+            delay = config.min_delay + (config.max_delay - config.min_delay) * rand()
+            if address in expected:
+                expected[address].append(emitted + delay)
+    assert logs["node-1"] == expected["node-1"]
+    assert logs["node-3"] == expected["node-3"]
+
+
+@pytest.mark.parametrize("disruption", ["loss", "cut"])
+def test_filtering_keeps_loss_and_cut_accounting(disruption):
+    copies = 6
+    ping = {"ping"}
+    runs = {}
+    for name, middle in (("everyone", ping), ("filtered", {"pong"})):
+        sim, network, logs = make_logging_network([None, ping, middle, ping, ping])
+        if disruption == "loss":
+            network.push_loss(0.4)
+        else:
+            network.cut_link("node-0", "node-3")
+        network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
+        sim.run()
+        runs[name] = (network, logs)
+    everyone, everyone_logs = runs["everyone"]
+    filtered, filtered_logs = runs["filtered"]
+    assert filtered.link_losses == everyone.link_losses
+    assert filtered.link_cut_drops == everyone.link_cut_drops
+    for address in ("node-1", "node-3", "node-4"):
+        assert filtered_logs[address] == everyone_logs[address]
+    assert filtered_logs["node-2"] == [] and everyone.ignored == 0
+    # Node 2 ignores exactly the copies that would have reached it.
+    assert filtered.ignored == len(everyone_logs["node-2"])
+    if disruption == "loss":
+        assert 0 < everyone.link_losses < 4 * copies
+    else:
+        assert everyone.link_cut_drops == copies and everyone_logs["node-3"] == []
+        assert filtered.ignored == copies
+
+
+class PingNode(DiscoveryNode):
+    def handle_ping(self, message):
+        self.pings = getattr(self, "pings", 0) + 1
+
+
+class PingPongNode(PingNode):
+    def handle_pong(self, message):
+        pass
+
+
+def test_node_accepts_the_kinds_of_its_own_class_handlers():
+    assert DiscoveryNode.accepted_kinds() == frozenset()
+    assert PingNode.accepted_kinds() == {"ping"}
+    # A subclass gets its own set, inherited handlers included, and the
+    # parent's cached set is unchanged.
+    assert PingPongNode.accepted_kinds() == {"ping", "pong"}
+    assert PingNode.accepted_kinds() == {"ping"}
+
+    sim = Simulator(tracer=Tracer(enabled=True))
+    network = Network(sim, RngRegistry(7))
+    sender = PingPongNode(sim, network, "sender", NodeRole.USER, Transports())
+    node = PingNode(sim, network, "node", NodeRole.USER, Transports())
+    assert node.endpoint.accepts == {"ping"}
+    assert sender.endpoint.accepts == {"ping", "pong"}
+    network.transmit_multicast(msg("sender", MULTICAST_GROUP, kind="pong"), copies=2)
+    network.transmit_multicast(msg("sender", MULTICAST_GROUP, kind="ping"), copies=2)
+    sim.run()
+    assert node.pings == 2
+    assert network.ignored == 2
+    assert node.endpoint.interface.counters.received == 2
+    # Ignored copies never reach on_unhandled, so they leave no trace record.
+    assert not [r for r in sim.tracer.records if r.event == "unhandled_message"]

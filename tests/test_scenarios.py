@@ -188,21 +188,53 @@ def test_checkpoints_from_different_scenarios_do_not_mix(tmp_path):
 
 
 # --------------------------------------------------------------------------- byte identity
-def _strip_scenario_telemetry(data):
-    """Remove the fields the scenario layer added to per-run telemetry.
-
-    The simulation itself must be untouched by the scenario layer; only the
-    *reporting* grew (schema version 2: a ``failures`` section and the
-    ``net.link_losses`` counter).  Everything else must match the pre-PR
-    fixture exactly.
-    """
+def _split_work_counts(data):
+    """Pop each run's telemetry and executed-event count; return them per run."""
+    counts = []
     for run in data["runs"]:
-        telemetry = run["details"]["telemetry"]
-        assert telemetry["version"] == 2
-        telemetry["version"] = 1
-        telemetry.pop("failures", None)
-        assert telemetry["net"].pop("link_losses") == 0  # table4 has no loss windows
-    return data
+        details = run["details"]
+        counts.append((details.pop("telemetry"), details.pop("executed_events")))
+    return counts
+
+
+def _reconcile_with_fixture(produced, fixture):
+    """Check a per-run sweep against the schema-1 fixture, run by run, exactly.
+
+    Results match outright.  The work counts differ only by the multicast
+    copies that are now counted as ``net.ignored`` instead of simulated:
+    every ignored copy was one scheduled event, and each one that fired
+    before the deadline was one fired event and one delivery (or receiver
+    drop).  Adding ``ignored`` to both sides of the fired/delivered equation
+    cancels the copies still in flight at the deadline.
+    """
+    new_counts = _split_work_counts(produced)
+    old_counts = _split_work_counts(fixture)
+    assert produced == fixture
+    assert len(new_counts) == len(old_counts) > 0
+    for (new, new_fired), (old, old_fired) in zip(new_counts, old_counts):
+        assert new["version"] == 3 and old["version"] == 1
+        assert new["net"]["link_losses"] == 0  # table4 has no loss windows
+        assert new["timers"] == old["timers"]
+        engine, old_engine = new["engine"], old["engine"]
+        net, old_net = new["net"], old["net"]
+        assert engine["events_fired"] == new_fired and old_engine["events_fired"] == old_fired
+        assert engine["events_cancelled"] == old_engine["events_cancelled"]
+        for field in (
+            "sends",
+            "send_copies",
+            "multicast_sends",
+            "sends_by_layer",
+            "update_sends",
+            "dropped_tx",
+        ):
+            assert net[field] == old_net[field], field
+        ignored = net["ignored"]
+        assert engine["events_scheduled"] + ignored == old_engine["events_scheduled"]
+        deliveries = net["delivered"] + net["dropped_rx"]
+        old_deliveries = old_net["delivered"] + old_net["dropped_rx"]
+        assert engine["events_fired"] + ignored - old_engine["events_fired"] == (
+            deliveries + ignored - old_deliveries
+        )
 
 
 def test_default_sweep_is_byte_identical_to_pre_scenario_fixture(tmp_path):
@@ -221,9 +253,9 @@ def test_default_sweep_is_byte_identical_to_pre_scenario_fixture(tmp_path):
 def test_default_per_run_output_matches_fixture_modulo_telemetry_schema(tmp_path):
     out = tmp_path / "per_run.json"
     assert main(["sweep", *FIXTURE_ARGS, "--per-run", "--out", str(out)]) == 0
-    produced = _strip_scenario_telemetry(json.loads(out.read_text()))
+    produced = json.loads(out.read_text())
     fixture = json.loads(open(f"{FIXTURE_DIR}/table4_pre_pr_per_run.json").read())
-    assert produced == fixture
+    _reconcile_with_fixture(produced, fixture)
 
 
 # --------------------------------------------------------------------------- determinism
