@@ -191,8 +191,10 @@ class DiscoveryNode(Process):
     def on_unhandled(self, message: Message) -> None:
         """Hook for messages without a dedicated handler (ignored by default).
 
-        Only unicasts reach it: multicast copies of kinds outside
-        :meth:`accepted_kinds` are filtered out by the network.
+        Multicast copies and callback-free unicasts (TCP ``tcp_syn`` /
+        ``tcp_synack`` segments included) of kinds outside
+        :meth:`accepted_kinds` are filtered out by the network, so only
+        unicasts sent with a delivery callback and TCP data can reach it.
         """
         if self.sim.tracer.enabled:
             self.trace("unhandled_message", kind=message.kind, sender=message.sender)

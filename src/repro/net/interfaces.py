@@ -120,8 +120,11 @@ class Endpoint:
     receiver interface is up.
 
     ``accepts`` is the set of message kinds the handler acts on (``None``:
-    every kind).  Multicast copies of any other kind are counted as ignored
-    by the network instead of being simulated as delivery events.
+    every kind).  Multicast copies and callback-free unicasts of any other
+    kind are counted as ignored by the network instead of being simulated
+    as delivery events.  ``accepts`` is fixed once the endpoint has joined a
+    network: the network caches its fan-out tables until the next join or
+    leave.
     """
 
     def __init__(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
 from repro.net.interfaces import Endpoint
@@ -37,7 +37,13 @@ class NetworkConfig:
 
 
 class Network:
-    """Single broadcast-domain network connecting all simulated nodes."""
+    """Single broadcast-domain network connecting all simulated nodes.
+
+    Multicast fan-out walks a per-kind table of the endpoints that accept
+    the kind, cached until the next :meth:`join`/:meth:`leave`; an
+    endpoint's :attr:`~repro.net.interfaces.Endpoint.accepts` is therefore
+    fixed once it has joined.
+    """
 
     def __init__(
         self,
@@ -60,6 +66,15 @@ class Network:
         delay_stream = rng.stream("network", "delay")
         self._uniform = delay_stream.uniform
         self._rand = delay_stream.random
+        # ``random()`` consumes two 32-bit Mersenne-Twister words and
+        # ``getrandbits(64 * k)`` exactly 2k, so one call skips k delay draws
+        # in C (pinned by a test, since it is a CPython implementation detail).
+        self._skip_bits = delay_stream.getrandbits
+        # Multicast fan-out caches, built lazily and dropped on join/leave:
+        # kind -> [(endpoint-order index, endpoint)] of the endpoints that
+        # accept it, and address -> endpoint-order index.
+        self._receivers_by_kind: Dict[str, List[Tuple[int, Endpoint]]] = {}
+        self._index_of: Optional[Dict[Address, int]] = None
         # Lossy-link state (scenario library).  ``_loss_p`` is the combined
         # drop probability of the active loss windows; the delivery paths pay
         # one falsy check while it is zero.  The dedicated ``network/loss``
@@ -78,8 +93,9 @@ class Network:
         self._cut_links: set = set()
         #: Deliveries dropped on the wire by severed links (telemetry).
         self.link_cut_drops = 0
-        #: Multicast copies not simulated because the receiving endpoint does
-        #: not accept their kind (telemetry; see :attr:`Endpoint.accepts`).
+        #: Deliveries not simulated because the receiving endpoint does not
+        #: accept their kind: multicast copies, and unicasts sent without a
+        #: delivery callback (telemetry; see :attr:`Endpoint.accepts`).
         self.ignored = 0
 
     # ------------------------------------------------------------------ membership
@@ -89,11 +105,26 @@ class Network:
         if address in self._endpoints:
             raise ValueError(f"address already joined: {address!r}")
         self._endpoints[address] = endpoint
+        self._drop_fanout_caches()
         return endpoint
 
     def leave(self, address: Address) -> None:
         """Remove an endpoint from the network."""
-        self._endpoints.pop(address, None)
+        if self._endpoints.pop(address, None) is not None:
+            self._drop_fanout_caches()
+
+    def _drop_fanout_caches(self) -> None:
+        self._receivers_by_kind = {}
+        self._index_of = None
+
+    def _receivers(self, kind: str) -> List[Tuple[int, Endpoint]]:
+        """``(endpoint-order index, endpoint)`` of every endpoint accepting ``kind``."""
+        self._receivers_by_kind[kind] = table = [
+            (index, endpoint)
+            for index, endpoint in enumerate(self._endpoints.values())
+            if endpoint.accepts is None or kind in endpoint.accepts
+        ]
+        return table
 
     def endpoint(self, address: Address) -> Endpoint:
         """Return the endpoint registered under ``address``."""
@@ -195,7 +226,10 @@ class Network:
         node that transmits into a failed receiver still spent the message).
         Returns ``True`` when the message left the sender's transmitter; the
         eventual delivery happens one transmission delay later and only if
-        the receiver interface is up at that instant.
+        the receiver interface is up at that instant.  Without
+        ``on_delivered``, a message whose kind the receiver does not accept
+        still draws its delay but is counted in :attr:`ignored` instead of
+        being delivered.
         """
         sender_ep = self._endpoints.get(message.sender)
         if sender_ep is None:
@@ -242,7 +276,11 @@ class Network:
         delay = min_delay + (config.max_delay - min_delay) * self._rand()
         if on_delivered is None:
             # Hot path: no closure, no Event allocation.
-            self.sim.post(delay, receiver_ep.deliver, message)
+            accepts = receiver_ep.accepts
+            if accepts is None or message.kind in accepts:
+                self.sim.post(delay, receiver_ep.deliver, message)
+            else:
+                self.ignored += 1
         else:
             self.sim.post(delay, self._deliver_with_callback, receiver_ep, message, on_delivered)
         return True
@@ -295,7 +333,8 @@ class Network:
         the transmitter; later copies are evaluated against the interface
         state at their own emission times.  Copies for endpoints that do not
         accept the message's kind are counted in :attr:`ignored` instead of
-        being delivered.
+        being delivered; every delivered copy keeps the delay it would draw
+        if all endpoints accepted.
         """
         if message.receiver != MULTICAST_GROUP:
             raise ValueError("multicast message must be addressed to MULTICAST_GROUP")
@@ -352,8 +391,8 @@ class Network:
         # endpoint order whether or not it accepts the kind, so the copies
         # that are simulated keep exactly the timestamps they would have if
         # every copy were; the rest are only counted.
-        ignored = 0
         if loss_p or cuts:
+            ignored = 0
             loss_rand = self._loss_rand
             for address, endpoint in self._endpoints.items():
                 if address == sender:
@@ -370,17 +409,34 @@ class Network:
                     post(delay, endpoint.deliver, message)
                 else:
                     ignored += 1
-        else:
-            for address, endpoint in self._endpoints.items():
-                if address == sender:
+            self.ignored += ignored
+            return True
+        # Without loss or cuts only delay draws are made, one per receiver
+        # in endpoint order (the sender draws none).  Walk just the
+        # accepting receivers and skip the ignoring receivers' draws in C.
+        receivers = self._receivers_by_kind.get(kind)
+        if receivers is None:
+            receivers = self._receivers(kind)
+        index_of = self._index_of
+        if index_of is None:
+            index_of = self._index_of = {address: i for i, address in enumerate(self._endpoints)}
+        sender_index = index_of[sender]
+        skip_bits = self._skip_bits
+        drawn = posted = 0  # delay draws consumed / deliveries posted
+        for index, endpoint in receivers:
+            if index >= sender_index:
+                if index == sender_index:
                     continue
-                delay = min_delay + delay_span * rand()
-                accepts = endpoint.accepts
-                if accepts is None or kind in accepts:
-                    post(delay, endpoint.deliver, message)
-                else:
-                    ignored += 1
-        self.ignored += ignored
+                index -= 1  # receivers after the sender draw one place earlier
+            if index > drawn:
+                skip_bits(64 * (index - drawn))
+            post(min_delay + delay_span * rand(), endpoint.deliver, message)
+            drawn = index + 1
+            posted += 1
+        receiver_count = len(index_of) - 1
+        if receiver_count > drawn:
+            skip_bits(64 * (receiver_count - drawn))
+        self.ignored += receiver_count - posted
         return True
 
     # ------------------------------------------------------------------ queries

@@ -43,16 +43,19 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     the metric *y* additionally applies the change-time window).
 ``net.delivered``
     Messages that reached a receiver handler (receiver interface up).
-    Multicast copies count only at receivers that accept their kind.
+    Multicast copies and callback-free unicasts count only at receivers
+    that accept their kind.
 ``net.dropped_tx`` / ``net.dropped_rx``
     Transmission attempts suppressed by a downed transmitter / deliveries
     suppressed by a downed receiver, summed over all interfaces.  Like
-    ``net.delivered``, ``dropped_rx`` covers only accepted multicast copies.
+    ``net.delivered``, ``dropped_rx`` excludes unaccepted deliveries.
 ``net.ignored``
-    Multicast copies not simulated because the receiver has no handler for
-    their kind (:attr:`~repro.net.interfaces.Endpoint.accepts`).  They
-    consume the same random draws as delivered copies but post no event,
-    fire no callback and leave no ``unhandled_message`` trace record.
+    Deliveries not simulated because the receiver has no handler for their
+    kind (:attr:`~repro.net.interfaces.Endpoint.accepts`): multicast copies,
+    and unicasts sent without a delivery callback (in practice TCP
+    ``tcp_syn``/``tcp_synack`` segments, since version 4).  They consume the
+    same random draws as delivered messages but post no event, fire no
+    callback and leave no ``unhandled_message`` trace record.
 ``net.link_losses``
     Deliveries dropped on the wire by scenario loss windows (zero outside
     lossy-link scenarios).
@@ -85,7 +88,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 3
+TELEMETRY_SCHEMA_VERSION = 4
 
 
 def collect_run_telemetry(

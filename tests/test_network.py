@@ -1,5 +1,7 @@
 """Unit tests for the network substrate: delays, interface outages, multicast."""
 
+import random
+
 import pytest
 
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
@@ -229,6 +231,127 @@ def test_filtering_keeps_loss_and_cut_accounting(disruption):
     else:
         assert everyone.link_cut_drops == copies and everyone_logs["node-3"] == []
         assert filtered.ignored == copies
+
+
+def test_getrandbits_skips_exactly_like_random_calls():
+    # The multicast fan-out skips k delay draws with one getrandbits(64 * k).
+    skipped, drawn = random.Random(99), random.Random(99)
+    skipped.getrandbits(64 * 7)
+    assert skipped.random() == [drawn.random() for _ in range(8)][-1]
+
+
+def reference_fanout(order, sender, copies, delay_stream, start, config):
+    """Delivery times of a ``ping`` multicast from the per-endpoint draw loop.
+
+    ``order`` lists ``(address, accepts)`` in join order.  Every receiver
+    draws one delay per copy whether or not it accepts the kind.
+    """
+    times = {address: [] for address, _ in order}
+    for copy_index in range(copies):
+        emitted = start + copy_index * config.multicast_copy_spacing
+        for address, accepts in order:
+            if address == sender:
+                continue
+            delay = config.min_delay + (config.max_delay - config.min_delay) * delay_stream.random()
+            if accepts is None or "ping" in accepts:
+                times[address].append(emitted + delay)
+    return times
+
+
+class FanoutHarness:
+    """A logging network plus a reference ``("network", "delay")`` stream."""
+
+    def __init__(self, accepts, seed):
+        self.sim = Simulator()
+        self.rng = RngRegistry(seed)
+        self.network = Network(self.sim, self.rng)
+        self.reference = RngRegistry(seed).stream("network", "delay")
+        self.accepts = {}
+        self.logs = {}
+        for index, kinds in enumerate(accepts):
+            self.join(f"node-{index}", kinds)
+
+    def join(self, address, kinds):
+        self.accepts[address] = kinds
+        log = self.logs.setdefault(address, [])
+        sim = self.sim
+        self.network.join(Endpoint(address, handler=lambda m: log.append(sim.now), accepts=kinds))
+
+    def check_emit(self, sender, copies):
+        """Multicast from ``sender`` and compare with the reference loop."""
+        for log in self.logs.values():
+            log.clear()
+        order = [(address, self.accepts[address]) for address in self.network.addresses()]
+        expected = reference_fanout(
+            order, sender, copies, self.reference, self.sim.now, self.network.config
+        )
+        ignored_before = self.network.ignored
+        self.network.transmit_multicast(msg(sender, MULTICAST_GROUP), copies=copies)
+        self.sim.run()
+        for address, _ in order:
+            assert self.logs[address] == expected[address], address
+        posted = sum(len(times) for times in expected.values())
+        assert self.network.ignored - ignored_before == copies * (len(order) - 1) - posted
+        # The delay stream stands exactly where the per-endpoint loop leaves it.
+        assert self.rng.stream("network", "delay").random() == self.reference.random()
+
+
+def random_accepts(n, seed):
+    choices = (None, {"ping"}, {"pong"}, frozenset(), {"ping", "pong"})
+    pick = random.Random(seed).choice
+    return [pick(choices) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 1000])
+@pytest.mark.parametrize("copies", [1, 6])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("sender_accepts", [True, False])
+def test_fanout_matches_per_endpoint_draw_loop(n, copies, where, sender_accepts):
+    accepts = random_accepts(n, seed=n * 31 + copies)
+    sender_index = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    accepts[sender_index] = {"ping"} if sender_accepts else {"pong"}
+    harness = FanoutHarness(accepts, seed=n + copies)
+    harness.check_emit(f"node-{sender_index}", copies)
+    # A second emit reuses the cached tables.
+    harness.check_emit(f"node-{sender_index}", copies)
+
+
+@pytest.mark.parametrize("copies", [1, 6])
+def test_fanout_tables_follow_leave_and_rejoin(copies):
+    harness = FanoutHarness(random_accepts(12, seed=5) + [{"ping"}], seed=8)
+    harness.check_emit("node-3", copies)
+    # An accepting receiver leaves: its draws disappear from the stream.
+    harness.network.leave("node-12")
+    harness.check_emit("node-3", copies)
+    # It re-joins at the end of the endpoint order, as does a new node.
+    harness.join("node-12", {"ping"})
+    harness.join("node-13", {"pong"})
+    harness.check_emit("node-3", copies)
+    # The sender itself leaves and re-joins, moving to the end.
+    harness.network.leave("node-3")
+    harness.join("node-3", {"ping"})
+    harness.check_emit("node-3", copies)
+    harness.check_emit("node-0", copies)
+
+
+def test_unaccepted_unicast_draws_its_delay_and_is_ignored():
+    harness = FanoutHarness([None, {"ping"}], seed=3)
+    network, sim = harness.network, harness.sim
+    assert network.transmit_unicast(msg("node-0", "node-1", kind="tcp_syn")) is True
+    sim.run()
+    assert harness.logs["node-1"] == []
+    assert network.ignored == 1
+    counters = network.endpoint("node-1").interface.counters
+    assert counters.received == counters.dropped_rx == 0
+    assert len(network.stats) == 1  # the segment still left the transmitter
+    harness.reference.random()
+    assert harness.rng.stream("network", "delay").random() == harness.reference.random()
+    # A delivery callback still gets the message through, accepted or not.
+    delivered = []
+    network.transmit_unicast(msg("node-0", "node-1", kind="tcp_syn"), on_delivered=delivered.append)
+    sim.run()
+    assert len(delivered) == 1 and len(harness.logs["node-1"]) == 1
+    assert network.ignored == 1
 
 
 class PingNode(DiscoveryNode):

@@ -212,7 +212,7 @@ def _reconcile_with_fixture(produced, fixture):
     assert produced == fixture
     assert len(new_counts) == len(old_counts) > 0
     for (new, new_fired), (old, old_fired) in zip(new_counts, old_counts):
-        assert new["version"] == 3 and old["version"] == 1
+        assert new["version"] == 4 and old["version"] == 1
         assert new["net"]["link_losses"] == 0  # table4 has no loss windows
         assert new["timers"] == old["timers"]
         engine, old_engine = new["engine"], old["engine"]
