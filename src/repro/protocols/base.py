@@ -44,8 +44,6 @@ class DeploymentRunStats:
 class ProtocolDeployment:
     """A concrete topology of one protocol ready to be simulated."""
 
-    #: Registry key of the system ("upnp", "jini1", "jini2", "frodo3", "frodo2").
-    system: str = "generic"
     #: The system's own zero-failure update message count (m' in the paper).
     m_prime: int = 7
 
@@ -129,11 +127,3 @@ class ProtocolDeployment:
         metrics.
         """
         return {}
-
-    def describe(self) -> str:
-        """One-line summary of the topology."""
-        return (
-            f"{self.system}: {len(self.registries)} registr{'y' if len(self.registries) == 1 else 'ies'}, "
-            f"{len(self.managers)} manager(s), {len(self.users)} user(s)"
-            + (f", {len(self.other_nodes)} other node(s)" if self.other_nodes else "")
-        )

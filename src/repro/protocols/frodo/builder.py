@@ -64,9 +64,6 @@ class FrodoDeployment(ProtocolDeployment):
     ) -> None:
         super().__init__(sim, network, tracker)
         self.config = config
-        self.system = (
-            "frodo2" if config.subscription_mode is SubscriptionMode.TWO_PARTY else "frodo3"
-        )
 
     def trigger_service_change(
         self, attributes: Optional[Dict[str, object]] = None

@@ -1,7 +1,7 @@
-"""Jini protocol model (Table 2 / Table 4).
+"""Jini protocol model (Table 2 / Table 4) as a family of K Lookup Services.
 
-Jini is the 3-party system of the comparison: one or two Lookup Services
-(the Registries) mediate between the service provider (the Manager) and the
+Jini is the 3-party system of the comparison: Lookup Services (the
+Registries) mediate between the service provider (the Manager) and the
 clients (the Users).  Discovery uses redundant multicast (announcements from
 the Lookup Service, discovery requests from nodes); all unicast control
 traffic — registration, lookup, remote-event notification, lease renewal —
@@ -18,6 +18,16 @@ lookups), PR1 (events fire on re-registration — future registrations only),
 PR2 (clients purge a silent Lookup Service and rediscover via multicast) and
 PR3 (a renewal of a purged event registration is answered with an error that
 triggers re-registration).
+
+The paper's one- and two-registry variants generalise to K registries
+connected by a topology (full mesh, star, ring, line;
+:mod:`repro.protocols.jini.topology`).  Users are partitioned or
+multi-homed across them, and registrations/updates propagate between
+registries by eager push (the paper's replicated model), pull-on-miss with a
+cache TTL, or periodic gossip — with stale-entry fallback and cross-registry
+consistency metrics (:mod:`repro.protocols.jini.monitor`).  ``build_jini``
+is the single constructor of the family: ``jini1``/``jini2`` are frozen
+aliases of ``jini@k=1``/``jini@k=2``.
 """
 
 from repro.protocols.jini.builder import JiniDeployment, build_jini

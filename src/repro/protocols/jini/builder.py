@@ -1,11 +1,12 @@
-"""Jini topology builders (Table 4).
+"""Jini topology builder (Table 4) — the single constructor of the Jini family.
 
-Two standard topologies are modelled:
-
-* **jini1** — one Lookup Service, one service provider, five clients.
-* **jini2** — two Lookup Services (the redundancy variant of Table 4); the
-  provider registers with both and every client holds an event registration
-  at both, doubling the update traffic (m' = 14).
+``build_jini`` instantiates K Lookup Services on a registry graph, one
+service provider and N clients, with a propagation mode and a
+user-assignment policy.  The parameter defaults are the paper's
+single-registry model; ``jini@k=2`` is its two-registry redundancy variant,
+where the provider registers with both and every client holds an event
+registration at both, doubling the update traffic (m' = 14).  The
+``jini1``/``jini2`` names are frozen aliases of ``jini@k=1``/``jini@k=2``.
 
 All unicast control traffic runs over TCP (Table 3 failure response); every
 multicast is transmitted redundantly (6 copies).
@@ -13,18 +14,42 @@ multicast is transmitted redundantly (6 copies).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.consistency import ConsistencyTracker
+from repro.core.recovery import expected_update_messages
+from repro.discovery.node import Transports
 from repro.discovery.service import ServiceDescription, ServiceQuery
+from repro.net.multicast import MulticastService
 from repro.net.network import Network
+from repro.net.tcp import TcpTransport
+from repro.net.udp import UdpTransport
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.jini.config import JiniConfig
 from repro.protocols.jini.manager import JiniServiceProvider
+from repro.protocols.jini.monitor import FederationMonitor
+from repro.protocols.jini.registrar import JiniLookupService
+from repro.protocols.jini.topology import TOPOLOGIES, neighbor_indices
+from repro.protocols.jini.user import JiniClient
 from repro.sim.engine import Simulator
 
-#: Table 2: N + 2 update messages per Lookup Service (N = 5 Users).
-M_PRIME_PER_REGISTRY = 7
+#: The propagation policies.
+MODES: Tuple[str, ...] = ("push", "pull", "gossip")
+#: The user-assignment policies.
+ASSIGNS: Tuple[str, ...] = ("multi", "partition")
+
+#: Typed parameter defaults of the ``jini`` system family (the registry
+#: entry's ``params``); the defaults select the single-registry replicated
+#: model.
+JINI_PARAM_DEFAULTS: Dict[str, object] = {
+    "k": 1,
+    "mode": "push",
+    "topology": "mesh",
+    "assign": "multi",
+    "ttl": 600.0,
+    "gossip_interval": 120.0,
+    "report": True,
+}
 
 
 def default_service(manager_id: str) -> ServiceDescription:
@@ -45,7 +70,7 @@ def default_query() -> ServiceQuery:
 
 
 class JiniDeployment(ProtocolDeployment):
-    """A Jini topology ready to simulate."""
+    """A Jini federation ready to simulate."""
 
     def __init__(
         self,
@@ -53,21 +78,44 @@ class JiniDeployment(ProtocolDeployment):
         network: Network,
         tracker: ConsistencyTracker,
         config: JiniConfig,
-        n_registries: int,
+        monitor: FederationMonitor,
+        report: bool,
     ) -> None:
         super().__init__(sim, network, tracker)
         self.config = config
-        self.n_registries = n_registries
-        self.system = f"jini{n_registries}"
-        #: Table 2: (N + 2) per Lookup Service; N = 5 here, the builder
-        #: overwrites it for the actual topology size.
-        self.m_prime = M_PRIME_PER_REGISTRY * n_registries
+        self.monitor = monitor
+        self.report = report
 
     def trigger_service_change(
         self, attributes: Optional[Dict[str, object]] = None
     ) -> ServiceDescription:
         provider: JiniServiceProvider = self.primary_manager  # type: ignore[assignment]
-        return provider.change_service(attributes=attributes)
+        sd = provider.change_service(attributes=attributes)
+        self.monitor.record_change(sd.version, self.sim.now)
+        return sd
+
+    def registry_ids(self) -> List[str]:
+        """Registry node ids in build order (index 0 is the home registry)."""
+        return [registrar.node_id for registrar in self.registries]
+
+    def federation_edges(self) -> List[Tuple[str, str]]:
+        """The undirected adjacency edges of the registry graph, sorted.
+
+        Each edge is a ``(a, b)`` id pair with ``a < b``; the partition
+        scenario family draws single-link cuts from this list.
+        """
+        edges = {
+            tuple(sorted((registrar.node_id, peer)))
+            for registrar in self.registries
+            for peer in registrar.peer_addrs
+        }
+        return sorted(edges)
+
+    def extra_details(self, change_time: float) -> Dict[str, object]:
+        if not self.report:
+            return {}
+        summary = self.monitor.summary(self.network.stats, self.registry_ids(), change_time)
+        return {"federation": summary}
 
 
 def build_jini(
@@ -76,26 +124,96 @@ def build_jini(
     tracker: ConsistencyTracker,
     config: Optional[JiniConfig] = None,
     n_users: int = 5,
-    n_registries: int = 1,
+    k: int = 1,
+    mode: str = "push",
+    topology: str = "mesh",
+    assign: str = "multi",
+    ttl: float = 600.0,
+    gossip_interval: float = 120.0,
+    report: bool = True,
 ) -> JiniDeployment:
-    """Instantiate a Jini topology with ``n_registries`` Lookup Services.
+    """Instantiate a federation of ``k`` Jini Lookup Services.
 
-    Deprecated construction path: the general constructor is
-    :func:`repro.protocols.federation.builder.build_federation`, of which
-    this is the eager-push special case (``jini@k=<n_registries>``).  Kept
-    for callers of the historical API; the federation-details block is
-    pinned off so per-run output matches the legacy builder exactly.
+    ``mode`` selects the propagation policy (push/pull/gossip), ``topology``
+    the registry graph (mesh/star/ring/line), ``assign`` whether users are
+    multi-homed or partitioned across registries; ``ttl`` is pull mode's
+    freshness horizon and ``gossip_interval`` the anti-entropy period.
+    ``report=False`` suppresses the ``federation`` details block (the
+    ``jini1``/``jini2`` aliases pin it off to keep their per-run output
+    unchanged).  The construction order (registries, provider, clients) is
+    part of the byte-identity contract of those aliases.
     """
-    from repro.protocols.federation.builder import build_federation
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"unknown federation mode {mode!r}; known: {', '.join(MODES)}")
+    if assign not in ASSIGNS:
+        raise ValueError(f"unknown user assignment {assign!r}; known: {', '.join(ASSIGNS)}")
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}; known: {', '.join(TOPOLOGIES)}")
+    if ttl <= 0:
+        raise ValueError("ttl must be positive")
+    if gossip_interval <= 0:
+        raise ValueError("gossip_interval must be positive")
+    config = (config if config is not None else JiniConfig()).validate()
+    monitor = FederationMonitor(k, mode, topology, assign)
+    deployment = JiniDeployment(sim, network, tracker, config, monitor, report)
+    deployment.m_prime = expected_update_messages("jini", n_users, registries=k)
 
-    if n_registries < 1:
-        raise ValueError("n_registries must be >= 1")
-    return build_federation(
+    transports = Transports(
+        udp=UdpTransport(network),
+        tcp=TcpTransport(network),
+        multicast=MulticastService(network, redundancy=config.multicast_copies),
+    )
+
+    registrars = [
+        JiniLookupService(
+            sim,
+            network,
+            f"jini-lus-{index + 1}",
+            transports,
+            config,
+            tracker=tracker,
+            mode=mode,
+            ttl=ttl,
+            gossip_interval=gossip_interval,
+            monitor=monitor,
+        )
+        for index in range(k)
+    ]
+    deployment.registries.extend(registrars)
+
+    # Wire the registry graph; registry 1 is the well-known home/fallback.
+    home_addr = registrars[0].node_id
+    adjacency = neighbor_indices(topology, k)
+    for index, registrar in enumerate(registrars):
+        registrar.link([registrars[peer].node_id for peer in adjacency[index]], home_addr)
+
+    manager_id = "jini-manager"
+    provider = JiniServiceProvider(
         sim,
         network,
-        tracker,
-        config=config,
-        n_users=n_users,
-        k=n_registries,
-        report=False,
+        manager_id,
+        transports,
+        config,
+        sd=default_service(manager_id),
+        tracker=tracker,
+        home=None if mode == "push" else home_addr,
     )
+    deployment.managers.append(provider)
+
+    for index in range(n_users):
+        client = JiniClient(
+            sim,
+            network,
+            f"jini-user-{index + 1}",
+            transports,
+            config,
+            query=default_query(),
+            tracker=tracker,
+            home=None if assign == "multi" else registrars[index % k].node_id,
+        )
+        tracker.register_user(client.node_id)
+        deployment.users.append(client)
+
+    return deployment

@@ -15,6 +15,13 @@ Recovery behaviour:
 * A missed change is repaired when the Lookup Service becomes reachable
   again: announcements from a stale Lookup Service re-send the update, and
   version numbers on renewals let the Lookup Service request it (SRC2).
+
+In a push-mode federation the provider is *multi-homed* (``home`` is
+``None``): it registers with every discovered registry and pushes its update
+to each of them itself — the paper's replicated model.  In pull/gossip mode
+it is *single-homed*: it registers with its home registry only, ignores
+announcements from every other registry, and the federation propagates the
+update from there.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ class RegistrarState:
 
 
 class JiniServiceProvider(DiscoveryNode):
-    """A Jini service provider hosting one service item."""
+    """A Jini service provider hosting one service item, optionally pinned
+    to one home registry."""
 
     protocol = m.PROTOCOL
 
@@ -64,11 +72,14 @@ class JiniServiceProvider(DiscoveryNode):
         config: JiniConfig,
         sd: ServiceDescription,
         tracker: Optional[ConsistencyTracker] = None,
+        home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
         self.config = config.validate()
         self.sd = sd
         self.tracker = tracker
+        #: ``None`` = multi-homed (push mode).
+        self.home = home
         self.registrars: Dict[Address, RegistrarState] = {}
 
         self._discovery_timer = PeriodicTimer(sim, config.discovery_interval, self._discovery_tick)
@@ -105,6 +116,8 @@ class JiniServiceProvider(DiscoveryNode):
         self._learn_registrar(message.payload["registrar"])
 
     def _learn_registrar(self, addr: Address) -> None:
+        if self.home is not None and addr != self.home:
+            return
         state = self.registrars.get(addr)
         if state is None:
             state = RegistrarState()

@@ -8,6 +8,20 @@ matching Table 2's Jini count (m' = 7 for one Registry, 14 for two).
 Lookups and their responses are update-related like FRODO's queries: before
 the change they fall outside the accounting window, afterwards they are
 exactly the SRC2/PR2/PR3 recovery traffic the degradation metric measures.
+
+Between themselves, federated Lookup Services exchange four more TCP kinds:
+
+* ``fed_pull`` / ``fed_pull_response`` — pull-on-miss: a registry whose
+  entry is missing or older than the cache TTL asks its topology neighbours
+  (plus the well-known home registry as fallback) for their current
+  entries; receivers answer from what they hold without recursing.
+* ``fed_gossip`` / ``fed_gossip_ack`` — periodic anti-entropy: a registry
+  sends its entries to one neighbour per tick (round-robin); the receiver
+  merges newer entries and replies with anything *it* holds that is newer.
+
+All four count towards *y*: they are exactly the traffic an update needs to
+cross the federation, the federated analogue of the Manager's
+``service_update``.  Push-mode federations never send them.
 """
 
 from __future__ import annotations
@@ -45,6 +59,12 @@ EVENT_RENEW = "event_renew"
 EVENT_RENEW_ACK = "event_renew_ack"
 EVENT_RENEW_ERROR = "event_renew_error"  # PR3: the registration was purged
 
+# ------------------------------------------------------------------ inter-registry federation (TCP)
+FED_PULL = "fed_pull"
+FED_PULL_RESPONSE = "fed_pull_response"
+FED_GOSSIP = "fed_gossip"
+FED_GOSSIP_ACK = "fed_gossip_ack"
+
 #: Message kinds counted towards *y* in the efficiency metrics.
 UPDATE_RELATED_KINDS: FrozenSet[str] = frozenset(
     {
@@ -56,6 +76,10 @@ UPDATE_RELATED_KINDS: FrozenSet[str] = frozenset(
         REMOTE_EVENT,
         LOOKUP,
         LOOKUP_RESPONSE,
+        FED_PULL,
+        FED_PULL_RESPONSE,
+        FED_GOSSIP,
+        FED_GOSSIP_ACK,
     }
 )
 

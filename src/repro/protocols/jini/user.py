@@ -16,6 +16,13 @@ Recovery behaviour:
 * PR3 — an ``event_renew_error`` (the Registry purged our event
   registration) triggers a fresh registration; its ack carries the current
   version, and SRC2 then pulls the missed update.
+
+With ``assign=multi`` clients are *multi-homed* (``home`` is ``None``) as
+described above.  With ``assign=partition`` each client is pinned to one
+home registry and ignores every other: its lookups, event registrations and
+renewals all go through its partition's registry, so an update only reaches
+it once the federation has propagated the change there — exactly the
+consistency cost the cross-registry metrics measure.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ class ClientRegistrarState:
 
 
 class JiniClient(DiscoveryNode):
-    """A Jini client looking for one service."""
+    """A Jini client looking for one service, optionally pinned to one home
+    registry."""
 
     protocol = m.PROTOCOL
 
@@ -60,11 +68,14 @@ class JiniClient(DiscoveryNode):
         config: JiniConfig,
         query: ServiceQuery,
         tracker: Optional[ConsistencyTracker] = None,
+        home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.USER, transports)
         self.config = config.validate()
         self.query = query
         self.tracker = tracker
+        #: ``None`` = multi-homed (``assign=multi``).
+        self.home = home
 
         self.registrars: Dict[Address, ClientRegistrarState] = {}
         self.service_id: Optional[str] = None
@@ -112,6 +123,8 @@ class JiniClient(DiscoveryNode):
         self._learn_registrar(message.payload["registrar"])
 
     def _learn_registrar(self, addr: Address) -> None:
+        if self.home is not None and addr != self.home:
+            return
         state = self.registrars.get(addr)
         if state is None:
             state = ClientRegistrarState(last_heard=self.now)

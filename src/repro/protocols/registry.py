@@ -384,9 +384,9 @@ def _register_standard_systems() -> None:
     import dataclasses
 
     from repro.core.recovery import expected_update_messages
-    from repro.protocols.federation.builder import FEDERATION_PARAM_DEFAULTS, build_federation
     from repro.protocols.frodo.builder import build_frodo
     from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
+    from repro.protocols.jini.builder import JINI_PARAM_DEFAULTS, build_jini
     from repro.protocols.upnp.builder import build_upnp
     from repro.protocols.upnp.config import UpnpConfig
 
@@ -443,11 +443,11 @@ def _register_standard_systems() -> None:
 
     SYSTEMS.register(
         "jini",
-        build_federation,
+        build_jini,
         m_prime=lambda n_users, k=1, **_params: expected_update_messages(
             "jini", n_users, registries=int(k)
         ),
-        params=FEDERATION_PARAM_DEFAULTS,
+        params=JINI_PARAM_DEFAULTS,
         m_prime_form="(N + 2) * k",
         description=(
             "Jini, K federated Lookup Services "

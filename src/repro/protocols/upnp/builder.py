@@ -45,7 +45,6 @@ def default_query() -> ServiceQuery:
 class UpnpDeployment(ProtocolDeployment):
     """A UPnP topology ready to simulate."""
 
-    system = "upnp"
     #: Table 2: 3N update messages (invalidation + get + response per User);
     #: the class default documents N = 5, the builder sets the instance value
     #: for the actual topology size.

@@ -4,12 +4,14 @@ Covers the federation tentpole end to end:
 
 * zero-failure exactness — ``y = m' = (N + 2) * K`` for the push family at
   K in {1, 2, 4, 8};
-* the legacy ``jini1``/``jini2`` aliases stay byte-identical to the
-  pre-redesign sweep output (serial and ``--jobs 2``);
+* the legacy ``jini1``/``jini2`` aliases, and partitioned gossip and pull
+  federations under churn, stay byte-identical to pinned sweep output
+  (serial and ``--jobs 2``);
 * partitioned vs multi-homed user assignment is deterministic across
   executors (``--jobs 1`` vs ``--jobs 4``);
 * pull/gossip bounded-staleness invariants (cache-TTL and
-  topology-diameter convergence bounds);
+  topology-diameter convergence bounds), and the Lookup Service's
+  mode-dependent pull-on-miss and stale-entry fallback branches;
 * federation x scenario interaction (``churn``, ``restart``).
 """
 
@@ -17,13 +19,42 @@ import json
 
 import pytest
 
+from repro.core.consistency import ConsistencyTracker
 from repro.experiments import ExperimentRunner, ScenarioSpec
-from repro.protocols.federation.topology import diameter, max_degree, neighbor_indices
+from repro.net.messages import Message
+from repro.net.network import Network
+from repro.protocols.jini.builder import default_service
+from repro.protocols.jini.topology import diameter, max_degree, neighbor_indices
 from repro.protocols.registry import SYSTEMS
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.__main__ import main
 
-FIXTURE = "tests/data/jini_alias_pre_pr_sweep.json"
-ALIAS_ARGS = ["--system", "jini1,jini2", "--rates", "0,20", "--runs", "2"]
+#: Sweeps pinned before a refactor of the Jini family, with the arguments
+#: that reproduce them: the jini1/jini2 aliases, and partitioned gossip and
+#: pull federations under churn.
+PINNED_SWEEPS = [
+    pytest.param(
+        "tests/data/jini_alias_pre_pr_sweep.json",
+        ["--system", "jini1,jini2", "--rates", "0,20", "--runs", "2"],
+        id="alias",
+    ),
+    pytest.param(
+        "tests/data/jini_federation_pre_merge_sweep.json",
+        [
+            "--system",
+            "jini@assign=partition,k=4,mode=gossip,topology=ring,"
+            "jini@assign=partition,k=4,mode=pull,topology=star",
+            "--rates",
+            "0,20",
+            "--runs",
+            "2",
+            "--scenario",
+            "churn",
+        ],
+        id="gossip-pull-churn",
+    ),
+]
 
 N_USERS = 5
 GOSSIP_INTERVAL = 120.0
@@ -107,13 +138,14 @@ def test_legacy_aliases_do_not_report_federation_details():
         assert "federation" not in result.details
 
 
-# --------------------------------------------------------------------------- alias byte identity
-def test_alias_sweep_byte_identical_to_pre_pr_fixture(tmp_path):
+# --------------------------------------------------------------------------- pinned byte identity
+@pytest.mark.parametrize("fixture_path, args", PINNED_SWEEPS)
+def test_alias_sweep_byte_identical_to_pre_pr_fixture(tmp_path, fixture_path, args):
     serial = tmp_path / "serial.json"
     jobs2 = tmp_path / "jobs2.json"
-    assert main(["sweep", *ALIAS_ARGS, "--out", str(serial)]) == 0
-    assert main(["sweep", *ALIAS_ARGS, "--jobs", "2", "--out", str(jobs2)]) == 0
-    fixture = open(FIXTURE, "rb").read()
+    assert main(["sweep", *args, "--out", str(serial)]) == 0
+    assert main(["sweep", *args, "--jobs", "2", "--out", str(jobs2)]) == 0
+    fixture = open(fixture_path, "rb").read()
     assert serial.read_bytes() == fixture
     assert jobs2.read_bytes() == fixture
 
@@ -201,6 +233,48 @@ def test_pull_ttl_parameter_tightens_the_bound():
     fed = result.details["federation"]
     assert fed["converged_registries"] == 2
     assert fed["convergence_time"] <= 60.0 + RENEWAL_INTERVAL + 120.0
+
+
+# --------------------------------------------------------------------------- mode branches
+def registered_lookup_service(system, index, age):
+    """Registry ``index`` of an unstarted ``system`` deployment that stored
+    the service ``age`` seconds ago.
+
+    Returns ``(lus, sent, traced)``: the node's TCP sends are recorded as
+    ``(kind, payload)`` and its trace events by name instead of simulated.
+    """
+    sim = Simulator()
+    deployment = SYSTEMS.build(system, sim, Network(sim, RngRegistry(7)), ConsistencyTracker())
+    lus = deployment.registries[index]
+    sent, traced = [], []
+    lus.send_tcp = lambda receiver, kind, payload=None, **_: sent.append((kind, payload))
+    lus.trace = lambda event, **_: traced.append(event)
+    sd = default_service("jini-manager")
+    lus.handle_register(Message("jini-manager", lus.node_id, "jini", "register", {"sd": sd}))
+    sim.run(until=age)
+    sent.clear()
+    return lus, sent, traced
+
+
+def test_pull_renewal_answered_with_pr3_error_still_pulls_a_stale_entry():
+    # Only the event registration is gone: PR3 answers the renewal, and the
+    # entry past its TTL still triggers the pull-on-miss round.
+    lus, sent, _ = registered_lookup_service("jini@k=2,mode=pull", index=1, age=TTL + 1.0)
+    payload = {"service_id": "printer-service", "held_version": 1}
+    lus.handle_event_renew(Message("jini-user-1", lus.node_id, "jini", "event_renew", payload))
+    assert [kind for kind, _ in sent] == ["event_renew_error", "fed_pull"]
+
+
+@pytest.mark.parametrize("mode", ["push", "pull", "gossip"])
+def test_stale_entry_fallback_is_off_in_push_mode(mode):
+    # Past JiniConfig.registration_lease; an unstarted node never purges.
+    lease_expired = 1800.0 + 1.0
+    lus, sent, traced = registered_lookup_service(f"jini@mode={mode}", index=0, age=lease_expired)
+    payload = {"device_type": "Printer", "service_type": None, "attributes": {}}
+    lus.handle_lookup(Message("jini-user-1", lus.node_id, "jini", "lookup", payload))
+    expected = [] if mode == "push" else [default_service("jini-manager")]
+    assert sent == [("lookup_response", {"sds": expected})]
+    assert ("stale_fallback" in traced) == (mode != "push")
 
 
 # --------------------------------------------------------------------------- scenario interaction

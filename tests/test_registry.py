@@ -5,6 +5,7 @@ import pytest
 from repro.core.consistency import ConsistencyTracker
 from repro.net.network import Network
 from repro.protocols.base import ProtocolDeployment
+from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
 from repro.protocols.registry import (
     SYSTEMS,
     DeploymentRegistry,
@@ -92,7 +93,7 @@ def test_register_alias_pins_target_parameters():
 def test_build_system_constructs_expected_topology():
     sim, network, tracker = make_substrate()
     deployment = build_system("frodo3", sim, network, tracker, n_users=3)
-    assert deployment.system == "frodo3"
+    assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
     assert len(deployment.users) == 3
     assert len(deployment.managers) == 1
     assert len(deployment.registries) == 1
@@ -100,12 +101,11 @@ def test_build_system_constructs_expected_topology():
 
 
 def test_builder_does_not_mutate_caller_config():
-    from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
-
     config = FrodoConfig(subscription_mode=SubscriptionMode.TWO_PARTY)
     sim, network, tracker = make_substrate()
     deployment = build_system("frodo3", sim, network, tracker, config=config)
-    assert deployment.system == "frodo3"  # the registry name pins the mode ...
+    # The registry name pins the mode ...
+    assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
     assert config.subscription_mode is SubscriptionMode.TWO_PARTY  # ... on a copy
 
 
