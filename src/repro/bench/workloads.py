@@ -171,7 +171,7 @@ def _scale_workloads(quick: bool, names: Sequence[str]) -> List[BenchWorkload]:
 
     These time the simulator core at scale: a handful of cells each, because
     one N=1000 cell already executes ~1M events.  ``system:frodo3@10000`` is
-    excluded from ``quick`` runs (minutes per cell); everything else is sized
+    excluded from ``quick`` runs (about 30 s per cell); everything else is sized
     to stay CI-friendly.
     """
     # Identical spec in both variants (the rate-0 cell is the cheap one):

@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.net.addressing import Address, MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
-from repro.net.messages import Message
+from repro.net.messages import Message, MessageLayer
 from repro.net.multicast import MulticastService
 from repro.net.network import Network
 from repro.net.tcp import RemoteException, TcpTransport
@@ -104,14 +104,18 @@ class DiscoveryNode(Process):
 
                 _is_update_related = is_update_related
             update_related = _is_update_related(self.protocol, kind)
+        # Positional: every protocol send builds one (layer and size keep
+        # their defaults).
         return Message(
-            sender=self.node_id,
-            receiver=receiver,
-            protocol=self.protocol,
-            kind=kind,
-            payload=None if payload is None else dict(payload),
-            update_related=update_related,
-            msg_id=next(self.network.msg_ids),
+            self.node_id,
+            receiver,
+            self.protocol,
+            kind,
+            None if payload is None else dict(payload),
+            update_related,
+            MessageLayer.DISCOVERY,
+            256,
+            next(self.network.msg_ids),
         )
 
     def send_udp(

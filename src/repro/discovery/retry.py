@@ -80,6 +80,9 @@ class AckRetryScheduler:
         exchange.done = True
         if exchange.timer is not None:
             exchange.timer.cancel()
+            # The timer's event holds the exchange in its args; dropping the
+            # handle breaks that cycle, so the exchange dies by refcount.
+            exchange.timer = None
         return True
 
     def cancel(self, key: Hashable) -> bool:
@@ -100,6 +103,7 @@ class AckRetryScheduler:
         exchange.timer = self._sim.schedule(exchange.timeout, self._on_timeout, exchange)
 
     def _on_timeout(self, exchange: _PendingExchange) -> None:
+        exchange.timer = None  # spent; see acknowledge()
         if exchange.done or exchange.key not in self._pending:
             return
         unlimited = exchange.max_retries < 0

@@ -131,21 +131,30 @@ class ExperimentRunner:
     def run(self, spec: ScenarioSpec) -> RunResult:
         """Execute one run and return its :class:`~repro.core.metrics.RunResult`.
 
-        The run's object graph is reclaimed before returning.  It is full of
-        reference cycles (node and its bound-method endpoint handler,
-        timers, leases) that only the cyclic collector frees, and its
-        automatic collections are too rare to keep up with a sweep.  So the
-        context is dropped and collected here, and everything that survives
-        (the results kept so far, imported modules) is frozen out of later
-        collections, which then scan only the next run's objects.
+        Collector policy: automatic garbage collection is off for the whole
+        cell (:meth:`setup` and :meth:`execute`), and the caller's setting
+        is restored afterwards.  After the cell, one explicit collection
+        reclaims its object graph, which is full of reference cycles (node
+        and its bound-method endpoint handler, timers, leases) that only the
+        cyclic collector frees; everything that survives (the results kept
+        so far, imported modules) is then frozen out of later collections,
+        which scan only the next run's objects.
+
+        This is safe because a running cell creates no cyclic garbage:
+        everything it discards while running dies by reference count, so
+        memory cannot grow behind the disabled collector.
+        ``tests/test_work_counts.py::test_running_cells_create_no_cyclic_garbage``
+        guards that invariant for every system and scenario family.
         """
-        context = self.setup(spec)
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            return self.execute(context)
+            return self.execute(self.setup(spec))
         finally:
-            del context
             gc.collect()
             gc.freeze()
+            if enabled:
+                gc.enable()
 
     def execute(self, context: RunContext) -> RunResult:
         """Run an assembled :class:`RunContext` to the deadline and collect results.

@@ -382,7 +382,6 @@ class Network:
         config = self.config
         min_delay = config.min_delay
         delay_span = config.max_delay - min_delay
-        post = self.sim.post
         sender = message.sender
         kind = message.kind
         loss_p = self._loss_p
@@ -394,6 +393,7 @@ class Network:
         if loss_p or cuts:
             ignored = 0
             loss_rand = self._loss_rand
+            post = self.sim.post
             for address, endpoint in self._endpoints.items():
                 if address == sender:
                     continue
@@ -422,7 +422,9 @@ class Network:
             index_of = self._index_of = {address: i for i, address in enumerate(self._endpoints)}
         sender_index = index_of[sender]
         skip_bits = self._skip_bits
-        drawn = posted = 0  # delay draws consumed / deliveries posted
+        delays: List[float] = []
+        deliveries: List[Callable[[Message], bool]] = []
+        drawn = 0  # delay draws consumed
         for index, endpoint in receivers:
             if index >= sender_index:
                 if index == sender_index:
@@ -430,13 +432,15 @@ class Network:
                 index -= 1  # receivers after the sender draw one place earlier
             if index > drawn:
                 skip_bits(64 * (index - drawn))
-            post(min_delay + delay_span * rand(), endpoint.deliver, message)
+            delays.append(min_delay + delay_span * rand())
+            deliveries.append(endpoint.deliver)
             drawn = index + 1
-            posted += 1
         receiver_count = len(index_of) - 1
         if receiver_count > drawn:
             skip_bits(64 * (receiver_count - drawn))
-        self.ignored += receiver_count - posted
+        # One engine call posts them all, exactly as one post() each would.
+        self.sim.post_each(delays, deliveries, message)
+        self.ignored += receiver_count - len(delays)
         return True
 
     # ------------------------------------------------------------------ queries

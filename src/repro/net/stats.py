@@ -105,24 +105,29 @@ class MessageStats:
         return {layer.value: pair[0] for layer, pair in sorted(self._by_layer.items())}
 
     def record_send(self, time: float, message: Message, copies: int = 1) -> None:
-        """Record a transmission attempt (``copies`` > 1 for redundant multicast)."""
+        """Record a transmission attempt (``copies`` > 1 for redundant multicast).
+
+        Runs once per logical send, so :class:`SentMessage` is built
+        positionally and ``is_multicast`` is read once.
+        """
         layer = message.layer
         update_related = message.update_related
+        multicast = message.is_multicast
         self._sent.append(
             SentMessage(
-                time=time,
-                sender=message.sender,
-                receiver=message.receiver,
-                protocol=message.protocol,
-                kind=message.kind,
-                layer=layer,
-                update_related=update_related,
-                multicast=message.is_multicast,
-                copies=copies,
+                time,
+                message.sender,
+                message.receiver,
+                message.protocol,
+                message.kind,
+                layer,
+                update_related,
+                multicast,
+                copies,
             )
         )
         self._copies_total += copies
-        if message.is_multicast:
+        if multicast:
             self._multicast_total += 1
         pair = self._by_layer.get(layer)
         if pair is None:

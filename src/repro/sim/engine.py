@@ -13,7 +13,8 @@ Two scheduling tiers exist:
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` are the flattened
   fire-and-forget tier (message deliveries, retransmissions): no handle and
   no per-event object is allocated, which is what keeps large-N simulations
-  (thousands of in-flight deliveries) cheap.
+  (thousands of in-flight deliveries) cheap; :meth:`Simulator.post_each`
+  posts a batch of them (one multicast copy's deliveries) in one call.
 
 Per-node timers go through :attr:`Simulator.timers` — a
 :class:`~repro.sim.timers.TimerWheel` holding a separate heap that the run
@@ -27,7 +28,7 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.events import Event, EventQueue, SimulationError
 from repro.sim.tracing import Tracer
@@ -157,6 +158,36 @@ class Simulator:
         queue._live += 1
         if len(queue._heap) > queue.hwm:
             queue.hwm = len(queue._heap)
+
+    def post_each(
+        self,
+        delays: Sequence[float],
+        callbacks: Sequence[Callable[..., Any]],
+        *args: Any,
+    ) -> None:
+        """Post ``callbacks[i](*args)`` after ``delays[i]``, for every ``i`` in order.
+
+        Leaves exactly the heap entries, sequence numbers and counters that
+        calling :meth:`post` once per pair would, with one length check, one
+        negative-delay check and one counter update: a multicast copy posts
+        its deliveries here in a single call.  Raises before pushing
+        anything when the lengths differ or a delay is negative.
+        """
+        count = len(delays)
+        if len(callbacks) != count:
+            raise ValueError(f"{count} delays for {len(callbacks)} callbacks")
+        if count and min(delays) < 0:
+            raise SimulationError(f"negative delay {min(delays)!r}")
+        queue = self._queue
+        heap = queue._heap
+        now = self._now
+        first = queue._next_seq
+        for seq, delay, callback in zip(range(first, first + count), delays, callbacks):
+            heappush(heap, (now + delay, 0, seq, callback, args))
+        queue._next_seq = first + count
+        queue._live += count
+        if len(heap) > queue.hwm:
+            queue.hwm = len(heap)
 
     def post_at(
         self,

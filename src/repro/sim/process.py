@@ -64,8 +64,8 @@ class Process:
     # ------------------------------------------------------------------ scheduling
     @property
     def now(self) -> float:
-        """Current simulation time."""
-        return self.sim.now
+        """Current simulation time (read from the clock slot: handlers ask often)."""
+        return self.sim._now
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule a callback owned by this process (cancelled on :meth:`stop`)."""

@@ -82,10 +82,24 @@ class TimerWheel:
         *args: Any,
         priority: int = 0,
     ) -> Event:
-        """Arm a timer ``delay`` seconds from now; returns its cancellation record."""
+        """Arm a timer ``delay`` seconds from now; returns its cancellation record.
+
+        :meth:`schedule_at`'s body, inlined: every renewal and announcement
+        re-arms through here, so it costs one Python frame, not two.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._sim._now + delay, callback, *args, priority=priority)
+        time = self._sim._now + delay
+        queue = self._queue
+        sequence = queue._next_seq
+        queue._next_seq = sequence + 1
+        event = Event(time, priority, sequence, callback, args)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
+        self._live += 1
+        self.scheduled_total += 1
+        if len(self._heap) > self.hwm:
+            self.hwm = len(self._heap)
+        return event
 
     def schedule_at(
         self,

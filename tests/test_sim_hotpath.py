@@ -224,3 +224,55 @@ def test_fresh_wheel_belongs_to_its_simulator():
     assert isinstance(sim.timers, TimerWheel)
     other = Simulator()
     assert other.timers is not sim.timers
+
+
+# ------------------------------------------------------------- batched posting
+def _queue_state(sim):
+    queue = sim._queue
+    return list(queue._heap), queue._next_seq, queue._live, queue.hwm
+
+
+def test_post_each_matches_sequential_posts():
+    """One post_each call leaves the heap, sequence counter, live count and
+    high-water mark exactly as one post per pair would, and the callbacks
+    fire in the same order."""
+    delays = [3e-5, 1e-5, 9e-5, 1e-5, 0.0]
+    fired = []
+    callbacks = [lambda tag, i=i: fired.append((i, tag)) for i in range(len(delays))]
+
+    def earlier():
+        fired.append("earlier")
+
+    def build(batched):
+        sim = Simulator(start_time=2.0)
+        sim.post(5e-5, earlier)  # a non-empty heap to push into
+        if batched:
+            sim.post_each(delays, callbacks, "msg")
+        else:
+            for delay, callback in zip(delays, callbacks):
+                sim.post(delay, callback, "msg")
+        return sim
+
+    batched, sequential = build(True), build(False)
+    assert _queue_state(batched) == _queue_state(sequential)
+    assert _queue_state(batched)[1:] == (6, 6, 6)
+    batched.run()
+    batched_order = list(fired)
+    fired.clear()
+    sequential.run()
+    assert batched_order == fired
+    assert fired == [(4, "msg"), (1, "msg"), (3, "msg"), (0, "msg"), "earlier", (2, "msg")]
+    assert batched.executed_events == sequential.executed_events == 6
+
+
+@pytest.mark.parametrize(
+    "delays,n_callbacks,error",
+    [([1.0, 2.0], 3, ValueError), ([1.0, -1e-9, 2.0], 3, SimulationError)],
+)
+def test_post_each_rejects_bad_batches_without_pushing(delays, n_callbacks, error):
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    before = _queue_state(sim)
+    with pytest.raises(error):
+        sim.post_each(delays, [lambda: None] * n_callbacks)
+    assert _queue_state(sim) == before  # nothing pushed, no sequence consumed

@@ -1,16 +1,20 @@
-"""Deterministic work guards: exact event counts at scale, and per-run reclamation.
+"""Deterministic work guards: exact event counts at scale, per-run reclamation,
+and the collector policy that running cells create no cyclic garbage.
 
 Event counts are a deterministic function of the cell, so pinning them
 catches a returning multicast fan-out (or any other added work) on every
 machine, with no wall-clock threshold.
 """
 
+import gc
 import weakref
 
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import ScenarioSpec
+from repro.experiments.scenarios import SCENARIOS
+from repro.protocols.registry import SYSTEMS
 
 #: (system, users) -> (engine.events_scheduled, net.ignored) of the
 #: failure-free cell at seed 1906.  Ignored deliveries are counted instead
@@ -59,3 +63,78 @@ def test_run_reclaims_the_cell_object_graph():
     # reference cycles; the run must not leave them to a later collection.
     assert runner.network_ref is not None
     assert runner.network_ref() is None
+
+
+class CollectorProbe(ExperimentRunner):
+    """Records whether automatic collection is on while a cell executes."""
+
+    def __init__(self, cell_raises):
+        super().__init__()
+        self.cell_raises = cell_raises
+        self.enabled_during_cell = None
+
+    def execute(self, context):
+        self.enabled_during_cell = gc.isenabled()
+        if self.cell_raises:
+            raise RuntimeError("cell failed")
+        return super().execute(context)
+
+
+@pytest.mark.parametrize(
+    "caller_enabled,cell_raises",
+    [(True, False), (True, True), (False, False)],
+    ids=["normal", "cell-raises", "caller-disabled"],
+)
+def test_run_turns_the_collector_off_for_the_cell_only(caller_enabled, cell_raises):
+    was_enabled = gc.isenabled()
+    if caller_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        runner = CollectorProbe(cell_raises)
+        spec = ScenarioSpec(system="frodo3", failure_rate=0.2, seed=11)
+        if cell_raises:
+            with pytest.raises(RuntimeError, match="cell failed"):
+                runner.run(spec)
+        else:
+            assert runner.run(spec).update_message_count > 0
+        assert runner.enabled_during_cell is False
+        # The caller's setting comes back, whether the cell raised or not.
+        assert gc.isenabled() is caller_enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+#: Every registered system plus a pull and a gossip federation.
+CYCLE_GUARD_SYSTEMS = SYSTEMS.names() + [
+    "jini@k=4,mode=pull",
+    "jini@k=8,mode=gossip,topology=ring",
+]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS.names())
+@pytest.mark.parametrize("system", CYCLE_GUARD_SYSTEMS)
+def test_running_cells_create_no_cyclic_garbage(system, scenario):
+    # ExperimentRunner.run keeps the cyclic collector off for the whole
+    # cell; that is memory-safe only while everything a running cell drops
+    # is freed by reference counting.  DEBUG_SAVEALL keeps whatever the
+    # collector finds unreachable in gc.garbage instead of freeing it.
+    runner = ExperimentRunner()
+    spec = ScenarioSpec(system=system, failure_rate=0.4, seed=7, n_users=5, scenario=scenario)
+    context = runner.setup(spec)
+    gc.collect()
+    gc.freeze()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        runner.execute(context)
+        gc.collect()
+        leaked = sorted({type(obj).__name__ for obj in gc.garbage})
+        assert not gc.garbage, f"{len(gc.garbage)} objects in cycles: {leaked}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.unfreeze()
