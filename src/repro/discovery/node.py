@@ -195,10 +195,12 @@ class DiscoveryNode(Process):
     def on_unhandled(self, message: Message) -> None:
         """Hook for messages without a dedicated handler (ignored by default).
 
-        Multicast copies and callback-free unicasts (TCP ``tcp_syn`` /
-        ``tcp_synack`` segments included) of kinds outside
-        :meth:`accepted_kinds` are filtered out by the network, so only
-        unicasts sent with a delivery callback and TCP data can reach it.
+        Multicast copies and callback-free unicasts of kinds outside
+        :meth:`accepted_kinds` are counted by the network instead of
+        delivered; that includes TCP's SYN and SYN-ACK, which travel as
+        field-only segments and become messages only at an endpoint that
+        accepts every kind.  So only unicasts sent with a delivery callback
+        and TCP data can reach it.
         """
         if self.sim.tracer.enabled:
             self.trace("unhandled_message", kind=message.kind, sender=message.sender)

@@ -139,10 +139,6 @@ class Endpoint:
         self._handler = handler
         self.accepts = accepts
 
-    def bind(self, handler: Callable[[Message], Any]) -> None:
-        """Attach (or replace) the receive handler."""
-        self._handler = handler
-
     def deliver(self, message: Message) -> bool:
         """Deliver ``message`` to the handler if the receiver is up.
 

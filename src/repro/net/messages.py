@@ -20,8 +20,7 @@ message.
 Message ids are normally drawn from the run-scoped counter owned by
 :class:`~repro.net.network.Network` (``network.msg_ids``) so that ids are
 deterministic per run; the module-level fallback counter exists only for
-messages constructed without a network at hand (tests, :meth:`Message.reply`
-/ :meth:`Message.clone` without an explicit id).
+messages constructed without a network at hand (tests).
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class Message:
         "layer",
         "size_bytes",
         "msg_id",
-        "in_reply_to",
     )
 
     def __init__(
@@ -99,7 +97,6 @@ class Message:
         layer: MessageLayer = MessageLayer.DISCOVERY,
         size_bytes: int = 256,
         msg_id: Optional[int] = None,
-        in_reply_to: Optional[int] = None,
     ) -> None:
         self.sender = sender
         self.receiver = receiver
@@ -110,46 +107,11 @@ class Message:
         self.layer = layer
         self.size_bytes = size_bytes
         self.msg_id = next(_MSG_COUNTER) if msg_id is None else msg_id
-        self.in_reply_to = in_reply_to
 
     @property
     def is_multicast(self) -> bool:
         """``True`` when addressed to the multicast group."""
         return self.receiver == MULTICAST_GROUP
-
-    def reply(
-        self,
-        kind: str,
-        payload: Optional[Mapping[str, Any]] = None,
-        update_related: bool = False,
-        **extra: Any,
-    ) -> "Message":
-        """Build a unicast reply from the receiver back to the sender."""
-        return Message(
-            sender=self.receiver if not self.is_multicast else extra.pop("sender"),
-            receiver=self.sender,
-            protocol=self.protocol,
-            kind=kind,
-            payload=payload,
-            update_related=update_related,
-            in_reply_to=self.msg_id,
-            **extra,
-        )
-
-    def clone(self, msg_id: Optional[int] = None) -> "Message":
-        """Copy of this message with a fresh message id (used for retransmissions)."""
-        return Message(
-            sender=self.sender,
-            receiver=self.receiver,
-            protocol=self.protocol,
-            kind=self.kind,
-            payload=self.payload,
-            update_related=self.update_related,
-            layer=self.layer,
-            size_bytes=self.size_bytes,
-            msg_id=msg_id,
-            in_reply_to=self.in_reply_to,
-        )
 
     def describe(self) -> str:
         """Short human-readable summary used in traces and logs."""

@@ -8,20 +8,26 @@ sending and the receiving side, and records every transmission attempt in a
 Transports (:mod:`repro.net.udp`, :mod:`repro.net.tcp`,
 :mod:`repro.net.multicast`) are thin policies built on top of the two
 primitives :meth:`Network.transmit_unicast` and :meth:`Network.transmit_multicast`.
+The TCP handshake calls the field-based core of ``transmit_unicast``
+directly, so its segments travel the same wire path without a
+:class:`~repro.net.messages.Message` of their own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
 from repro.net.interfaces import Endpoint
-from repro.net.messages import Message
+from repro.net.messages import Message, MessageLayer
 from repro.net.stats import MessageStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+#: Nominal size of a TCP control segment (SYN, SYN-ACK, ACK), in bytes.
+SEGMENT_BYTES = 40
 
 
 @dataclass
@@ -205,20 +211,55 @@ class Network:
         """Draw one transmission delay from the uniform 10-100 microsecond range."""
         return self._uniform(self.config.min_delay, self.config.max_delay)
 
-    def interfaces_up(self, sender: Address, receiver: Address) -> bool:
-        """``True`` when the sender can transmit and the receiver can receive *right now*."""
-        src = self._endpoints.get(sender)
-        dst = self._endpoints.get(receiver)
-        if src is None or dst is None:
-            return False
-        return src.interface.can_send() and dst.interface.can_receive()
-
     # ------------------------------------------------------------------ primitives
+    def record_send(
+        self,
+        sender: Address,
+        receiver: Address,
+        protocol: str,
+        kind: str,
+        layer: MessageLayer,
+        update_related: bool,
+        multicast: bool,
+        copies: int,
+        msg_id: int,
+    ) -> None:
+        """Account one logical send at the current time.
+
+        Every send record goes through here: each unicast that leaves its
+        transmitter, the first multicast copy that does (with its copy
+        count), and TCP's application message, acknowledgements and data
+        retransmissions.  The fields go into :attr:`stats` and, only while
+        tracing is on, into a ``net/send`` trace record at the same time, so
+        a captured trace's message-kind counts agree with the in-memory
+        statistics (the ``trace summarize`` contract).
+        """
+        sim = self.sim
+        now = sim.now
+        self.stats.record(
+            now, sender, receiver, protocol, kind, layer, update_related, multicast, copies
+        )
+        tracer = sim.tracer
+        if tracer.enabled:
+            tracer.record(
+                now,
+                "net",
+                "send",
+                protocol=protocol,
+                kind=kind,
+                sender=sender,
+                receiver=receiver,
+                layer=layer.value,
+                update_related=update_related,
+                multicast=multicast,
+                copies=copies,
+                msg_id=msg_id,
+            )
+
     def transmit_unicast(
         self,
         message: Message,
         on_delivered: Optional[Callable[[Message], None]] = None,
-        record: bool = True,
     ) -> bool:
         """Attempt a single unicast transmission.
 
@@ -231,33 +272,60 @@ class Network:
         still draws its delay but is counted in :attr:`ignored` instead of
         being delivered.
         """
-        sender_ep = self._endpoints.get(message.sender)
+        return self._unicast(
+            message.sender,
+            message.receiver,
+            message.protocol,
+            message.kind,
+            message.layer,
+            message.update_related,
+            message.msg_id,
+            message,
+            on_delivered,
+        )
+
+    def _unicast(
+        self,
+        sender: Address,
+        receiver: Address,
+        protocol: str,
+        kind: str,
+        layer: MessageLayer,
+        update_related: bool,
+        msg_id: int,
+        message: Optional[Message],
+        on_delivered: Optional[Callable[[Message], None]],
+    ) -> bool:
+        """:meth:`transmit_unicast` from the message's fields.
+
+        ``message`` is ``None`` for a TCP segment, which is sent without a
+        delivery callback: a :class:`Message` is built for it only when the
+        receiver accepts its kind, which no protocol node does.
+        """
+        endpoints = self._endpoints
+        sender_ep = endpoints.get(sender)
         if sender_ep is None:
             # Sender departed (churn): its radio is gone, nothing is emitted.
             # In-flight transport machinery (e.g. a TCP handshake scheduled
             # before the node left) sees an ordinary send failure and runs
             # its normal retry/REX response.
             return False
-        receiver_ep = self._endpoints.get(message.receiver)
-
-        if not sender_ep.interface.can_send():
-            sender_ep.interface.counters.dropped_tx += 1
+        interface = sender_ep.interface
+        if not interface.tx_up:
+            interface.counters.dropped_tx += 1
             # The node tried to send but its transmitter is down: nothing is
             # emitted on the wire, so the attempt is not counted as traffic.
             return False
 
-        if record:
-            self.stats.record_send(self.sim.now, message)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                self._trace_send(tracer, message, copies=1)
-        sender_ep.interface.counters.sent += 1
+        self.record_send(sender, receiver, protocol, kind, layer, update_related, False, 1, msg_id)
+        interface.counters.sent += 1
 
+        receiver_ep = endpoints.get(receiver)
         if receiver_ep is None:
             # Destination unknown / departed: message is lost on the wire.
             return True
 
-        if self._cut_links and frozenset((message.sender, message.receiver)) in self._cut_links:
+        if self._cut_links and frozenset((sender, receiver)) in self._cut_links:
             # Severed link (partition scenarios): the send was spent but the
             # message dies on the wire, exactly like a loss-window drop.  The
             # cut check comes before the loss draw so cut-dropped deliveries
@@ -277,37 +345,25 @@ class Network:
         if on_delivered is None:
             # Hot path: no closure, no Event allocation.
             accepts = receiver_ep.accepts
-            if accepts is None or message.kind in accepts:
+            if accepts is None or kind in accepts:
+                if message is None:
+                    message = Message(
+                        sender,
+                        receiver,
+                        protocol,
+                        kind,
+                        None,
+                        update_related,
+                        layer,
+                        SEGMENT_BYTES,
+                        msg_id,
+                    )
                 self.sim.post(delay, receiver_ep.deliver, message)
             else:
                 self.ignored += 1
         else:
             self.sim.post(delay, self._deliver_with_callback, receiver_ep, message, on_delivered)
         return True
-
-    def _trace_send(self, tracer: Any, message: Message, copies: int) -> None:
-        """Mirror one recorded send into the trace (``net/send`` records).
-
-        Emitted exactly where :meth:`~repro.net.stats.MessageStats.record_send`
-        records the logical send, so a captured trace's message-kind counts
-        agree with the in-memory statistics (the ``trace summarize``
-        contract).  Only runs when tracing is enabled — the hot path pays a
-        single branch.
-        """
-        tracer.record(
-            self.sim.now,
-            "net",
-            "send",
-            protocol=message.protocol,
-            kind=message.kind,
-            sender=message.sender,
-            receiver=message.receiver,
-            layer=message.layer.value,
-            update_related=message.update_related,
-            multicast=message.is_multicast,
-            copies=copies,
-            msg_id=message.msg_id,
-        )
 
     @staticmethod
     def _deliver_with_callback(
@@ -318,12 +374,7 @@ class Network:
         if receiver_ep.deliver(message):
             on_delivered(message)
 
-    def transmit_multicast(
-        self,
-        message: Message,
-        copies: int = 1,
-        record: bool = True,
-    ) -> bool:
+    def transmit_multicast(self, message: Message, copies: int = 1) -> bool:
         """Transmit a multicast message to every other endpoint.
 
         ``copies`` models the redundant transmissions used by UPnP and Jini
@@ -347,7 +398,7 @@ class Network:
         # is recorded at most once — by the first copy that actually leaves
         # the transmitter (matching the unicast rule that a blocked
         # transmitter emits nothing on the wire and is not counted).
-        state = {"recorded": not record}
+        state = {"recorded": False}
         first_copy_sent = self._emit_multicast_copy(message, sender_ep, state, copies)
         for copy_index in range(1, max(1, copies)):
             offset = copy_index * self.config.multicast_copy_spacing
@@ -373,10 +424,17 @@ class Network:
             # so that Table 2 style accounting counts announcements once while
             # the redundant copies remain visible via ``count_copies=True``.
             state["recorded"] = True
-            self.stats.record_send(self.sim.now, message, copies=copies)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                self._trace_send(tracer, message, copies=copies)
+            self.record_send(
+                message.sender,
+                message.receiver,
+                message.protocol,
+                message.kind,
+                message.layer,
+                message.update_related,
+                True,
+                copies,
+                message.msg_id,
+            )
         sender_ep.interface.counters.sent += 1
         rand = self._rand
         config = self.config
@@ -442,10 +500,3 @@ class Network:
         self.sim.post_each(delays, deliveries, message)
         self.ignored += receiver_count - len(delays)
         return True
-
-    # ------------------------------------------------------------------ queries
-    def reachable_nodes(self, sender: Address) -> Iterable[Address]:
-        """Addresses whose receiver is currently up, excluding the sender."""
-        for address, endpoint in self._endpoints.items():
-            if address != sender and endpoint.interface.can_receive():
-                yield address

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.net.messages import Message, MessageLayer
+from repro.net.messages import MessageLayer
 
 
 class SentMessage:
@@ -74,7 +74,7 @@ class MessageStats:
 
     def __init__(self) -> None:
         self._sent: List[SentMessage] = []
-        # Incremental aggregates, updated once per record_send.  Each entry
+        # Incremental aggregates, updated once per record.  Each entry
         # is a [count, copies] pair so count_copies toggles cost nothing.
         self._copies_total = 0
         self._multicast_total = 0
@@ -104,26 +104,26 @@ class MessageStats:
         """Logical send counts per accounting layer (O(1); telemetry)."""
         return {layer.value: pair[0] for layer, pair in sorted(self._by_layer.items())}
 
-    def record_send(self, time: float, message: Message, copies: int = 1) -> None:
+    def record(
+        self,
+        time: float,
+        sender: str,
+        receiver: str,
+        protocol: str,
+        kind: str,
+        layer: MessageLayer,
+        update_related: bool,
+        multicast: bool,
+        copies: int,
+    ) -> None:
         """Record a transmission attempt (``copies`` > 1 for redundant multicast).
 
-        Runs once per logical send, so :class:`SentMessage` is built
-        positionally and ``is_multicast`` is read once.
+        Takes fields, not a message: TCP segments are recorded without a
+        :class:`~repro.net.messages.Message` ever being built.
         """
-        layer = message.layer
-        update_related = message.update_related
-        multicast = message.is_multicast
         self._sent.append(
             SentMessage(
-                time,
-                message.sender,
-                message.receiver,
-                message.protocol,
-                message.kind,
-                layer,
-                update_related,
-                multicast,
-                copies,
+                time, sender, receiver, protocol, kind, layer, update_related, multicast, copies
             )
         )
         self._copies_total += copies

@@ -17,10 +17,16 @@ set-up runs its retry schedule into a REX, and an already-established
 transfer keeps retransmitting until the link heals.
 
 Transport segments (SYN, SYN-ACK, data retransmissions, acknowledgements) are
-recorded as :class:`~repro.net.messages.MessageLayer.TRANSPORT` messages so
-that they can be reported separately; the paper's efficiency metrics for
-UPnP/Jini "do not take into account the messages used by the transmission
-layers".
+recorded as :attr:`~repro.net.messages.MessageLayer.TRANSPORT` sends so that
+they can be reported separately; the paper's efficiency metrics for UPnP/Jini
+"do not take into account the messages used by the transmission layers".
+Segments are send records, not :class:`~repro.net.messages.Message` objects:
+SYN and SYN-ACK travel the network's field-based unicast core (which draws
+their delays and counts them as ignored at a protocol node), while ACKs and
+data retransmissions are only recorded.  A message that connects at its
+first attempt costs two posted events, four send records (SYN, SYN-ACK, the
+message, ACK), four delay draws (SYN, SYN-ACK, round trip, data) and three
+segment ids.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from typing import Callable, Optional, Tuple
 
 from repro.net.messages import Message, MessageLayer
 from repro.net.network import Network
+
+#: Bound once: looking an enum member up on its class is slow, and every
+#: segment needs it.
+_TRANSPORT = MessageLayer.TRANSPORT
 
 
 @dataclass(frozen=True)
@@ -56,19 +66,37 @@ class TcpConfig:
 
 
 class _TcpExchange:
-    """State machine for one application message sent over TCP."""
+    """State machine for one application message sent over TCP.
+
+    Its four steps are the callbacks the simulator posts:
+    :meth:`_attempt_connection` (SYN and SYN-ACK), :meth:`_start_data_transfer`,
+    :meth:`_attempt_data` (the data segment and its ACK) and :meth:`_deliver`.
+    Endpoint, interface and link state are read from the network directly.
+    """
+
+    __slots__ = (
+        "network",
+        "sim",
+        "config",
+        "message",
+        "on_delivered",
+        "on_rex",
+        "setup_attempt",
+        "data_attempt",
+        "finished",
+    )
 
     def __init__(
         self,
-        transport: "TcpTransport",
+        network: Network,
+        config: TcpConfig,
         message: Message,
         on_delivered: Optional[Callable[[Message], None]],
         on_rex: Optional[Callable[[RemoteException], None]],
     ) -> None:
-        self.transport = transport
-        self.network = transport.network
-        self.sim = transport.network.sim
-        self.config = transport.config
+        self.network = network
+        self.sim = network.sim
+        self.config = config
         self.message = message
         self.on_delivered = on_delivered
         self.on_rex = on_rex
@@ -77,16 +105,37 @@ class _TcpExchange:
         self.finished = False
 
     # --------------------------------------------------------------- connection
-    def start(self) -> None:
-        self._attempt_connection()
-
     def _attempt_connection(self) -> None:
         if self.finished:
             return
         self.setup_attempt += 1
-        handshake_ok = self._record_handshake_segments()
-        rtt = 2.0 * self.network.transmission_delay()
-        if handshake_ok:
+        network = self.network
+        message = self.message
+        src = message.sender
+        dst = message.receiver
+        protocol = message.protocol
+        unicast = network._unicast
+        msg_ids = network.msg_ids
+        cuts = network._cut_links
+        endpoints = network._endpoints
+        dst_ep = endpoints.get(dst)
+        # The SYN must leave the transmitter over an intact link to a peer
+        # that can hear it and answer; a loss window drops the segments'
+        # deliveries but does not decide the handshake.
+        connected = False
+        if (
+            unicast(src, dst, protocol, "tcp_syn", _TRANSPORT, False, next(msg_ids), None, None)
+            and not (cuts and frozenset((src, dst)) in cuts)
+            and dst_ep is not None
+            and dst_ep.interface.rx_up
+            and dst_ep.interface.tx_up
+        ):
+            unicast(dst, src, protocol, "tcp_synack", _TRANSPORT, False, next(msg_ids), None, None)
+            connected = endpoints[src].interface.rx_up
+        config = network.config
+        min_delay = config.min_delay
+        rtt = 2.0 * (min_delay + (config.max_delay - min_delay) * network._rand())
+        if connected:
             self.sim.post(rtt, self._start_data_transfer)
             return
         retries = self.config.connection_retry_delays
@@ -96,86 +145,68 @@ class _TcpExchange:
         delay = retries[self.setup_attempt - 1]
         self.sim.post(delay, self._attempt_connection)
 
-    def _record_handshake_segments(self) -> bool:
-        """Emit SYN / SYN-ACK transport segments; return ``True`` if the handshake completes."""
-        src = self.message.sender
-        dst = self.message.receiver
-        syn = Message(
-            sender=src,
-            receiver=dst,
-            protocol=self.message.protocol,
-            kind="tcp_syn",
-            layer=MessageLayer.TRANSPORT,
-            size_bytes=40,
-            msg_id=next(self.network.msg_ids),
-        )
-        sent = self.network.transmit_unicast(syn)
-        if not sent:
-            return False
-        if self.network.link_is_cut(src, dst):
-            # Severed link (partition scenarios): the SYN died on the wire, so
-            # the peer never answers and the setup retry schedule takes over.
-            return False
-        dst_ep = self.network.endpoint(dst) if self.network.has_endpoint(dst) else None
-        if dst_ep is None or not dst_ep.interface.can_receive() or not dst_ep.interface.can_send():
-            return False
-        synack = Message(
-            sender=dst,
-            receiver=src,
-            protocol=self.message.protocol,
-            kind="tcp_synack",
-            layer=MessageLayer.TRANSPORT,
-            size_bytes=40,
-            msg_id=next(self.network.msg_ids),
-        )
-        self.network.transmit_unicast(synack)
-        src_ep = self.network.endpoint(src)
-        return src_ep.interface.can_receive()
-
     # --------------------------------------------------------------- data phase
     def _start_data_transfer(self) -> None:
         if self.finished:
             return
         # The application-layer message is accounted exactly once, when the
         # established connection first carries it.
-        self.network.stats.record_send(self.sim.now, self.message)
+        message = self.message
+        self.network.record_send(
+            message.sender,
+            message.receiver,
+            message.protocol,
+            message.kind,
+            message.layer,
+            message.update_related,
+            False,
+            1,
+            message.msg_id,
+        )
         self._attempt_data(first=True)
 
     def _attempt_data(self, first: bool = False) -> None:
         if self.finished:
             return
         self.data_attempt += 1
+        network = self.network
+        message = self.message
+        src = message.sender
+        dst = message.receiver
+        protocol = message.protocol
+        msg_ids = network.msg_ids
+        record = network.record_send
         if not first:
-            retrans = Message(
-                sender=self.message.sender,
-                receiver=self.message.receiver,
-                protocol=self.message.protocol,
-                kind="tcp_data_retransmit",
-                layer=MessageLayer.TRANSPORT,
-                size_bytes=self.message.size_bytes,
-                msg_id=next(self.network.msg_ids),
+            record(
+                src,
+                dst,
+                protocol,
+                "tcp_data_retransmit",
+                _TRANSPORT,
+                False,
+                False,
+                1,
+                next(msg_ids),
             )
-            self.network.stats.record_send(self.sim.now, retrans)
-
-        src = self.message.sender
-        dst = self.message.receiver
-        delay = self.network.transmission_delay()
-        success = (
-            not self.network.link_is_cut(src, dst)
-            and self.network.interfaces_up(src, dst)
-            and self.network.interfaces_up(dst, src)
-        )
-        if success:
-            ack = Message(
-                sender=dst,
-                receiver=src,
-                protocol=self.message.protocol,
-                kind="tcp_ack",
-                layer=MessageLayer.TRANSPORT,
-                size_bytes=40,
-                msg_id=next(self.network.msg_ids),
-            )
-            self.network.stats.record_send(self.sim.now, ack)
+        config = network.config
+        min_delay = config.min_delay
+        delay = min_delay + (config.max_delay - min_delay) * network._rand()
+        cuts = network._cut_links
+        endpoints = network._endpoints
+        src_ep = endpoints.get(src)
+        dst_ep = endpoints.get(dst)
+        # The segment and its ACK get through over an intact link between
+        # two ends that can both send and receive.
+        if (
+            not (cuts and frozenset((src, dst)) in cuts)
+            and src_ep is not None
+            and dst_ep is not None
+            and src_ep.interface.tx_up
+            and dst_ep.interface.rx_up
+            and dst_ep.interface.tx_up
+            and src_ep.interface.rx_up
+        ):
+            record(dst, src, protocol, "tcp_ack", _TRANSPORT, False, False, 1, next(msg_ids))
             self.sim.post(delay, self._deliver)
             return
         if self.data_attempt >= self.config.max_data_retries:
@@ -194,19 +225,15 @@ class _TcpExchange:
         if self.finished:
             return
         self.finished = True
-        endpoint = (
-            self.network.endpoint(self.message.receiver)
-            if self.network.has_endpoint(self.message.receiver)
-            else None
-        )
-        delivered = endpoint.deliver(self.message) if endpoint is not None else False
-        if delivered and self.on_delivered is not None:
-            self.on_delivered(self.message)
-        elif not delivered:
+        message = self.message
+        endpoint = self.network._endpoints.get(message.receiver)
+        if endpoint is not None and endpoint.deliver(message):
+            if self.on_delivered is not None:
+                self.on_delivered(message)
+        elif self.on_rex is not None:
             # The receiver vanished between the acknowledgement and delivery
             # (possible only at microsecond granularity); treat as a REX.
-            if self.on_rex is not None:
-                self.on_rex(RemoteException(self.message, "receiver_unreachable", self.sim.now))
+            self.on_rex(RemoteException(message, "receiver_unreachable", self.sim.now))
 
     def _fail(self, reason: str) -> None:
         if self.finished:
@@ -243,4 +270,4 @@ class TcpTransport:
         discovery layer gets the message; ``on_rex`` is invoked when TCP gives
         up (connection set-up failed after the retry schedule).
         """
-        _TcpExchange(self, message, on_delivered, on_rex).start()
+        _TcpExchange(self.network, self.config, message, on_delivered, on_rex)._attempt_connection()

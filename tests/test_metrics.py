@@ -91,6 +91,20 @@ def test_efficiency_degradation_capped_at_one():
 
 
 # --------------------------------------------------------------------------- message accounting
+def _record(stats, time, message, copies=1):
+    stats.record(
+        time,
+        message.sender,
+        message.receiver,
+        message.protocol,
+        message.kind,
+        message.layer,
+        message.update_related,
+        message.is_multicast,
+        copies,
+    )
+
+
 def _multicast(kind="msearch", protocol="upnp", update_related=True):
     return Message(
         sender="a",
@@ -106,7 +120,7 @@ def test_redundant_multicast_counts_once_logically():
     # copies (UPnP/Jini, Table 3) counts once towards y; the copies remain
     # visible through count_copies=True.
     stats = MessageStats()
-    stats.record_send(10.0, _multicast(), copies=6)
+    _record(stats, 10.0, _multicast(), copies=6)
     assert stats.update_messages() == 1
     assert stats.update_messages(count_copies=True) == 6
     assert stats.total_sent(layer=MessageLayer.DISCOVERY) == 1
@@ -118,7 +132,8 @@ def test_unicast_messages_count_per_attempt():
     # message — there is no copy collapsing for unicast sends.
     stats = MessageStats()
     for _ in range(3):
-        stats.record_send(
+        _record(
+            stats,
             10.0,
             Message(
                 sender="a",
@@ -136,13 +151,15 @@ def test_transport_layer_excluded_from_update_count():
     # TCP segments are transport overhead: excluded from y (Table 2's note for
     # the UPnP/Jini models) but reported separately.
     stats = MessageStats()
-    stats.record_send(
+    _record(
+        stats,
         5.0,
         Message(
             sender="a", receiver="b", protocol="jini", kind="service_update", update_related=True
         ),
     )
-    stats.record_send(
+    _record(
+        stats,
         5.0,
         Message(
             sender="a",

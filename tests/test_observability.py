@@ -28,6 +28,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.progress import SweepProgress, _format_eta
 from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
+from repro.protocols.registry import SYSTEMS
 from repro.obs.sinks import (
     MemorySink,
     NDJSONSink,
@@ -166,10 +167,21 @@ def test_observability_never_perturbs_results(tmp_path):
     assert baseline == traced == streamed
 
 
-def test_trace_capture_agrees_with_message_stats(tmp_path):
+#: (system, scenario) cells whose trace must account for every send: every
+#: registered system, plus TCP under a partition, a loss window and churn.
+TRACE_CELLS = [(system, "table4") for system in SYSTEMS.names()] + [
+    ("jini@k=4,mode=pull", "partition"),
+    ("upnp", "lossy"),
+    ("jini2", "churn"),
+]
+
+
+@pytest.mark.parametrize("system,scenario", TRACE_CELLS)
+def test_trace_capture_agrees_with_message_stats(tmp_path, system, scenario):
     path = str(tmp_path / "cell.ndjson")
     runner = ExperimentRunner()
-    context = runner.setup(replace(SPEC, trace_path=path))
+    spec = ScenarioSpec(system=system, failure_rate=0.2, seed=7, scenario=scenario, trace_path=path)
+    context = runner.setup(spec)
     runner.execute(context)
 
     stats_counts = context.network.stats.counts_by_kind()

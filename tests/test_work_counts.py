@@ -1,5 +1,6 @@
 """Deterministic work guards: exact event counts at scale, per-run reclamation,
-and the collector policy that running cells create no cyclic garbage.
+the collector policy that running cells create no cyclic garbage, and TCP
+exchanges that build no segment messages.
 
 Event counts are a deterministic function of the cell, so pinning them
 catches a returning multicast fan-out (or any other added work) on every
@@ -11,9 +12,11 @@ import weakref
 
 import pytest
 
+from repro.discovery.node import DiscoveryNode
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.scenarios import SCENARIOS
+from repro.net.messages import Message
 from repro.protocols.registry import SYSTEMS
 
 #: (system, users) -> (engine.events_scheduled, net.ignored) of the
@@ -138,3 +141,39 @@ def test_running_cells_create_no_cyclic_garbage(system, scenario):
         gc.set_debug(0)
         gc.garbage.clear()
         gc.unfreeze()
+
+
+#: TCP cells, failure-free at N=100 and under failures, a partition included.
+MESSAGE_CELLS = {
+    "jini@100": ScenarioSpec(system="jini", failure_rate=0.0, seed=1906, n_users=100),
+    "upnp@100": ScenarioSpec(system="upnp", failure_rate=0.0, seed=1906, n_users=100),
+    "jini1@0.4": ScenarioSpec(system="jini1", failure_rate=0.4, seed=1906),
+    "upnp@0.4": ScenarioSpec(system="upnp", failure_rate=0.4, seed=1906),
+    "pull-partition": ScenarioSpec(
+        system="jini@k=4,mode=pull", failure_rate=0.4, seed=1906, scenario="partition"
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(MESSAGE_CELLS))
+def test_tcp_builds_no_segment_messages(monkeypatch, cell):
+    # Every Message a cell builds is a protocol send: SYN, SYN-ACK, ACK and
+    # data retransmissions are send records without a message object.
+    built = []
+    made = []
+    init = Message.__init__
+    make_message = DiscoveryNode.make_message
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_make_message(self, *args, **kwargs):
+        made.append(None)
+        return make_message(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "__init__", counting_init)
+    monkeypatch.setattr(DiscoveryNode, "make_message", counting_make_message)
+    result = ExperimentRunner().run(MESSAGE_CELLS[cell])
+    assert result.details["telemetry"]["net"]["sends_by_layer"]["transport"] > 0
+    assert len(built) == len(made)
