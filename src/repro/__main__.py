@@ -23,9 +23,6 @@ Subcommands
 * ``profile`` — cProfile one scenario and print the hottest functions
   (``python -m repro profile --system frodo3 --users 1000``), the
   entry point of the profile-first optimisation workflow in EXPERIMENTS.md.
-* ``bench``   — time the standard sweep workloads serial vs parallel and
-  write the perf trajectory file (default ``BENCH_sweep.json``);
-  ``--baseline`` gates the run against a committed bench file.
 * ``systems`` — list the deployable systems of the protocol registry.
 * ``scenarios`` — list the disruption-scenario families of the scenario
   registry (selectable on ``sweep``/``run``/``profile`` via
@@ -36,6 +33,10 @@ The sweep's ``--users`` accepts a comma-separated list of topology sizes
 (``--users 5,100,1000``), forming a full systems x users x rates grid.
 Output is deterministic for a given ``--seed``: re-running the same command
 produces byte-identical JSON.  ``--out -`` writes to stdout.
+
+Throughput is measured outside the package: ``python3 benchmark/run.py``
+times fixed workloads in host-calibrated reference seconds (see
+``benchmark/README.md``).
 """
 
 from __future__ import annotations
@@ -48,15 +49,6 @@ import shlex
 import sys
 from typing import List, Optional, Sequence
 
-from repro.bench.harness import (
-    bench_to_dict,
-    check_regression,
-    format_bench_table,
-    load_baseline,
-    run_bench,
-    write_bench_json,
-)
-from repro.bench.workloads import find_workload, standard_workloads
 from repro.experiments.executors import make_executor
 from repro.experiments.resilience import PoolRecoveryError, ResiliencePolicy
 from repro.experiments.report import (
@@ -104,17 +96,17 @@ def _parse_rates(text: str) -> List[float]:
     return rates
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    return value
+
+
 def _parse_users(text: str) -> List[int]:
     """Parse ``"5,100,1000"`` into a list of topology sizes."""
-    sizes: List[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        size = int(token)
-        if size < 1:
-            raise argparse.ArgumentTypeError(f"users count {token!r} must be >= 1")
-        sizes.append(size)
+    sizes = [_positive_int(token.strip()) for token in text.split(",") if token.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError("no user counts given")
     return sizes
@@ -281,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_arguments(profile_parser)
     profile_parser.add_argument(
-        "--top", type=int, default=25, help="functions to print (default: 25)"
+        "--top", type=_positive_int, default=25, help="functions to print (default: 25)"
     )
     profile_parser.add_argument(
         "--sort",
@@ -291,48 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "--out", default="-", help="report output path, or - for stdout (default: -)"
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="time the standard sweep workloads serial vs parallel"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="CI-sized grids (fewer rates and replications)"
-    )
-    bench_parser.add_argument(
-        "--jobs", type=int, default=2, help="parallel worker processes (default: 2)"
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=1, help="timed attempts per path, best wins (default: 1)"
-    )
-    bench_parser.add_argument(
-        "--workload",
-        action="append",
-        default=None,
-        help="run only this workload (repeatable); see the emitted JSON for names",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_sweep.json",
-        help="bench JSON output path (default: BENCH_sweep.json)",
-    )
-    bench_parser.add_argument(
-        "--table", action="store_true", help="print the bench table to stderr"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="BENCH_JSON",
-        help=(
-            "committed bench file to gate against: fail if any matching "
-            "workload's serial throughput regressed beyond --tolerance"
-        ),
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="fractional serial-throughput drop allowed by --baseline (default: 0.20)",
     )
 
     trace_parser = subparsers.add_parser(
@@ -386,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--event", default=None, help="keep only this event name (e.g. send)"
     )
     timeline_parser.add_argument(
-        "--limit", type=int, default=50, help="records to print before truncating (default: 50)"
+        "--limit",
+        type=_positive_int,
+        default=50,
+        help="records to print before truncating (default: 50)",
     )
     timeline_parser.add_argument(
         "--show-source",
@@ -457,20 +410,24 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
+def _scenario_spec(args: argparse.Namespace, trace_path: Optional[str] = None) -> ScenarioSpec:
+    """The one-cell spec of ``run`` and ``profile``, from their shared arguments."""
     scenario_name, scenario_options = parse_scenario(args.scenario)
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         system=SYSTEMS.resolve(args.system).token,
         failure_rate=args.rate,
         seed=args.seed,
         n_users=args.users,
         change_time=args.change_time,
         deadline=args.deadline,
-        trace_path=args.trace,
+        trace_path=trace_path,
         scenario=scenario_name,
         scenario_options=scenario_options,
     )
-    result = ExperimentRunner().run(spec)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    result = ExperimentRunner().run(_scenario_spec(args, trace_path=args.trace))
     write_text(to_json(run_to_dict(result)), args.out)
     return 0
 
@@ -494,17 +451,7 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
-    scenario_name, scenario_options = parse_scenario(args.scenario)
-    spec = ScenarioSpec(
-        system=SYSTEMS.resolve(args.system).token,
-        failure_rate=args.rate,
-        seed=args.seed,
-        n_users=args.users,
-        change_time=args.change_time,
-        deadline=args.deadline,
-        scenario=scenario_name,
-        scenario_options=scenario_options,
-    )
+    spec = _scenario_spec(args)
     runner = ExperimentRunner()
     profiler = cProfile.Profile()
     profiler.enable()
@@ -518,30 +465,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         f"{result.details['executed_events']} events executed\n"
     )
     write_text(header + buffer.getvalue(), args.out)
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    workloads = standard_workloads(quick=args.quick)
-    if args.workload:
-        workloads = [find_workload(name, workloads) for name in args.workload]
-    records = run_bench(workloads, jobs=args.jobs, repeats=args.repeats, quick=args.quick)
-    write_bench_json(bench_to_dict(records, quick=args.quick, repeats=args.repeats), args.out)
-    if args.table:
-        sys.stderr.write(format_bench_table(records))
-    if not all(record.identical for record in records):
-        broken = ", ".join(record.name for record in records if not record.identical)
-        print(f"error: parallel output diverged from serial for: {broken}", file=sys.stderr)
-        return 1
-    if args.baseline is not None:
-        failures = check_regression(
-            records, load_baseline(args.baseline), tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"error: perf regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.baseline})", file=sys.stderr)
     return 0
 
 
@@ -585,8 +508,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_run(args)
         if args.command == "profile":
             return _command_profile(args)
-        if args.command == "bench":
-            return _command_bench(args)
         if args.command == "trace":
             return _command_trace(args)
         if args.command == "scenarios":

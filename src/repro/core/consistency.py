@@ -53,11 +53,6 @@ class ConsistencyTracker:
         """Declare a User whose consistency should be measured."""
         self._users.setdefault(user_id, UserViewRecord(user_id=user_id))
 
-    @property
-    def user_ids(self) -> List[str]:
-        """All registered Users."""
-        return list(self._users.keys())
-
     # ------------------------------------------------------------------ reporting
     def record_authoritative(self, sd: ServiceDescription, time: float) -> None:
         """Report that the Manager's service is now at ``sd.version`` (from ``time``)."""
@@ -111,7 +106,3 @@ class ConsistencyTracker:
                 continue
             out.append(user_id)
         return out
-
-    def all_consistent(self, version: Optional[int] = None, at: Optional[float] = None) -> bool:
-        """``True`` when every registered User reached ``version`` (by ``at``)."""
-        return len(self.consistent_users(version, at)) == len(self._users)

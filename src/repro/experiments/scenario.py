@@ -9,7 +9,7 @@ with equal specs produce identical results, event for event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.sim.rng import derive_seed
@@ -78,10 +78,6 @@ class ScenarioSpec:
         from repro.experiments.scenarios import scenario_token
 
         return scenario_token(self.scenario, self.scenario_options)
-
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        """Copy of this spec with a different master seed (one per replication)."""
-        return replace(self, seed=seed)
 
     def describe(self) -> str:
         """Short human-readable summary used in logs."""

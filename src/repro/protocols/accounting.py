@@ -64,8 +64,3 @@ def is_update_related(protocol: str, kind: str) -> bool:
     if cached is None:
         cached = _IS_UPDATE_RELATED_CACHE[key] = kind in update_related_kinds(protocol)
     return cached
-
-
-def registered_protocols() -> Dict[str, FrozenSet[str]]:
-    """Snapshot of all declarations (protocol tag -> kinds)."""
-    return dict(_KINDS_BY_PROTOCOL)

@@ -20,26 +20,6 @@ class DeviceClass(str, Enum):
     DOLLAR_300D = "300D"
 
     @property
-    def can_be_user(self) -> bool:
-        """3D and 300D nodes can act as Users."""
-        return self in (DeviceClass.DOLLAR_3D, DeviceClass.DOLLAR_300D)
-
-    @property
-    def can_be_manager(self) -> bool:
-        """Every device class can act as a Manager."""
-        return True
-
-    @property
-    def can_be_registry(self) -> bool:
-        """Only 300D nodes can be elected Central (Registry)."""
-        return self is DeviceClass.DOLLAR_300D
-
-    @property
     def uses_two_party_subscription(self) -> bool:
         """300D Managers handle their own subscribers (2-party subscription)."""
         return self is DeviceClass.DOLLAR_300D
-
-
-def subscription_mode_for_manager(device_class: DeviceClass) -> str:
-    """Which subscription scheme Users must use with a Manager of this class."""
-    return "2party" if device_class.uses_two_party_subscription else "3party"

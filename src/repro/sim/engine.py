@@ -25,7 +25,6 @@ firing order is exactly the order a single flat calendar would produce.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional, Sequence
@@ -146,7 +145,7 @@ class Simulator:
     ) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, no per-event allocation.
 
-        The push is inlined (no :meth:`EventQueue.push_call` hop): deliveries
+        The push is inlined (no :class:`EventQueue` method call): deliveries
         run through here once per message on the hot path.
         """
         if delay < 0:
@@ -323,10 +322,6 @@ class Simulator:
         self._stopped = True
 
     # ------------------------------------------------------------------ helpers
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback, *args)
-
     def trace(self, category: str, event: str, **fields: Any) -> None:
         """Record a structured trace entry at the current simulation time."""
         tracer = self.tracer

@@ -11,7 +11,7 @@ The hot path is flattened for large-N simulations:
   sequence)`` prefixes entirely in C — no Python-level ``__lt__`` is ever
   invoked during sift operations (the sequence is unique, so the comparison
   never reaches the trailing payload elements);
-* fire-and-forget callbacks (:meth:`EventQueue.push_call` — message
+* fire-and-forget callbacks (:meth:`Simulator.post` — message
   deliveries, retransmissions) carry no :class:`Event` object at all, saving
   one allocation per schedule;
 * cancelled events no longer rot in the heap: :meth:`EventQueue.cancel`
@@ -152,21 +152,6 @@ class EventQueue:
         if len(self._heap) > self.hwm:
             self.hwm = len(self._heap)
         return event
-
-    def push_call(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> None:
-        """Insert a fire-and-forget callback (no handle, no Event allocation)."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, callback, args))
-        self._live += 1
-        if len(self._heap) > self.hwm:
-            self.hwm = len(self._heap)
 
     # ------------------------------------------------------------------ cancellation
     def cancel(self, event: Event) -> bool:

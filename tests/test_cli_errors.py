@@ -2,10 +2,12 @@
 
 Every failure mode must surface as ``error: ...`` on stderr and exit code 2
 — never a traceback — including the paths added with the executor layer
-(``--jobs``, ``--resume``) and the bench subcommand.
+(``--jobs``, ``--resume``) and the count options (``--top``, ``--limit``).
 """
 
 import json
+
+import pytest
 
 from repro.__main__ import main
 
@@ -62,16 +64,22 @@ def test_sweep_resume_corrupt_checkpoint_is_a_clean_error(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
-def test_bench_unknown_workload_is_a_clean_error(tmp_path, capsys):
-    code, err = _run(["bench", "--workload", "nope", "--out", str(tmp_path / "b.json")], capsys)
-    assert code == 2
-    assert "unknown bench workload" in err
-
-
-def test_bench_invalid_jobs_is_a_clean_error(tmp_path, capsys):
-    code, err = _run(["bench", "--jobs", "1", "--out", str(tmp_path / "b.json")], capsys)
-    assert code == 2
-    assert "jobs" in err and "Traceback" not in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--system", "frodo3", "--top", "0"],
+        ["profile", "--system", "frodo3", "--top", "-1"],
+        ["trace", "timeline", "t.ndjson", "--limit", "0"],
+        ["trace", "timeline", "t.ndjson", "--limit", "-1"],
+    ],
+)
+def test_counts_below_one_are_clean_errors(argv, capsys):
+    # argparse rejects the value before the command runs (exit 2).
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "must be >= 1" in err and "Traceback" not in err
 
 
 def test_sweep_out_still_written_when_resume_used(tmp_path):

@@ -114,6 +114,28 @@ def test_cli_stdout_and_systems(capsys):
     assert "frodo3" in listing and "frodo2" in listing
 
 
+def test_cli_profile_subcommand(tmp_path):
+    out = tmp_path / "profile.txt"
+    argv = [
+        "profile",
+        "--system",
+        "frodo3",
+        "--users",
+        "20",
+        "--rate",
+        "20",
+        "--top",
+        "5",
+        "--out",
+        str(out),
+    ]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert text.startswith("# profile frodo3")
+    assert "events executed" in text
+    assert "cumulative" in text
+
+
 def test_cli_unknown_system_is_a_clean_error(capsys):
     assert main(["sweep", "--system", "nope", "--rates", "0", "--runs", "1"]) == 2
     assert "unknown system" in capsys.readouterr().err

@@ -5,8 +5,8 @@ Three contracts pinned here:
 * **Byte identity** — the default ``table4`` sweep reproduces the pre-scenario
   harness output exactly (fixtures captured before the scenario layer
   existed), serially and under ``--jobs 2``.
-* **Determinism** — every family's runs depend only on the spec (identical
-  results across re-runs and executors).
+* **Determinism** — every family's runs depend only on the spec (serial and
+  ``--jobs 2`` sweeps are byte-identical).
 * **Conformance** — each family's invariants hold on a smoke cell of every
   registered system (the battery CI runs).
 """
@@ -259,32 +259,37 @@ def test_default_per_run_output_matches_fixture_modulo_telemetry_schema(tmp_path
 
 
 # --------------------------------------------------------------------------- determinism
-def test_churn_sweep_is_deterministic_across_reruns_and_executors(tmp_path):
+#: System each family's identity grid deploys (default frodo3).  Partition
+#: cuts only inter-registry links, so it needs a federation; pull mode takes
+#: its TTL stale-entry fallback.
+IDENTITY_SYSTEMS = {"partition": "jini@k=4,mode=pull"}
+
+
+@pytest.mark.parametrize("family_name", SCENARIOS.names())
+def test_family_sweep_is_byte_identical_serial_and_parallel(tmp_path, family_name):
     argv = [
         "sweep",
         "--system",
-        "frodo3,jini2",
+        IDENTITY_SYSTEMS.get(family_name, "frodo3"),
+        "--scenario",
+        family_name,
         "--rates",
         "0,20",
         "--runs",
         "2",
-        "--scenario",
-        "churn@rate=0.2",
+        "--seed",
+        "1906",
         "--per-run",
     ]
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
+    serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
-    assert main([*argv, "--out", str(first)]) == 0
-    assert main([*argv, "--out", str(second)]) == 0
+    assert main([*argv, "--out", str(serial)]) == 0
     assert main([*argv, "--jobs", "2", "--out", str(parallel)]) == 0
-    assert first.read_bytes() == second.read_bytes() == parallel.read_bytes()
-    data = json.loads(first.read_text())
-    assert data["spec"]["scenario"] == "churn@rate=0.2"
-    churned = [
-        run["details"]["telemetry"]["failures"]["departed"] for run in data["runs"]
-    ]
-    assert any(churned)  # the scenario actually did something
+    assert serial.read_bytes() == parallel.read_bytes()
+    if family_name == "churn":
+        runs = json.loads(serial.read_text())["runs"]
+        departed = [run["details"]["telemetry"]["failures"]["departed"] for run in runs]
+        assert any(departed)  # the scenario actually did something
 
 
 def test_families_share_table4_baseline_outages_at_equal_seeds():
