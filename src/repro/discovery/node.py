@@ -6,7 +6,8 @@ Every FRODO / Jini / UPnP entity (User, Manager, Registry) derives from
 * an :class:`~repro.net.interfaces.Endpoint` on the shared network,
 * the transports the protocol uses (UDP, TCP, multicast),
 * message dispatch: an incoming message of kind ``"foo_bar"`` is routed to
-  the method ``handle_foo_bar(message)`` if it exists,
+  the method ``handle_foo_bar(message)`` if it exists, through a handler
+  table the node's endpoint reads on every delivery,
 * trace helpers.
 """
 
@@ -35,10 +36,6 @@ class NodeRole(str, Enum):
     REGISTRY = "registry"
 
 
-#: Sentinel distinguishing "kind not looked up yet" from "no handler exists"
-#: in the per-node dispatch cache (``None`` is a valid cached answer).
-_UNRESOLVED = object()
-
 # ``is_update_related`` is imported lazily (repro.protocols imports this
 # module via protocols.base, so a module-level import would be circular) and
 # cached here after the first message so later sends skip the import machinery.
@@ -55,7 +52,16 @@ class Transports:
 
 
 class DiscoveryNode(Process):
-    """Common base class for all protocol entities."""
+    """Common base class for all protocol entities.
+
+    The node owns its endpoint's handler table (kind -> bound
+    ``handle_<kind>``), so :meth:`Endpoint.deliver
+    <repro.net.interfaces.Endpoint.deliver>` calls the handler directly.
+    :meth:`_on_message` is the miss path: it fills the table on a kind's
+    first delivery.  :meth:`stop` empties the table, so deliveries to a
+    stopped node go through the miss path, which drops them; after
+    :meth:`restart` the table refills as kinds arrive.
+    """
 
     #: Protocol tag stamped on every message this node sends ("frodo", "jini", "upnp").
     protocol: str = "generic"
@@ -73,12 +79,15 @@ class DiscoveryNode(Process):
         self.node_id = node_id
         self.role = role
         self.transports = transports
+        #: kind -> bound handler, filled by :meth:`_on_message` and read by
+        #: the endpoint on every delivery.
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
         self.endpoint = Endpoint(
-            node_id, handler=self._on_message, accepts=type(self).accepted_kinds()
+            node_id,
+            handler=self._on_message,
+            accepts=type(self).accepted_kinds(),
+            handlers=self._handlers,
         )
-        #: kind -> bound handler (or ``None`` for unhandled kinds), filled
-        #: lazily by :meth:`_on_message`; message dispatch is per delivery.
-        self._dispatch: Dict[str, Optional[Callable[[Message], None]]] = {}
         network.join(self.endpoint)
 
     # ------------------------------------------------------------------ sending
@@ -181,15 +190,15 @@ class DiscoveryNode(Process):
         return kinds
 
     def _on_message(self, message: Message) -> None:
+        """Deliver a message whose kind is not in the handler table."""
         if self.stopped:
             return
         kind = message.kind
-        handler = self._dispatch.get(kind, _UNRESOLVED)
-        if handler is _UNRESOLVED:
-            handler = self._dispatch[kind] = getattr(self, f"handle_{kind}", None)
+        handler = getattr(self, f"handle_{kind}", None)
         if handler is None:
             self.on_unhandled(message)
             return
+        self._handlers[kind] = handler
         handler(message)
 
     def on_unhandled(self, message: Message) -> None:
@@ -204,6 +213,11 @@ class DiscoveryNode(Process):
         """
         if self.sim.tracer.enabled:
             self.trace("unhandled_message", kind=message.kind, sender=message.sender)
+
+    def stop(self) -> None:
+        """Stop the node; later deliveries take the miss path, which drops them."""
+        super().stop()
+        self._handlers.clear()
 
     # ------------------------------------------------------------------ interface state
     @property

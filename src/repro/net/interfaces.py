@@ -9,7 +9,7 @@ run; while a direction is down, messages in that direction are lost silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Dict, Optional
 
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -116,15 +116,22 @@ class Endpoint:
 
     The discovery-layer node registers itself with the :class:`~repro.net.network.Network`
     through an endpoint; the network delivers messages by calling
-    :meth:`deliver`, which forwards to the registered handler only when the
-    receiver interface is up.
+    :meth:`deliver`, which forwards to a handler only when the receiver
+    interface is up.
 
-    ``accepts`` is the set of message kinds the handler acts on (``None``:
+    ``handlers`` maps a message kind to the callable :meth:`deliver` hands
+    it to; a kind missing there goes to ``handler``.  A protocol node owns
+    the table, fills it from ``handler`` on a kind's first delivery and
+    clears it when it stops, so a delivery to a running node reaches its
+    ``handle_<kind>`` method directly.
+
+    ``accepts`` is the set of message kinds the handlers act on (``None``:
     every kind).  Multicast copies and callback-free unicasts of any other
     kind are counted as ignored by the network instead of being simulated
     as delivery events.  ``accepts`` is fixed once the endpoint has joined a
-    network: the network caches its fan-out tables until the next join or
-    leave.
+    network: the network caches its fan-out plans until the next join or
+    leave, and keeps the endpoint's position in its join order in
+    :attr:`slot` for them.
     """
 
     def __init__(
@@ -133,24 +140,28 @@ class Endpoint:
         handler: Optional[Callable[[Message], Any]] = None,
         interface: Optional[NetworkInterface] = None,
         accepts: Optional[AbstractSet[str]] = None,
+        handlers: Optional[Dict[str, Callable[[Message], Any]]] = None,
     ) -> None:
         self.address = address
         self.interface = interface if interface is not None else NetworkInterface(address)
         self._handler = handler
+        self.handlers = {} if handlers is None else handlers
         self.accepts = accepts
+        #: Position in the network's join order, set by the network.
+        self.slot = 0
 
     def deliver(self, message: Message) -> bool:
-        """Deliver ``message`` to the handler if the receiver is up.
+        """Deliver ``message`` to its kind's handler if the receiver is up.
 
-        Returns ``True`` when the message reached the handler.  Reads the
-        interface flags directly — this runs once per delivery attempt.
+        Returns ``True`` when the receiver was up.  Reads the interface
+        flags directly — this runs once per delivery attempt.
         """
         interface = self.interface
         if not interface.rx_up:
             interface.counters.dropped_rx += 1
             return False
         interface.counters.received += 1
-        handler = self._handler
+        handler = self.handlers.get(message.kind, self._handler)
         if handler is not None:
             handler(message)
         return True

@@ -8,7 +8,6 @@ resource-aware context".
 
 from __future__ import annotations
 
-from repro.net.addressing import MULTICAST_GROUP
 from repro.net.messages import Message
 from repro.net.network import Network
 
@@ -32,11 +31,10 @@ class MulticastService:
 
         ``copies`` overrides the service-wide redundancy for this one message
         (e.g. FRODO's Registry announcements are sent twice while its other
-        multicasts are sent once).
+        multicasts are sent once).  :meth:`Network.transmit_multicast
+        <repro.net.network.Network.transmit_multicast>` checks the address
+        and the copy count.
         """
-        if message.receiver != MULTICAST_GROUP:
-            raise ValueError("multicast message must target MULTICAST_GROUP")
-        effective = self.redundancy if copies is None else copies
-        if effective < 1:
-            raise ValueError("copies must be >= 1")
-        return self.network.transmit_multicast(message, copies=effective)
+        return self.network.transmit_multicast(
+            message, copies=self.redundancy if copies is None else copies
+        )

@@ -16,8 +16,9 @@ directly, so its segments travel the same wire path without a
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
 from repro.net.interfaces import Endpoint
@@ -28,6 +29,24 @@ from repro.sim.rng import RngRegistry
 
 #: Nominal size of a TCP control segment (SYN, SYN-ACK, ACK), in bytes.
 SEGMENT_BYTES = 40
+
+
+class FanoutPlan(NamedTuple):
+    """How a multicast copy of one kind fans out (see :meth:`Network._plan`).
+
+    Counted as if every endpoint drew a delay, the sender included.
+    """
+
+    #: Join-order slots of the endpoints that accept the kind.
+    slots: Tuple[int, ...]
+    #: Delay draws to skip before each of them (endpoints that do not accept).
+    skips: Tuple[int, ...]
+    #: Their bound :meth:`Endpoint.deliver` methods.
+    delivers: Tuple[Callable[[Message], bool], ...]
+    #: Delay draws to skip after the last of them.
+    tail: int
+    #: Endpoints that do not accept the kind.
+    ignoring: int
 
 
 @dataclass
@@ -45,8 +64,10 @@ class NetworkConfig:
 class Network:
     """Single broadcast-domain network connecting all simulated nodes.
 
-    Multicast fan-out walks a per-kind table of the endpoints that accept
-    the kind, cached until the next :meth:`join`/:meth:`leave`; an
+    Without loss windows or cut links, a multicast copy walks its kind's
+    fan-out plan: the ``deliver`` methods of the endpoints that accept the
+    kind, each paired with the delay draws to skip before it.  Plans are
+    cached per kind until the next :meth:`join`/:meth:`leave`; an
     endpoint's :attr:`~repro.net.interfaces.Endpoint.accepts` is therefore
     fixed once it has joined.
     """
@@ -76,11 +97,8 @@ class Network:
         # ``getrandbits(64 * k)`` exactly 2k, so one call skips k delay draws
         # in C (pinned by a test, since it is a CPython implementation detail).
         self._skip_bits = delay_stream.getrandbits
-        # Multicast fan-out caches, built lazily and dropped on join/leave:
-        # kind -> [(endpoint-order index, endpoint)] of the endpoints that
-        # accept it, and address -> endpoint-order index.
-        self._receivers_by_kind: Dict[str, List[Tuple[int, Endpoint]]] = {}
-        self._index_of: Optional[Dict[Address, int]] = None
+        # kind -> fan-out plan, built lazily and dropped on join/leave.
+        self._plans: Dict[str, FanoutPlan] = {}
         # Lossy-link state (scenario library).  ``_loss_p`` is the combined
         # drop probability of the active loss windows; the delivery paths pay
         # one falsy check while it is zero.  The dedicated ``network/loss``
@@ -111,26 +129,40 @@ class Network:
         if address in self._endpoints:
             raise ValueError(f"address already joined: {address!r}")
         self._endpoints[address] = endpoint
-        self._drop_fanout_caches()
+        self._plans = {}
         return endpoint
 
     def leave(self, address: Address) -> None:
         """Remove an endpoint from the network."""
         if self._endpoints.pop(address, None) is not None:
-            self._drop_fanout_caches()
+            self._plans = {}
 
-    def _drop_fanout_caches(self) -> None:
-        self._receivers_by_kind = {}
-        self._index_of = None
+    def _plan(self, kind: str) -> FanoutPlan:
+        """Build and cache the fan-out plan of ``kind``.
 
-    def _receivers(self, kind: str) -> List[Tuple[int, Endpoint]]:
-        """``(endpoint-order index, endpoint)`` of every endpoint accepting ``kind``."""
-        self._receivers_by_kind[kind] = table = [
-            (index, endpoint)
-            for index, endpoint in enumerate(self._endpoints.values())
-            if endpoint.accepts is None or kind in endpoint.accepts
-        ]
-        return table
+        A copy takes its sender's slot out of the plan when it walks it.
+        Building a plan also numbers every endpoint's
+        :attr:`~repro.net.interfaces.Endpoint.slot` in join order, so the
+        slots are current while any plan is cached.
+        """
+        slots: List[int] = []
+        skips: List[int] = []
+        delivers: List[Callable[[Message], bool]] = []
+        gap = 0
+        for slot, endpoint in enumerate(self._endpoints.values()):
+            endpoint.slot = slot
+            accepts = endpoint.accepts
+            if accepts is None or kind in accepts:
+                slots.append(slot)
+                skips.append(gap)
+                delivers.append(endpoint.deliver)
+                gap = 0
+            else:
+                gap += 1
+        plan = self._plans[kind] = FanoutPlan(
+            tuple(slots), tuple(skips), tuple(delivers), gap, len(self._endpoints) - len(slots)
+        )
+        return plan
 
     def endpoint(self, address: Address) -> Endpoint:
         """Return the endpoint registered under ``address``."""
@@ -377,8 +409,8 @@ class Network:
     def transmit_multicast(self, message: Message, copies: int = 1) -> bool:
         """Transmit a multicast message to every other endpoint.
 
-        ``copies`` models the redundant transmissions used by UPnP and Jini
-        announcements (Table 3); copies are spaced by
+        ``copies`` (at least 1) models the redundant transmissions used by
+        UPnP and Jini announcements (Table 3); copies are spaced by
         :attr:`NetworkConfig.multicast_copy_spacing` seconds.  The first copy
         is emitted immediately and the return value reports whether it left
         the transmitter; later copies are evaluated against the interface
@@ -389,6 +421,8 @@ class Network:
         """
         if message.receiver != MULTICAST_GROUP:
             raise ValueError("multicast message must be addressed to MULTICAST_GROUP")
+        if copies < 1:
+            raise ValueError(f"copies must be >= 1, got {copies!r}")
         sender_ep = self._endpoints.get(message.sender)
         if sender_ep is None:
             # Sender departed (churn): see transmit_unicast.
@@ -400,7 +434,7 @@ class Network:
         # transmitter emits nothing on the wire and is not counted).
         state = {"recorded": False}
         first_copy_sent = self._emit_multicast_copy(message, sender_ep, state, copies)
-        for copy_index in range(1, max(1, copies)):
+        for copy_index in range(1, copies):
             offset = copy_index * self.config.multicast_copy_spacing
             self.sim.post(offset, self._emit_multicast_copy, message, sender_ep, state, copies)
         return first_copy_sent
@@ -470,33 +504,40 @@ class Network:
             self.ignored += ignored
             return True
         # Without loss or cuts only delay draws are made, one per receiver
-        # in endpoint order (the sender draws none).  Walk just the
-        # accepting receivers and skip the ignoring receivers' draws in C.
-        receivers = self._receivers_by_kind.get(kind)
-        if receivers is None:
-            receivers = self._receivers(kind)
-        index_of = self._index_of
-        if index_of is None:
-            index_of = self._index_of = {address: i for i, address in enumerate(self._endpoints)}
-        sender_index = index_of[sender]
-        skip_bits = self._skip_bits
-        delays: List[float] = []
-        deliveries: List[Callable[[Message], bool]] = []
-        drawn = 0  # delay draws consumed
-        for index, endpoint in receivers:
-            if index >= sender_index:
-                if index == sender_index:
-                    continue
-                index -= 1  # receivers after the sender draw one place earlier
-            if index > drawn:
-                skip_bits(64 * (index - drawn))
-            delays.append(min_delay + delay_span * rand())
-            deliveries.append(endpoint.deliver)
-            drawn = index + 1
-        receiver_count = len(index_of) - 1
-        if receiver_count > drawn:
-            skip_bits(64 * (receiver_count - drawn))
+        # in endpoint order (the sender draws none).  Walk the kind's plan:
+        # draw for each accepting receiver and skip the others' draws in C.
+        plan = self._plans.get(kind)
+        if plan is None:
+            plan = self._plan(kind)
+        slots, skips, delivers, tail, ignored = plan
+        slot = sender_ep.slot
+        at = bisect_left(slots, slot)
+        own = at < len(slots) and slots[at] == slot
+        if own:
+            # The sender accepts its own kind: it is not a receiver.
+            delivers = delivers[:at] + delivers[at + 1 :]
+        else:
+            ignored -= 1  # the sender's slot is one of the skipped ones
+        if not ignored:
+            delays = [min_delay + delay_span * rand() for _ in delivers]
+        else:
+            # Take the sender's slot out of the draws to skip: its own entry
+            # goes and its gap joins the next, or the gap around it shrinks.
+            skips = list(skips)
+            carry = skips.pop(at) if own else -1
+            if at < len(skips):
+                skips[at] += carry
+            else:
+                tail += carry
+            skip_bits = self._skip_bits
+            delays = []
+            for skip in skips:
+                if skip:
+                    skip_bits(64 * skip)
+                delays.append(min_delay + delay_span * rand())
+            if tail:
+                skip_bits(64 * tail)
         # One engine call posts them all, exactly as one post() each would.
-        self.sim.post_each(delays, deliveries, message)
-        self.ignored += receiver_count - len(delays)
+        self.sim.post_each(delays, delivers, message)
+        self.ignored += ignored
         return True

@@ -117,7 +117,14 @@ class JiniClient(DiscoveryNode):
         self.send_multicast(m.DISCOVERY_REQUEST, {"node": self.node_id, "role": "user"})
 
     def handle_registrar_announce(self, message: Message) -> None:
-        self._learn_registrar(message.payload["registrar"])
+        addr = message.payload["registrar"]
+        state = self.registrars.get(addr)
+        if state is not None and (self.home is None or addr == self.home):
+            # Most deliveries: every redundant copy of a known Lookup
+            # Service's periodic announcement.  Refresh it in place.
+            state.last_heard = self.sim._now
+        else:
+            self._learn_registrar(addr)
 
     def handle_registrar_here(self, message: Message) -> None:
         self._learn_registrar(message.payload["registrar"])

@@ -1,14 +1,22 @@
 """Unit tests for the network substrate: delays, interface outages, multicast."""
 
 import random
+import sys
 
 import pytest
 
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.service import ServiceQuery
 from repro.net.addressing import MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
+from repro.net.multicast import MulticastService
 from repro.net.network import Network
+from repro.net.tcp import TcpTransport
+from repro.net.udp import UdpTransport
+from repro.protocols.jini import messages as jini_messages
+from repro.protocols.jini.config import JiniConfig
+from repro.protocols.jini.user import ClientRegistrarState, JiniClient
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import Tracer
@@ -135,6 +143,21 @@ def test_multicast_requires_group_address():
     sim, network, _ = make_network(2)
     with pytest.raises(ValueError):
         network.transmit_multicast(msg("node-0", "node-1"))
+
+
+@pytest.mark.parametrize("copies", [0, -1])
+def test_multicast_rejects_fewer_than_one_copy(copies):
+    sim, network, inboxes = make_network(3)
+    with pytest.raises(ValueError, match="copies must be >= 1"):
+        network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
+    # Nothing was recorded, posted, emitted or counted.
+    assert len(network.stats) == 0
+    assert network.stats.total_sent(count_copies=True) == 0
+    assert sim.pending_events == 0
+    assert network.endpoint("node-0").interface.counters.sent == 0
+    sim.run()
+    assert all(inbox == [] for inbox in inboxes.values())
+    assert network.ignored == 0
 
 
 def test_duplicate_join_rejected():
@@ -386,3 +409,138 @@ def test_node_accepts_the_kinds_of_its_own_class_handlers():
     assert node.endpoint.interface.counters.received == 2
     # Ignored copies never reach on_unhandled, so they leave no trace record.
     assert not [r for r in sim.tracer.records if r.event == "unhandled_message"]
+
+
+class CallerPingNode(PingNode):
+    """A :class:`PingNode` that records the code object that called ``handle_ping``."""
+
+    def handle_ping(self, message):
+        super().handle_ping(message)
+        self.callers.append(sys._getframe(1).f_code)
+
+
+DELIVER_CODE = Endpoint.deliver.__code__
+MISS_CODE = DiscoveryNode._on_message.__code__
+
+
+def make_ping_pair():
+    """A sender and a :class:`CallerPingNode` with UDP, TCP and multicast."""
+    sim = Simulator()
+    network = Network(sim, RngRegistry(11))
+    transports = Transports(
+        udp=UdpTransport(network), tcp=TcpTransport(network), multicast=MulticastService(network)
+    )
+    sender = PingPongNode(sim, network, "sender", NodeRole.USER, transports)
+    node = CallerPingNode(sim, network, "node", NodeRole.USER, transports)
+    node.callers = []
+    node.unhandled = []
+    node.on_unhandled = node.unhandled.append
+    return sim, sender, node
+
+
+SENDS = {
+    "multicast": lambda sender: sender.send_multicast("ping"),
+    "udp": lambda sender: sender.send_udp("node", "ping"),
+    "tcp": lambda sender: sender.send_tcp("node", "ping"),
+}
+
+
+@pytest.mark.parametrize("transport", sorted(SENDS))
+def test_endpoint_deliver_calls_the_handler_directly(transport):
+    sim, sender, node = make_ping_pair()
+    for _ in range(3):
+        SENDS[transport](sender)
+        sim.run()
+    # The first delivery of a kind resolves its handler on the miss path;
+    # every later one is a single call from Endpoint.deliver.
+    assert node.callers == [MISS_CODE, DELIVER_CODE, DELIVER_CODE]
+    assert node.pings == 3
+
+
+def test_stopped_node_counts_but_drops_deliveries_until_restart():
+    sim, sender, node = make_ping_pair()
+    counters = node.endpoint.interface.counters
+    sender.send_udp("node", "ping")
+    sim.run()
+    assert node.pings == 1 and counters.received == 1
+
+    node.stop()
+    for send in SENDS.values():
+        send(sender)
+    sim.run()
+    # Received at the interface, as before the stop, but handled by nobody.
+    assert counters.received == 4
+    assert node.pings == 1
+    assert node.unhandled == []
+
+    node.restart()
+    for _ in range(2):
+        sender.send_udp("node", "ping")
+        sim.run()
+    assert node.pings == 3
+    # The table refills on the first delivery after the restart.
+    assert node.callers[-2:] == [MISS_CODE, DELIVER_CODE]
+
+
+def test_unhandled_kind_with_a_delivery_callback_reaches_on_unhandled():
+    sim, sender, node = make_ping_pair()
+    delivered = []
+    messages = []
+    for _ in range(2):
+        message = sender.make_message("node", "pong")
+        messages.append(message)
+        sender.transports.udp.send(message, on_delivered=delivered.append)
+        sim.run()
+    assert node.unhandled == messages
+    assert delivered == messages
+    assert not hasattr(node, "pings")
+
+
+def make_jini_client(home=None):
+    sim = Simulator()
+    network = Network(sim, RngRegistry(5))
+    network.join(Endpoint("lus"))
+    client = JiniClient(
+        sim, network, "client", Transports(), JiniConfig(), query=ServiceQuery(), home=home
+    )
+    return sim, network, client
+
+
+def announce(network, registrar="lus", copies=2):
+    message = Message(
+        sender=registrar,
+        receiver=MULTICAST_GROUP,
+        protocol=jini_messages.PROTOCOL,
+        kind=jini_messages.REGISTRAR_ANNOUNCE,
+        payload={"registrar": registrar},
+    )
+    network.transmit_multicast(message, copies=copies)
+
+
+def test_known_registrar_announcement_refreshes_in_place(monkeypatch):
+    sim, network, client = make_jini_client()
+    state = client.registrars["lus"] = ClientRegistrarState(last_heard=0.0)
+
+    def learn(addr):
+        raise AssertionError(f"_learn_registrar called for {addr}")
+
+    monkeypatch.setattr(client, "_learn_registrar", learn)
+    sim.schedule(50.0, announce, network)
+    sim.run()
+    # Refreshed at the delivery of the second (last) copy.
+    spacing = network.config.multicast_copy_spacing
+    assert 50.0 + spacing < state.last_heard <= 50.0 + spacing + network.config.max_delay
+    assert state.last_heard == sim.now
+
+
+@pytest.mark.parametrize("home", [None, "other-lus"])
+def test_other_registrar_announcements_still_go_to_learn_registrar(monkeypatch, home):
+    sim, network, client = make_jini_client(home=home)
+    if home is not None:
+        # A registrar outside the client's partition is never refreshed.
+        client.registrars["lus"] = ClientRegistrarState(last_heard=0.0)
+    learned = []
+    monkeypatch.setattr(client, "_learn_registrar", learned.append)
+    announce(network, copies=1)
+    sim.run()
+    assert learned == ["lus"]

@@ -258,6 +258,31 @@ def test_default_per_run_output_matches_fixture_modulo_telemetry_schema(tmp_path
     _reconcile_with_fixture(produced, fixture)
 
 
+#: Churn and restart sweeps of the five paper systems, pinned before the
+#: handler tables and fan-out plans that ``stop``/``restart`` and
+#: ``leave``/``join`` invalidate: one summary document per scenario.
+CHURN_RESTART_FIXTURE = f"{FIXTURE_DIR}/churn_restart_pre_pr_sweep.json"
+CHURN_RESTART_ARGS = [
+    "--system",
+    "upnp,jini1,jini2,frodo2,frodo3",
+    "--rates",
+    "0,20,40",
+    "--runs",
+    "2",
+    "--seed",
+    "1906",
+]
+
+
+@pytest.mark.parametrize("scenario", ["churn", "restart"])
+def test_churn_and_restart_sweeps_are_byte_identical_to_fixture(tmp_path, scenario):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", *CHURN_RESTART_ARGS, "--scenario", scenario, "--out", str(out)]) == 0
+    with open(CHURN_RESTART_FIXTURE) as handle:
+        pinned = json.load(handle)[scenario]
+    assert out.read_text() == json.dumps(pinned, indent=2, sort_keys=True) + "\n"
+
+
 # --------------------------------------------------------------------------- determinism
 #: System each family's identity grid deploys (default frodo3).  Partition
 #: cuts only inter-registry links, so it needs a federation; pull mode takes
