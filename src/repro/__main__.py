@@ -53,7 +53,6 @@ from repro.experiments.executors import make_executor
 from repro.experiments.resilience import PoolRecoveryError, ResiliencePolicy
 from repro.experiments.report import (
     format_summary_table,
-    run_to_dict,
     summaries_to_csv,
     to_json,
     write_sweep_json,
@@ -428,7 +427,7 @@ def _scenario_spec(args: argparse.Namespace, trace_path: Optional[str] = None) -
 
 def _command_run(args: argparse.Namespace) -> int:
     result = ExperimentRunner().run(_scenario_spec(args, trace_path=args.trace))
-    write_text(to_json(run_to_dict(result)), args.out)
+    write_text(to_json(result.to_dict()), args.out)
     return 0
 
 

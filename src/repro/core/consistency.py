@@ -93,16 +93,3 @@ class ConsistencyTracker:
             user_id: record.first_time_at_or_above(version)
             for user_id, record in self._users.items()
         }
-
-    def consistent_users(
-        self, version: Optional[int] = None, at: Optional[float] = None
-    ) -> List[str]:
-        """Users whose view reached ``version`` (optionally by time ``at``)."""
-        out = []
-        for user_id, when in self.update_times(version).items():
-            if when is None:
-                continue
-            if at is not None and when > at:
-                continue
-            out.append(user_id)
-        return out

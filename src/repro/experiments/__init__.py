@@ -62,16 +62,12 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepResult,
     SweepSpec,
-    append_cell_error,
-    append_checkpoint,
     load_checkpoint,
     save_checkpoint,
     sweep,
 )
 from repro.experiments.report import (
     format_summary_table,
-    run_from_dict,
-    run_to_dict,
     summaries_to_csv,
     sweep_to_dict,
     to_json,
@@ -111,14 +107,10 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "SweepResult",
-    "append_cell_error",
-    "append_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
     "sweep",
     "format_summary_table",
-    "run_from_dict",
-    "run_to_dict",
     "summaries_to_csv",
     "sweep_to_dict",
     "to_json",

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any, Dict, Sequence, TextIO, Union
 
-from repro.core.metrics import MetricSummary, RunResult
+from repro.core.metrics import MetricSummary
 from repro.experiments.sweep import SweepResult
 
 #: Column order of the summary CSV (one row per (system, users, failure rate) cell).
@@ -36,16 +36,6 @@ def summary_to_dict(summary: MetricSummary) -> Dict[str, Any]:
     return {name: getattr(summary, name) for name in SUMMARY_FIELDS}
 
 
-def run_to_dict(run: RunResult) -> Dict[str, Any]:
-    """Plain-data form of one run (JSON-serialisable)."""
-    return run.to_dict()
-
-
-def run_from_dict(data: Dict[str, Any]) -> RunResult:
-    """Inverse of :func:`run_to_dict` (used by sweep checkpoints and tools)."""
-    return RunResult.from_dict(data)
-
-
 def sweep_to_dict(
     result: SweepResult,
     include_runs: bool = False,
@@ -62,7 +52,7 @@ def sweep_to_dict(
         "summaries": [summary_to_dict(summary) for summary in result.summaries],
     }
     if include_runs:
-        data["runs"] = [run_to_dict(run) for run in result.runs]
+        data["runs"] = [run.to_dict() for run in result.runs]
     if result.failures:
         data["failures"] = [failure.to_dict() for failure in result.failures]
     return data

@@ -222,10 +222,10 @@ class ExperimentRunner:
 def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Execute one scenario against the default registry with a fresh runner.
 
-    This is the self-contained form of a sweep cell: everything the run needs
-    is in ``spec`` (including the derived seed), so the function is safe to
-    call from worker processes — the parallel executor
-    (:mod:`repro.experiments.executors`) uses it as its task body.
+    Everything the run needs is in ``spec`` (including the derived seed), so
+    the function is safe to call from any process.  Sweeps do not use it: the
+    serial executor runs cells on the sweep's runner, and each parallel
+    worker runs its chunks (``_run_chunk``) on its warm ``_WORKER_RUNNER``.
     """
     return ExperimentRunner().run(spec)
 

@@ -52,7 +52,7 @@ from repro.net.failures import (
     NodeChurn,
     build_interface_failure_plan,
 )
-from repro.experiments.tokens import canonical_token, parse_token
+from repro.experiments.tokens import canonical_token, parse_token, validate_options
 from repro.protocols.base import ProtocolDeployment
 from repro.sim.rng import RngRegistry
 
@@ -108,29 +108,9 @@ class ScenarioFamily:
     checker: Optional[ConformanceCheck] = None
 
     def validate_options(self, options: Mapping[str, Any]) -> Dict[str, Any]:
-        """Merge ``options`` over the defaults, rejecting unknown names."""
-        unknown = sorted(set(options) - set(self.defaults))
-        if unknown:
-            raise ValueError(
-                f"scenario {self.name!r} does not accept option(s) "
-                f"{', '.join(unknown)}; known options: "
-                f"{', '.join(sorted(self.defaults)) or '(none)'}"
-            )
-        merged = dict(self.defaults)
-        for key, value in options.items():
-            default = self.defaults[key]
-            if isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"scenario option {self.name}@{key} must be a bool, got {value!r}"
-                    )
-            elif isinstance(default, (int, float)):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(
-                        f"scenario option {self.name}@{key} must be a number, got {value!r}"
-                    )
-            merged[key] = value
-        return merged
+        """Merge ``options`` over the defaults, rejecting unknown names and
+        mistyped values (:func:`~repro.experiments.tokens.validate_options`)."""
+        return validate_options("scenario", self.name, self.defaults, options)
 
     def build(
         self, spec: ScenarioSpec, deployment: ProtocolDeployment, rng: RngRegistry

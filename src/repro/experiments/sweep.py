@@ -24,11 +24,10 @@ sweep would have produced.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import MetricSummary, RunResult
 from repro.experiments.executors import SerialExecutor, SweepExecutor
@@ -46,6 +45,7 @@ from repro.experiments.scenario import (
     cell_key,
     run_seed,
 )
+from repro.obs import journal
 from repro.obs.analyze import TELEMETRY_JOURNAL
 from repro.obs.progress import SweepProgress
 from repro.obs.sinks import trace_filename
@@ -285,12 +285,12 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------------- checkpoints
-# The checkpoint is an append-only JSONL journal: line 1 is a header with the
-# format version and the grid parameters, every further line is one finished
-# cell ({"key": ..., "run": ...}).  Appending keeps per-cell persistence at
-# O(1) (a full-file rewrite per cell would make checkpointing O(n^2) over a
-# sweep and throttle the parallel coordinator), and a torn final line — the
-# crash case appends exist for — is detected and dropped on load.
+# The checkpoint is an append-only journal (:mod:`repro.obs.journal`): a
+# header with the format version and the grid parameters, then one finished
+# ({"key": ..., "run": ...}) or quarantined ({"key": ..., "cell_error": ...})
+# cell per line.  Appending keeps per-cell persistence at O(1) (a full-file
+# rewrite per cell would make checkpointing O(n^2) over a sweep and throttle
+# the parallel coordinator); the journal drops a torn final append on load.
 class CheckpointMismatchError(ValueError):
     """The checkpoint on disk was written by a different sweep specification."""
 
@@ -320,47 +320,10 @@ def _checkpoint_header(spec: SweepSpec, registry: DeploymentRegistry) -> Dict[st
     }
 
 
-def _record_line(key: str, run: RunResult) -> str:
-    return json.dumps({"key": key, "run": run.to_dict()}, sort_keys=True) + "\n"
-
-
-def _error_line(key: str, failure: CellFailure) -> str:
-    return json.dumps({"key": key, "cell_error": failure.to_dict()}, sort_keys=True) + "\n"
-
-
-def append_checkpoint(
-    path: str,
-    spec: SweepSpec,
-    key: str,
-    run: RunResult,
-    registry: DeploymentRegistry = SYSTEMS,
-) -> None:
-    """Append one finished cell to the journal (writing the header first if new)."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as handle:
-        if fresh:
-            handle.write(json.dumps(_checkpoint_header(spec, registry), sort_keys=True) + "\n")
-        handle.write(_record_line(key, run))
-
-
-def append_cell_error(
-    path: str,
-    spec: SweepSpec,
-    key: str,
-    failure: CellFailure,
-    registry: DeploymentRegistry = SYSTEMS,
-) -> None:
-    """Append one quarantined cell to the journal as a typed ``cell_error`` record.
-
-    Error records document *why* a cell is missing; they never mark it
-    completed.  On resume the cell is pending again (and compaction drops
-    the stale error record), so a later run retries it.
-    """
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as handle:
-        if fresh:
-            handle.write(json.dumps(_checkpoint_header(spec, registry), sort_keys=True) + "\n")
-        handle.write(_error_line(key, failure))
+def _decode_cell(record: Dict[str, Any]) -> Tuple[str, Any]:
+    if "cell_error" in record:
+        return record["key"], CellFailure.from_dict(record["cell_error"])
+    return record["key"], RunResult.from_dict(record["run"])
 
 
 def save_checkpoint(
@@ -376,12 +339,10 @@ def save_checkpoint(
     and will either finish (a ``run`` record) or fail afresh (a new error
     record) in the resuming sweep.
     """
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(_checkpoint_header(spec, registry), sort_keys=True) + "\n")
-        for key, run in sorted(completed.items()):
-            handle.write(_record_line(key, run))
-    os.replace(tmp_path, path)
+    lines = (
+        journal.line({"key": key, "run": run.to_dict()}) for key, run in sorted(completed.items())
+    )
+    journal.write(path, _checkpoint_header(spec, registry), lines)
 
 
 def load_checkpoint(
@@ -400,31 +361,26 @@ def load_checkpoint(
     :class:`CheckpointMismatchError` when the journal belongs to a different
     grid and :class:`ValueError` when it is not a checkpoint journal at all.
     """
-    if not os.path.exists(path):
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return {}
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        expected = json.dumps(_checkpoint_header(spec, registry), sort_keys=True)
-        if len(lines) == 1 and expected.startswith(lines[0]):
-            # A crash during the very first append tore the header itself;
-            # the journal carries no results yet, so treat it as fresh.
-            return {}
-        raise ValueError(f"checkpoint {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(header, dict) or "spec" not in header:
-        raise ValueError(f"checkpoint {path!r} is not a sweep checkpoint file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint journal {path!r} has version {header.get('version')!r} but "
-            f"this harness reads version {CHECKPOINT_VERSION}; old journals cannot "
-            f"be resumed — re-run the sweep with a fresh --resume path (or delete "
-            f"{path!r}) to regenerate it"
-        )
     expected = _checkpoint_header(spec, registry)
+    hint = (
+        f"; old journals cannot be resumed — re-run the sweep with a fresh --resume path "
+        f"(or delete {path!r}) to regenerate it"
+    )
+    try:
+        header = journal.read_header(
+            path, "sweep checkpoint", CHECKPOINT_VERSION, lambda header: "spec" in header, hint
+        )
+    except ValueError:
+        # A crash during the very first append tore the header itself.  Only
+        # a prefix of this sweep's own header counts as a fresh journal:
+        # resume compacts the file, so a foreign one must never be overwritten.
+        own = journal.line(expected)
+        with open(path, "r", encoding="utf-8") as handle:
+            if own.startswith(handle.read(len(own))):
+                return {}
+        raise
     if any(header.get(field) != expected[field] for field in ("spec", "builder_options")):
         raise CheckpointMismatchError(
             f"checkpoint {path!r} was written by a different sweep spec "
@@ -436,27 +392,12 @@ def load_checkpoint(
             f"registry ({header.get('registry')!r}); refusing to mix results"
         )
     completed: Dict[str, RunResult] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines):  # torn final append from an interrupted sweep
-                break
-            raise ValueError(f"checkpoint {path!r} is corrupt at line {number}") from None
-        try:
-            key = record["key"]
-            if "cell_error" in record:
-                failure = CellFailure.from_dict(record["cell_error"])
-                if errors_out is not None:
-                    errors_out.append(failure)
-                continue
-            run = RunResult.from_dict(record["run"])
-        except (KeyError, TypeError):
-            # Valid JSON of the wrong shape is corruption, not a torn append.
-            raise ValueError(f"checkpoint {path!r} is corrupt at line {number}") from None
-        completed[key] = run
+    for key, value in journal.records(path, _decode_cell):
+        if isinstance(value, CellFailure):
+            if errors_out is not None:
+                errors_out.append(value)
+        else:
+            completed[key] = value
     return completed
 
 
@@ -489,15 +430,11 @@ def _write_telemetry_journal(
     """
     attempts = attempts or {}
     errors = errors or {}
-    with open(path, "w", encoding="utf-8") as handle:
-        header: Dict[str, Any] = {
-            "format": TELEMETRY_FORMAT,
-            "version": 1,
-            "grid": spec.grid_dict(),
-        }
-        if resilience is not None:
-            header["resilience"] = resilience
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
+    header: Dict[str, Any] = {"format": TELEMETRY_FORMAT, "version": 1, "grid": spec.grid_dict()}
+    if resilience is not None:
+        header["resilience"] = resilience
+
+    def lines() -> Iterator[str]:
         for cell in cells:
             run = completed.get(cell.key)
             record = {
@@ -511,7 +448,9 @@ def _write_telemetry_journal(
                 "attempts": attempts.get(cell.key),
                 "error": errors.get(cell.key),
             }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            yield journal.line(record)
+
+    journal.write(path, header, lines())
 
 
 # --------------------------------------------------------------------------- driver
@@ -565,14 +504,16 @@ def sweep(
         executor = SerialExecutor()
 
     cells = spec.expand()
-    completed: Dict[str, RunResult] = (
-        load_checkpoint(checkpoint, spec, registry) if checkpoint is not None else {}
-    )
-    if checkpoint is not None and os.path.exists(checkpoint):
-        # Compact the journal before appending: this truncates a torn final
-        # line left by an interrupted append, so new records never extend a
-        # partial line (which would merge into one corrupt record).
-        save_checkpoint(checkpoint, spec, completed, registry)
+    completed: Dict[str, RunResult] = {}
+    header: Dict[str, Any] = {}
+    if checkpoint is not None:
+        header = _checkpoint_header(spec, registry)
+        completed = load_checkpoint(checkpoint, spec, registry)
+        if os.path.exists(checkpoint):
+            # Compact the journal before appending: this truncates a torn
+            # final line left by an interrupted append, so new records never
+            # extend a partial line (which would merge into one corrupt record).
+            save_checkpoint(checkpoint, spec, completed, registry)
     pending = [cell for cell in cells if cell.key not in completed]
 
     if trace_dir is not None:
@@ -595,11 +536,16 @@ def sweep(
     else:
         scenarios = [cell.scenario for cell in pending]
 
+    def journal_cell(record: Dict[str, Any]) -> None:
+        # A cell_error record never marks its cell completed: on resume the
+        # cell is pending again and compaction drops the stale record.
+        if checkpoint is not None:
+            journal.append(checkpoint, header, journal.line(record))
+
     def on_result(pending_index: int, result: RunResult) -> None:
         key = pending[pending_index].key
         completed[key] = result
-        if checkpoint is not None:
-            append_checkpoint(checkpoint, spec, key, result, registry)
+        journal_cell({"key": key, "run": result.to_dict()})
         if observer is not None:
             observer(result)
 
@@ -607,8 +553,7 @@ def sweep(
 
     def on_error(pending_index: int, failure: CellFailure) -> None:
         failures.append(failure)
-        if checkpoint is not None:
-            append_cell_error(checkpoint, spec, failure.key, failure, registry)
+        journal_cell({"key": failure.key, "cell_error": failure.to_dict()})
         if progress is not None:
             progress.cell_failed(failure.key, failure.error)
         if len(failures) > policy.max_cell_failures:

@@ -19,7 +19,10 @@ predates this module):
   checkpoint identities rely on;
 * a selection without options is just the bare name;
 * surrounding whitespace around names, keys and values is tolerated on
-  input and absent from canonical output.
+  input and absent from canonical output;
+* :func:`validate_options` types every option by its default: a value must
+  have its default's type, except that an int is accepted (and converted)
+  where the default is a float.
 
 The ``label`` argument ("scenario", "system") only parameterises error
 messages; the grammar itself is identical for every front end.
@@ -55,6 +58,37 @@ def parse_option_value(text: str) -> Any:
     except ValueError:
         pass
     return text
+
+
+#: How a type mismatch names the expected type, keyed by the default's type.
+_TYPE_NAMES = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
+
+
+def validate_options(
+    label: str, name: str, defaults: Mapping[str, Any], options: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """Merge ``options`` over ``defaults``, rejecting unknown names and mistyped values.
+
+    A value must have its default's type, except that an int is accepted, and
+    converted, where the default is a float.  The merged dict is for the
+    builder; canonical tokens come from the unmerged ``options``.
+    """
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"{label} {name!r} does not accept option(s) {', '.join(unknown)}; "
+            f"known options: {', '.join(sorted(defaults)) or '(none)'}"
+        )
+    merged = dict(defaults)
+    for key, value in options.items():
+        kind = type(defaults[key])
+        if kind is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not kind:
+            expected = _TYPE_NAMES.get(kind, kind.__name__)
+            raise ValueError(f"{label} option {name}@{key} must be {expected}, got {value!r}")
+        merged[key] = value
+    return merged
 
 
 def canonical_token(name: str, options: Mapping[str, Any]) -> str:

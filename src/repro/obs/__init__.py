@@ -13,7 +13,9 @@ without perturbing the experiment itself:
 * :mod:`repro.obs.progress` — live cells-done / cells-per-second / ETA
   reporting for sweeps (the CLI's ``--progress``);
 * :mod:`repro.obs.analyze` — offline queries over captured NDJSON traces
-  (the ``python -m repro trace`` subcommand).
+  (the ``python -m repro trace`` subcommand);
+* :mod:`repro.obs.journal` — the NDJSON journal format that traces, sweep
+  checkpoints and the telemetry journal share (header, records, torn tail).
 
 Invariant: nothing in this package may change simulation results.  Counters
 are pure observers, trace records never feed back into the models, and sweep

@@ -22,10 +22,10 @@ import os
 from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.sinks import TRACE_FORMAT, iter_trace_file, read_trace_header
+from repro.obs.sinks import TRACE_FORMAT, read_trace
 from repro.sim.tracing import TraceRecord
 
-#: The telemetry journal living next to per-cell traces is not itself a trace.
+#: File name of the sweep's telemetry journal in a ``--trace-dir``.
 TELEMETRY_JOURNAL = "telemetry.ndjson"
 
 
@@ -41,11 +41,11 @@ def expand_trace_paths(paths: Sequence[str]) -> List[str]:
     for path in paths:
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
-                if not name.endswith(".ndjson") or name == TELEMETRY_JOURNAL:
+                if not name.endswith(".ndjson"):
                     continue
                 candidate = os.path.join(path, name)
                 try:
-                    read_trace_header(candidate)
+                    read_trace(candidate)
                 except (ValueError, OSError):
                     continue
                 out.append(candidate)
@@ -69,7 +69,7 @@ def iter_records(
     :meth:`repro.sim.tracing.Tracer.filter`.
     """
     for path in expand_trace_paths(paths):
-        for record in iter_trace_file(path):
+        for record in read_trace(path)[1]:
             if since is not None and record.time < since:
                 continue
             if until is not None and record.time > until:

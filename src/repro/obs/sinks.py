@@ -13,7 +13,7 @@ sink:
 
 NDJSON file format (schema version :data:`TRACE_SCHEMA_VERSION`)
 ----------------------------------------------------------------
-Line 1 is a header object::
+A trace is a journal (:mod:`repro.obs.journal`).  Line 1 is a header object::
 
     {"format": "repro-trace", "version": 1, "meta": {...}}
 
@@ -36,6 +36,7 @@ import re
 import sys
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
+from repro.obs import journal
 from repro.sim.tracing import TraceRecord
 
 #: The ``format`` tag of the NDJSON header line.
@@ -97,21 +98,18 @@ class NDJSONSink(TraceSink):
     """Streams records to an NDJSON file (one JSON object per line).
 
     The file (and any missing parent directories) is created lazily on the
-    first record, so a run that traces nothing leaves no file behind unless
-    ``eager=True`` forces the header out immediately.
+    first record, so a run that traces nothing leaves no file behind.
 
     An unwritable path degrades the sink to :class:`NullSink` behaviour —
     one stderr warning, then every record is discarded — because a trace
     must never make a run fail (the sink-interface contract above).
     """
 
-    def __init__(self, path: str, meta: Optional[Dict[str, Any]] = None, eager: bool = False):
+    def __init__(self, path: str, meta: Optional[Dict[str, Any]] = None):
         self.path = path
         self.meta = dict(meta) if meta else {}
         self._handle: Optional[TextIO] = None
         self._disabled = False
-        if eager:
-            self._open()
 
     def _open(self) -> Optional[TextIO]:
         try:
@@ -130,7 +128,7 @@ class NDJSONSink(TraceSink):
         header: Dict[str, Any] = {"format": TRACE_FORMAT, "version": TRACE_SCHEMA_VERSION}
         if self.meta:
             header["meta"] = self.meta
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        handle.write(journal.line(header))
         self._handle = handle
         return handle
 
@@ -163,64 +161,26 @@ class NDJSONSink(TraceSink):
 
 
 # --------------------------------------------------------------------------- reading
-def read_trace_header(path: str) -> Dict[str, Any]:
-    """Parse and validate the header line of an NDJSON trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        raise ValueError(f"{path!r} is not an NDJSON trace file (bad header)") from None
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path!r} is not an NDJSON trace file (format tag missing)")
-    if header.get("version") != TRACE_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path!r} has trace schema version {header.get('version')!r}, "
-            f"this reader understands {TRACE_SCHEMA_VERSION}"
-        )
-    return header
+def _decode_record(data: Dict[str, Any]) -> TraceRecord:
+    return TraceRecord(
+        time=float(data["t"]),
+        category=data["cat"],
+        event=data["ev"],
+        fields=dict(data.get("fields") or {}),
+    )
 
 
-def iter_trace_file(path: str) -> Iterator[TraceRecord]:
-    """Yield the records of one NDJSON trace file in write order.
+def read_trace(path: str) -> Tuple[Dict[str, Any], Iterator[TraceRecord]]:
+    """Read one NDJSON trace file: ``(header, records)``.
 
-    Raises :class:`ValueError` on a missing/incompatible header or a corrupt
-    record line; a torn final line (interrupted run) is tolerated and
-    dropped, matching the checkpoint journal's crash semantics.
+    The header is validated before this returns (:class:`ValueError` names
+    the path).  ``records`` streams the records in write order, in bounded
+    memory, under the journal's torn-tail rule (:mod:`repro.obs.journal`).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path!r} is empty, not an NDJSON trace file")
-    header = json.loads(lines[0]) if lines[0].startswith("{") else None
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path!r} is not an NDJSON trace file (format tag missing)")
-    if header.get("version") != TRACE_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path!r} has trace schema version {header.get('version')!r}, "
-            f"this reader understands {TRACE_SCHEMA_VERSION}"
-        )
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            record = TraceRecord(
-                time=float(data["t"]),
-                category=data["cat"],
-                event=data["ev"],
-                fields=dict(data.get("fields") or {}),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            if number == len(lines):  # torn final line from an interrupted run
-                return
-            raise ValueError(f"{path!r} is corrupt at line {number}") from None
-        yield record
-
-
-def load_trace(path: str) -> Tuple[Dict[str, Any], List[TraceRecord]]:
-    """Read one NDJSON trace file: ``(header, records)``."""
-    return read_trace_header(path), list(iter_trace_file(path))
+    header = journal.read_header(
+        path, "trace", TRACE_SCHEMA_VERSION, lambda header: header.get("format") == TRACE_FORMAT
+    )
+    return header, journal.records(path, _decode_record)
 
 
 def trace_filename(cell_key: str) -> str:

@@ -113,41 +113,11 @@ class SystemEntry:
 
     def validate_params(self, options: Mapping[str, Any]) -> Dict[str, Any]:
         """Merge ``options`` over the parameter defaults, rejecting unknown
-        names and type mismatches (bool/int/float/str, keyed by the default's
-        type — mirrors scenario-option validation)."""
-        unknown = sorted(set(options) - set(self.params))
-        if unknown:
-            raise ValueError(
-                f"system {self.name!r} does not accept option(s) "
-                f"{', '.join(unknown)}; known options: "
-                f"{', '.join(sorted(self.params)) or '(none)'}"
-            )
-        merged = dict(self.params)
-        for key, value in options.items():
-            default = self.params[key]
-            if isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"system option {self.name}@{key} must be a bool, got {value!r}"
-                    )
-            elif isinstance(default, int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(
-                        f"system option {self.name}@{key} must be an integer, got {value!r}"
-                    )
-            elif isinstance(default, float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(
-                        f"system option {self.name}@{key} must be a number, got {value!r}"
-                    )
-                value = float(value)
-            elif isinstance(default, str):
-                if not isinstance(value, str):
-                    raise ValueError(
-                        f"system option {self.name}@{key} must be a string, got {value!r}"
-                    )
-            merged[key] = value
-        return merged
+        names and mistyped values (the scenario options' rule, from
+        :func:`~repro.experiments.tokens.validate_options`)."""
+        from repro.experiments.tokens import validate_options
+
+        return validate_options("system", self.name, self.params, options)
 
     def m_prime_at(self, n_users: int, options: Optional[Mapping[str, Any]] = None) -> int:
         """The closed-form m' at ``n_users`` with ``options`` over the defaults."""
@@ -157,7 +127,7 @@ class SystemEntry:
 
 @dataclass(frozen=True)
 class ResolvedSystem:
-    """A system token resolved against a registry: entry + validated options.
+    """A system token resolved against a registry: entry + validated parameters.
 
     This is what flows through the sweep: :attr:`token` is the canonical
     system string (== the bare entry name for legacy selections), and
@@ -165,8 +135,8 @@ class ResolvedSystem:
     """
 
     entry: SystemEntry
-    #: The explicitly selected options (validated, unmerged).
-    options: Dict[str, Any]
+    #: The selected options, validated and merged over the entry's defaults.
+    params: Dict[str, Any]
     #: Canonical token of the selection (cell keys, seeds, JSON output).
     token: str
 
@@ -177,7 +147,7 @@ class ResolvedSystem:
 
     def m_prime(self, n_users: int) -> int:
         """Closed-form m' of this selection at ``n_users``."""
-        return self.entry.m_prime_at(n_users, self.options)
+        return int(self.entry.m_prime(n_users, **self.params))
 
     def build(
         self,
@@ -187,7 +157,7 @@ class ResolvedSystem:
         **options: object,
     ) -> ProtocolDeployment:
         """Construct the deployment with the selection's parameters applied."""
-        merged = self.entry.validate_params(self.options)
+        merged = dict(self.params)
         merged.update(options)
         return self.entry.builder(sim, network, tracker, **merged)
 
@@ -268,7 +238,7 @@ class DeploymentRegistry:
         the topology it historically selected.
         """
         resolved = self.resolve(target)
-        pinned = resolved.entry.validate_params(resolved.options)
+        pinned = resolved.params
         target_m_prime = resolved.entry.m_prime
 
         def alias_m_prime(n_users: int, **overrides: Any) -> int:
@@ -322,8 +292,8 @@ class DeploymentRegistry:
                 f"and accepts no options (use {entry.alias_of.partition('@')[0]!r} "
                 f"with explicit parameters instead)"
             )
-        entry.validate_params(options)
-        return ResolvedSystem(entry=entry, options=options, token=system_token(name, options))
+        params = entry.validate_params(options)
+        return ResolvedSystem(entry=entry, params=params, token=system_token(name, options))
 
     def names(self) -> List[str]:
         """All registered system names, sorted."""

@@ -34,9 +34,7 @@ from repro.obs.sinks import (
     NDJSONSink,
     NullSink,
     TraceSink,
-    iter_trace_file,
-    load_trace,
-    read_trace_header,
+    read_trace,
     trace_filename,
 )
 from repro.sim.events import EventQueue
@@ -100,7 +98,8 @@ def test_ndjson_sink_round_trip(tmp_path):
     tracer.close()
     tracer.close()  # idempotent
 
-    header, records = load_trace(path)
+    header, records = read_trace(path)
+    records = list(records)
     assert header["format"] == "repro-trace"
     assert header["version"] == 1
     assert header["meta"] == {"seed": 7}
@@ -117,23 +116,17 @@ def test_ndjson_sink_eager_header_and_lazy_default(tmp_path):
     lazy.close()
     assert not os.path.exists(tmp_path / "lazy.ndjson")
 
-    eager = NDJSONSink(str(tmp_path / "eager.ndjson"), eager=True)
-    eager.close()
-    assert read_trace_header(str(tmp_path / "eager.ndjson"))["format"] == "repro-trace"
-
 
 def test_trace_reader_rejects_foreign_files_and_tolerates_torn_tail(tmp_path):
     bad = tmp_path / "bad.ndjson"
     bad.write_text("not json\n")
     with pytest.raises(ValueError):
-        read_trace_header(str(bad))
-    with pytest.raises(ValueError):
-        list(iter_trace_file(str(bad)))
+        read_trace(str(bad))
 
     wrong_version = tmp_path / "v9.ndjson"
     wrong_version.write_text('{"format": "repro-trace", "version": 9}\n')
     with pytest.raises(ValueError):
-        read_trace_header(str(wrong_version))
+        read_trace(str(wrong_version))
 
     torn = tmp_path / "torn.ndjson"
     sink = NDJSONSink(str(torn))
@@ -141,14 +134,14 @@ def test_trace_reader_rejects_foreign_files_and_tolerates_torn_tail(tmp_path):
     sink.close()
     with open(torn, "a", encoding="utf-8") as handle:
         handle.write('{"t": 2.0, "cat": "c"')  # interrupted final append
-    assert len(list(iter_trace_file(str(torn)))) == 1
+    assert len(list(read_trace(str(torn))[1])) == 1
 
     corrupt = tmp_path / "corrupt.ndjson"
     corrupt.write_text(
         '{"format": "repro-trace", "version": 1}\ngarbage\n{"t":1,"cat":"c","ev":"e"}\n'
     )
     with pytest.raises(ValueError):
-        list(iter_trace_file(str(corrupt)))
+        list(read_trace(str(corrupt))[1])
 
 
 def test_trace_filename_is_sanitised_and_injective_for_cell_keys():
@@ -185,11 +178,11 @@ def test_trace_capture_agrees_with_message_stats(tmp_path, system, scenario):
     runner.execute(context)
 
     stats_counts = context.network.stats.counts_by_kind()
-    trace_counts = kind_counts(iter_trace_file(path))
+    trace_counts = kind_counts(read_trace(path)[1])
     assert trace_counts == stats_counts
     assert summarize([path])["message_kinds"] == stats_counts
 
-    update_only = kind_counts(iter_trace_file(path), update_related=True)
+    update_only = kind_counts(read_trace(path)[1], update_related=True)
     assert update_only == context.network.stats.counts_by_kind(update_related=True)
 
 
@@ -403,7 +396,7 @@ def test_cli_run_trace_and_trace_subcommands(tmp_path, capsys):
     trace = str(tmp_path / "run.ndjson")
     out = str(tmp_path / "run.json")
     assert main(["run", *CLI_SCENARIO, "--rate", "20", "--trace", trace, "--out", out]) == 0
-    assert read_trace_header(trace)["meta"]["system"] == "frodo3"
+    assert read_trace(trace)[0]["meta"]["system"] == "frodo3"
 
     assert main(["trace", "summarize", trace]) == 0
     summary_text = capsys.readouterr().out

@@ -10,11 +10,11 @@ import json
 
 from repro.__main__ import main
 from repro.experiments import SweepSpec, run_seed, sweep
-from repro.experiments.report import run_to_dict, to_json
+from repro.experiments.report import to_json
 
 
 def _cell_json(result, system, rate):
-    return [to_json(run_to_dict(run)) for run in result.cell_runs(system, rate)]
+    return [to_json(run.to_dict()) for run in result.cell_runs(system, rate)]
 
 
 def test_extending_grid_keeps_existing_cells_byte_identical():

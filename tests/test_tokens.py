@@ -7,15 +7,18 @@ formatting, error wording, and the comma-disambiguation of token lists.
 
 import pytest
 
-from repro.experiments.scenarios import parse_scenario, scenario_token
+from repro.__main__ import main
+from repro.experiments.scenario import ScenarioSpec
+from repro.experiments.scenarios import SCENARIOS, parse_scenario, scenario_token
 from repro.experiments.tokens import (
     canonical_token,
     format_option_value,
     parse_option_value,
     parse_token,
     split_token_list,
+    validate_options,
 )
-from repro.protocols.registry import parse_system, system_token
+from repro.protocols.registry import SYSTEMS, parse_system, system_token
 
 
 # --------------------------------------------------------------------------- values
@@ -96,6 +99,44 @@ def test_front_ends_share_the_grammar():
     assert parse_system("jini@k=2") == ("jini", {"k": 2})
     assert scenario_token("churn", {"rate": 0.2}) == "churn@rate=0.2"
     assert system_token("jini", {"k": 2}) == "jini@k=2"
+
+
+# --------------------------------------------------------------------------- option typing
+def test_options_take_their_defaults_type_and_ints_widen_to_float():
+    defaults = {"flag": True, "count": 2, "rate": 0.5, "mode": "push"}
+    merged = validate_options("scenario", "demo", defaults, {"count": 3, "rate": 1})
+    assert merged == {"flag": True, "count": 3, "rate": 1.0, "mode": "push"}
+    assert type(merged["rate"]) is float
+    for key, value, fragment in [
+        ("flag", 1, "must be a bool"),
+        ("count", 2.5, "must be an integer"),
+        ("count", True, "must be an integer"),
+        ("rate", "fast", "must be a number"),
+        ("rate", False, "must be a number"),
+        ("mode", 3, "must be a string"),
+        ("nope", 1, "does not accept"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            validate_options("scenario", "demo", defaults, {key: value})
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["overlap@n=2.5", "lossy@windows=2.5", "multichange@changes=2.5", "correlated@groups=1.5"],
+)
+def test_integer_scenario_options_reject_fractions(token, capsys):
+    name, options = parse_scenario(token)
+    with pytest.raises(ValueError, match="must be an integer"):
+        ScenarioSpec(system="frodo3", scenario=name, scenario_options=options).validate()
+    argv = ["run", "--system", "frodo3", "--rate", "20", "--scenario", token]
+    assert main(argv) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_front_ends_share_the_option_validator():
+    assert SCENARIOS.get("churn").validate_options({"gap": 600}) == {"rate": 0.1, "gap": 600.0}
+    assert SYSTEMS.resolve("jini@ttl=300").params["ttl"] == 300.0
+    assert SYSTEMS.resolve("jini@ttl=300").token == "jini@ttl=300"  # tokens stay unmerged
 
 
 # --------------------------------------------------------------------------- token lists
