@@ -96,23 +96,20 @@ class DiscoveryNode(Process):
         receiver: Address,
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
-        update_related: Optional[bool] = None,
     ) -> Message:
         """Construct a message originating at this node.
 
-        ``update_related`` defaults to the protocol-wide declaration in
-        :mod:`repro.protocols.accounting` (each protocol's ``messages`` module
-        registers its ``UPDATE_RELATED_KINDS``), so the efficiency-metric
-        tagging rule lives in one place per protocol; an explicit ``True`` /
-        ``False`` overrides the declaration for a single message.
+        Whether it counts toward *y* follows from its kind alone: the
+        protocol-wide declaration in :mod:`repro.protocols.accounting` (each
+        protocol's ``messages`` module registers its
+        ``UPDATE_RELATED_KINDS``) is the one tagging rule, with no per-send
+        override.
         """
-        if update_related is None:
-            global _is_update_related
-            if _is_update_related is None:
-                from repro.protocols.accounting import is_update_related
+        global _is_update_related
+        if _is_update_related is None:
+            from repro.protocols.accounting import is_update_related
 
-                _is_update_related = is_update_related
-            update_related = _is_update_related(self.protocol, kind)
+            _is_update_related = is_update_related
         # Positional: every protocol send builds one (layer and size keep
         # their defaults).
         return Message(
@@ -121,7 +118,7 @@ class DiscoveryNode(Process):
             self.protocol,
             kind,
             None if payload is None else dict(payload),
-            update_related,
+            _is_update_related(self.protocol, kind),
             MessageLayer.DISCOVERY,
             256,
             next(self.network.msg_ids),
@@ -132,12 +129,11 @@ class DiscoveryNode(Process):
         receiver: Address,
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
-        update_related: Optional[bool] = None,
     ) -> Message:
         """Send a unicast UDP datagram; returns the message object."""
         if self.transports.udp is None:
             raise RuntimeError(f"{self.node_id}: UDP transport not configured")
-        message = self.make_message(receiver, kind, payload, update_related)
+        message = self.make_message(receiver, kind, payload)
         self.transports.udp.send(message)
         return message
 
@@ -146,14 +142,13 @@ class DiscoveryNode(Process):
         receiver: Address,
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
-        update_related: Optional[bool] = None,
         on_delivered: Optional[Callable[[Message], None]] = None,
         on_rex: Optional[Callable[[RemoteException], None]] = None,
     ) -> Message:
         """Send a message over reliable TCP; returns the message object."""
         if self.transports.tcp is None:
             raise RuntimeError(f"{self.node_id}: TCP transport not configured")
-        message = self.make_message(receiver, kind, payload, update_related)
+        message = self.make_message(receiver, kind, payload)
         self.transports.tcp.send(message, on_delivered=on_delivered, on_rex=on_rex)
         return message
 
@@ -161,13 +156,12 @@ class DiscoveryNode(Process):
         self,
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
-        update_related: Optional[bool] = None,
         copies: Optional[int] = None,
     ) -> Message:
         """Multicast a message to every other node; returns the message object."""
         if self.transports.multicast is None:
             raise RuntimeError(f"{self.node_id}: multicast transport not configured")
-        message = self.make_message(MULTICAST_GROUP, kind, payload, update_related)
+        message = self.make_message(MULTICAST_GROUP, kind, payload)
         self.transports.multicast.announce(message, copies=copies)
         return message
 

@@ -39,7 +39,7 @@ from repro.experiments.scenarios import (
     parse_scenario,
     scenario_token,
 )
-from repro.experiments.runner import ExperimentRunner, RunContext, RunnerSpec, run_scenario
+from repro.experiments.runner import ExperimentRunner, RunContext, run_scenario
 from repro.experiments.resilience import (
     DEFAULT_POLICY,
     CellExecutionError,
@@ -88,7 +88,6 @@ __all__ = [
     "scenario_token",
     "ExperimentRunner",
     "RunContext",
-    "RunnerSpec",
     "run_scenario",
     "DEFAULT_POLICY",
     "CellExecutionError",

@@ -1,40 +1,39 @@
-"""Pluggable sweep execution: serial and process-parallel cell running.
+"""Sweep execution: serial and process-parallel cell running.
 
 The sweep driver (:mod:`repro.experiments.sweep`) expands its grid into pure
 per-cell tasks — each a :class:`~repro.experiments.scenario.ScenarioSpec`
-carrying its own derived seed — and hands them to an executor.  Executors
-only decide *where* cells run; aggregation order is fixed by the caller, so
-parallel sweeps produce byte-identical output to serial ones:
+carrying its own derived seed — and hands them to an executor together with
+their cell keys, the runner, the resilience policy and two callbacks.
+Executors only decide *where* cells run; aggregation order is fixed by the
+caller, so parallel sweeps produce byte-identical output to serial ones:
 
 * :class:`SerialExecutor` runs every cell in submission order in the calling
-  process (the classic single-process sweep path),
+  process, on the caller's runner,
 * :class:`ParallelExecutor` fans cells out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with *warm workers*: a pool
-  initializer builds one :class:`~repro.experiments.runner.ExperimentRunner`
-  per worker process (from a picklable
-  :class:`~repro.experiments.runner.RunnerSpec`), cells are submitted in
-  chunks to amortise task-dispatch overhead, and workers stream back compact
-  ``RunResult.to_dict()`` payloads instead of pickled objects.  Every random
-  stream derives from the cell's own seed, so results do not depend on which
-  worker ran a cell, how cells were chunked, or in which order chunks
-  finished.
+  :class:`concurrent.futures.ProcessPoolExecutor` of warm worker processes:
+  cells are submitted in chunks to amortise task-dispatch overhead, each
+  worker runs its chunks on a plain
+  :class:`~repro.experiments.runner.ExperimentRunner`, and workers stream
+  back compact ``RunResult.to_dict()`` payloads instead of pickled objects.
+  Every random stream derives from the cell's own seed, so results do not
+  depend on which worker ran a cell, how cells were chunked, or in which
+  order chunks finished.  A runner subclass cannot reach the workers, so the
+  parallel executor rejects one before any cell runs.
 
 Both executors run cells through the resilience layer
 (:mod:`repro.experiments.resilience`): a
 :class:`~repro.experiments.resilience.ResiliencePolicy` adds per-cell
-timeouts and deterministic retries, an ``on_error`` callback routes
-finally-failed cells to the caller as typed
-:class:`~repro.experiments.resilience.CellFailure` records (without one the
-original exception propagates, the legacy behaviour), and the parallel
-executor survives worker death: a ``BrokenProcessPool`` rebuilds the pool
-and resubmits only the chunks that never finished.  A ``KeyboardInterrupt``
-drains already-finished chunks through ``on_result`` before re-raising, so
-an interrupted checkpointed sweep keeps every completed cell.
+timeouts and deterministic retries, the ``on_error`` callback receives each
+finally-failed cell as a typed
+:class:`~repro.experiments.resilience.CellFailure` record (the sweep decides
+whether it fits the failure budget), and the parallel executor survives
+worker death: a ``BrokenProcessPool`` rebuilds the pool and resubmits only
+the chunks that never finished.  A ``KeyboardInterrupt`` drains
+already-finished chunks through ``on_result`` before re-raising, so an
+interrupted checkpointed sweep keeps every completed cell.
 
 ``make_executor(jobs)`` is the CLI-facing factory: ``--jobs 1`` selects the
-serial path, ``--jobs N`` (N > 1) the process pool.  Customised registries
-ride along by handing the pool a :class:`RunnerSpec` (an importable
-``"module:attr"`` reference) instead of a closure-carrying runner.
+serial path, ``--jobs N`` (N > 1) the process pool.
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Sequence, Union
 
 from repro.core.metrics import RunResult
 from repro.experiments.resilience import (
-    DEFAULT_POLICY,
     CellExecutionError,
     CellFailure,
     ExecutionStats,
@@ -54,26 +52,20 @@ from repro.experiments.resilience import (
     ResiliencePolicy,
     run_cell_guarded,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSpec
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import ScenarioSpec
-from repro.protocols.registry import SYSTEMS
 
-#: Completion callback: ``(index_into_submitted_scenarios, result)``.  Serial
-#: execution invokes it in submission order; parallel execution in completion
-#: order.  Ordered aggregation must therefore happen on the *returned* list
-#: (which is always in submission order), never on callback order.
-CellCallback = Callable[[int, RunResult], None]
-
-#: Observability callback: ``(index, result, wall_seconds)``, fired alongside
-#: :data:`CellCallback` with the cell's measured wall time.  Wall time is for
+#: Completion callback: ``(index_into_submitted_scenarios, result,
+#: wall_seconds)``.  Serial execution invokes it in submission order;
+#: parallel execution in completion order, so ordered aggregation must
+#: happen on the index, never on callback order.  Wall time is for
 #: progress/telemetry reporting only — it never enters the RunResult, so
-#: results (and byte-identity gates) stay independent of host speed.  With a
-#: parallel executor the wall time is measured inside the worker process.
-CellProgress = Callable[[int, RunResult, float], None]
+#: results (and byte-identity gates) stay independent of host speed.  With
+#: a parallel executor the wall time is measured inside the worker process.
+CellCallback = Callable[[int, RunResult, float], None]
 
 #: Failure callback: ``(index_into_submitted_scenarios, CellFailure)`` for a
-#: cell that exhausted its retries.  Without one, the cell's own exception
-#: propagates and aborts the sweep (the legacy behaviour).
+#: cell that exhausted its retries.  It may raise to abort the sweep.
 CellErrorCallback = Callable[[int, CellFailure], None]
 
 #: Chunks submitted per worker: enough that a slow chunk cannot leave workers
@@ -81,85 +73,51 @@ CellErrorCallback = Callable[[int, CellFailure], None]
 _CHUNKS_PER_WORKER = 4
 
 
-def _cell_keys(scenarios: Sequence[ScenarioSpec], keys: Optional[Sequence[str]]) -> List[str]:
-    """The per-cell keys used for fault matching and stats (defaulted by index)."""
-    if keys is None:
-        return [f"cell-{index}" for index in range(len(scenarios))]
-    if len(keys) != len(scenarios):
-        raise ValueError(f"got {len(keys)} keys for {len(scenarios)} scenarios")
-    return list(keys)
-
-
 class SerialExecutor:
     """Runs cells one after another in the calling process."""
 
     jobs = 1
 
-    def __init__(self, runner: Optional[ExperimentRunner] = None) -> None:
-        self.runner = runner
+    def __init__(self) -> None:
         #: Stats of the most recent :meth:`run_scenarios` call (observability).
         self.last_stats = ExecutionStats()
 
     def run_scenarios(
         self,
         scenarios: Sequence[ScenarioSpec],
-        runner: Optional[ExperimentRunner] = None,
-        on_result: Optional[CellCallback] = None,
-        on_progress: Optional[CellProgress] = None,
-        keys: Optional[Sequence[str]] = None,
-        policy: Optional[ResiliencePolicy] = None,
-        on_error: Optional[CellErrorCallback] = None,
-    ) -> List[RunResult]:
-        """Execute ``scenarios`` in order; returns successful results in order.
+        keys: Sequence[str],
+        runner: ExperimentRunner,
+        policy: ResiliencePolicy,
+        on_result: CellCallback,
+        on_error: CellErrorCallback,
+    ) -> None:
+        """Execute ``scenarios`` in order on ``runner``.
 
-        Failed cells (after ``policy`` retries) go to ``on_error`` and are
-        omitted from the returned list; without ``on_error`` the original
-        exception propagates.
+        Each finished cell goes to ``on_result``, each cell that failed
+        after ``policy`` retries to ``on_error``.
         """
-        active = runner or self.runner or ExperimentRunner()
-        policy = policy if policy is not None else DEFAULT_POLICY
         stats = ExecutionStats()
         self.last_stats = stats
-        cell_keys = _cell_keys(scenarios, keys)
-        results: List[RunResult] = []
         for index, scenario in enumerate(scenarios):
             started = time.perf_counter()
             try:
-                result, attempts = run_cell_guarded(active, scenario, cell_keys[index], policy)
+                result, attempts = run_cell_guarded(runner, scenario, keys[index], policy)
             except CellExecutionError as exc:
                 stats.record(exc.key, exc.attempts, failed=True)
-                if on_error is None:
-                    # Legacy contract: the cell's own exception aborts the run.
-                    raise exc.original from None
                 on_error(index, exc.failure())
                 continue
             wall = time.perf_counter() - started
-            stats.record(cell_keys[index], attempts)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-            if on_progress is not None:
-                on_progress(index, result, wall)
-        return results
+            stats.record(keys[index], attempts)
+            on_result(index, result, wall)
 
 
 # ----------------------------------------------------------------- worker side
-#: Per-worker-process runner, built once by the pool initializer and reused
-#: for every chunk the worker executes (the "warm worker" amortisation).
-_WORKER_RUNNER: Optional[ExperimentRunner] = None
-
-
-def _init_worker(runner_spec: RunnerSpec) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner_spec.resolve()
-
-
 def _run_chunk(
     scenarios: Sequence[ScenarioSpec],
     keys: Sequence[str],
     policy: ResiliencePolicy,
 ) -> List[Dict[str, Any]]:
-    """Task body: run a chunk of cells on the warm runner, stream plain dicts.
+    """Task body: run a chunk of cells in a worker, stream plain dicts.
 
     A successful cell yields ``{"run": RunResult.to_dict(), "wall_seconds":
     float, "attempts": int}``: the ``to_dict`` form keeps the result pickle
@@ -171,9 +129,7 @@ def _run_chunk(
     ``wall_seconds`` is measured here, in the worker, so per-cell timing
     survives chunked submission.
     """
-    runner = _WORKER_RUNNER
-    if runner is None:  # pool built without initializer (defensive)
-        runner = ExperimentRunner()
+    runner = ExperimentRunner()
     payloads: List[Dict[str, Any]] = []
     for scenario, key in zip(scenarios, keys):
         started = time.perf_counter()
@@ -198,71 +154,41 @@ def _run_chunk(
 
 
 class ParallelExecutor:
-    """Fans cells out over a process pool of warm workers (``--jobs N``, N > 1).
+    """Fans cells out over a process pool of warm workers (``--jobs N``, N > 1)."""
 
-    Workers default to the standard :data:`~repro.protocols.registry.SYSTEMS`
-    registry and network configuration.  A customised deployment is supported
-    by passing ``runner_spec`` — a picklable, importable recipe — because
-    registry builders themselves are closures and cannot cross process
-    boundaries.  Supplying a customised ``runner`` *object* without a spec
-    still raises :class:`ValueError` (the old ``--jobs 1`` restriction, now
-    with an escape hatch).
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        runner: Optional[ExperimentRunner] = None,
-        runner_spec: Optional[RunnerSpec] = None,
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 2:
             raise ValueError(f"ParallelExecutor needs jobs >= 2, got {jobs}")
         self.jobs = jobs
-        self.runner = runner
-        self.runner_spec = runner_spec
         #: Stats of the most recent :meth:`run_scenarios` call (observability).
         self.last_stats = ExecutionStats()
-
-    def _effective_spec(self, runner: Optional[ExperimentRunner]) -> RunnerSpec:
-        if self.runner_spec is not None:
-            return self.runner_spec
-        if runner is not None and (
-            type(runner) is not ExperimentRunner
-            or runner.registry is not SYSTEMS
-            or runner.network_config is not None
-        ):
-            raise ValueError(
-                "parallel execution cannot pickle a customised runner into "
-                "workers; pass a RunnerSpec (an importable 'module:attr' "
-                "registry reference) or run with jobs=1"
-            )
-        return RunnerSpec()
 
     def run_scenarios(
         self,
         scenarios: Sequence[ScenarioSpec],
-        runner: Optional[ExperimentRunner] = None,
-        on_result: Optional[CellCallback] = None,
-        on_progress: Optional[CellProgress] = None,
-        keys: Optional[Sequence[str]] = None,
-        policy: Optional[ResiliencePolicy] = None,
-        on_error: Optional[CellErrorCallback] = None,
-    ) -> List[RunResult]:
-        """Execute ``scenarios`` concurrently; returns results in submission order.
+        keys: Sequence[str],
+        runner: ExperimentRunner,
+        policy: ResiliencePolicy,
+        on_result: CellCallback,
+        on_error: CellErrorCallback,
+    ) -> None:
+        """Execute ``scenarios`` concurrently; callbacks fire in completion order.
 
-        Survives worker death: when the pool breaks (a worker was killed),
-        it is rebuilt and only the chunks that never finished are
-        resubmitted, up to ``policy.max_pool_rebuilds`` times.  Because every
-        cell derives its randomness from its own seed, a resubmitted chunk
-        reproduces exactly what the dead worker would have produced.
+        ``runner`` must be a plain :class:`ExperimentRunner`: workers build
+        their own, so a subclass would be silently replaced.  Survives worker
+        death: when the pool breaks (a worker was killed), it is rebuilt and
+        only the chunks that never finished are resubmitted, up to
+        ``policy.max_pool_rebuilds`` times.  Because every cell derives its
+        randomness from its own seed, a resubmitted chunk reproduces exactly
+        what the dead worker would have produced.
         """
-        runner_spec = self._effective_spec(runner or self.runner)
-        policy = policy if policy is not None else DEFAULT_POLICY
+        if type(runner) is not ExperimentRunner:
+            raise ValueError(
+                f"parallel workers run cells on a plain ExperimentRunner and cannot "
+                f"use {type(runner).__name__}; run it with jobs=1"
+            )
         stats = ExecutionStats()
         self.last_stats = stats
-        if not scenarios:
-            return []
-        cell_keys = _cell_keys(scenarios, keys)
         # Chunked submission: one future per chunk (not per cell) amortises
         # pool dispatch and result-pickling overhead over many cells.
         chunk_size = max(1, -(-len(scenarios) // (self.jobs * _CHUNKS_PER_WORKER)))
@@ -270,7 +196,6 @@ class ParallelExecutor:
             start: list(scenarios[start : start + chunk_size])
             for start in range(0, len(scenarios), chunk_size)
         }
-        results: List[Optional[RunResult]] = [None] * len(scenarios)
 
         def consume(start: int, payloads: List[Dict[str, Any]]) -> None:
             for offset, payload in enumerate(payloads):
@@ -279,35 +204,19 @@ class ParallelExecutor:
                 if error is not None:
                     failure = CellFailure.from_dict(error)
                     stats.record(failure.key, failure.attempts, failed=True)
-                    if on_error is None:
-                        # Legacy contract: a failed cell aborts the sweep.
-                        raise CellExecutionError(
-                            failure.key,
-                            failure.attempts,
-                            RuntimeError(f"{failure.error}: {failure.message}"),
-                        )
                     on_error(index, failure)
                     continue
-                result = RunResult.from_dict(payload["run"])
-                stats.record(cell_keys[index], payload.get("attempts", 1))
-                results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-                if on_progress is not None:
-                    on_progress(index, result, payload["wall_seconds"])
+                stats.record(keys[index], payload["attempts"])
+                on_result(index, RunResult.from_dict(payload["run"]), payload["wall_seconds"])
 
         rebuilds = 0
         while pending:
             broken = False
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending)),
-                initializer=_init_worker,
-                initargs=(runner_spec,),
+                max_workers=min(self.jobs, len(pending))
             ) as pool:
                 futures = {
-                    pool.submit(
-                        _run_chunk, chunk, cell_keys[start : start + len(chunk)], policy
-                    ): start
+                    pool.submit(_run_chunk, chunk, keys[start : start + len(chunk)], policy): start
                     for start, chunk in sorted(pending.items())
                 }
                 try:
@@ -346,30 +255,16 @@ class ParallelExecutor:
                         f"{len(pending)} chunk(s) never finished — a worker "
                         f"is dying repeatedly (OOM kill? native crash?)"
                     )
-        return [result for result in results if result is not None]
 
 
 #: Either executor satisfies the same structural interface.
 SweepExecutor = Union[SerialExecutor, ParallelExecutor]
 
 
-def make_executor(
-    jobs: int,
-    runner: Optional[ExperimentRunner] = None,
-    runner_spec: Optional[RunnerSpec] = None,
-) -> SweepExecutor:
-    """Executor for ``--jobs``: 1 falls back to the serial in-process path.
-
-    ``runner`` is carried by the returned executor either way, so a
-    customised runner still hits :class:`ParallelExecutor`'s guard instead
-    of being silently replaced by the default registry in the workers;
-    ``runner_spec`` is the picklable alternative that lets customised
-    registries run in parallel.
-    """
+def make_executor(jobs: int) -> SweepExecutor:
+    """Executor for ``--jobs``: 1 selects the serial in-process path."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
-        if runner is None and runner_spec is not None:
-            runner = runner_spec.resolve()
-        return SerialExecutor(runner)
-    return ParallelExecutor(jobs, runner, runner_spec)
+        return SerialExecutor()
+    return ParallelExecutor(jobs)

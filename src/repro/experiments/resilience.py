@@ -119,9 +119,9 @@ class ResiliencePolicy:
         return self
 
 
-#: The executors' default: no timeout, no retries, no failure budget — a
-#: failing cell propagates exactly as it always did — but broken-pool
-#: recovery stays on (worker death is an infrastructure fault, not a result).
+#: The sweep's default: no timeout, no retries, no failure budget — the
+#: first failing cell aborts the sweep — but broken-pool recovery stays on
+#: (worker death is an infrastructure fault, not a result).
 DEFAULT_POLICY = ResiliencePolicy()
 
 

@@ -1,37 +1,39 @@
 """End-to-end execution of one experiment run (Section 5, Steps 1-5).
 
-The :class:`ExperimentRunner` assembles the full stack for one
+The :class:`ExperimentRunner` is the one way a cell runs, in process or in
+a pool worker.  It assembles the full stack for one
 :class:`~repro.experiments.scenario.ScenarioSpec`:
 
 1. a fresh :class:`~repro.sim.engine.Simulator` and a per-run
    :class:`~repro.sim.rng.RngRegistry` derived from the spec's master seed,
-2. the shared :class:`~repro.net.network.Network`,
-3. the deployment, built by name through the
-   :mod:`~repro.protocols.registry` (Step 1: topology of Table 4),
+2. the shared :class:`~repro.net.network.Network` with the default
+   configuration,
+3. the deployment, built by system token through
+   :data:`~repro.protocols.registry.SYSTEMS` (Step 1: topology of Table 4),
 4. the interface-failure plan from :mod:`repro.net.failures` (Step 2),
 5. the service change at ``change_time`` (Step 3) and the run to the
    measurement deadline (Steps 4-5),
 
 then extracts a :class:`~repro.core.metrics.RunResult` from the consistency
-tracker and the network's message statistics.
+tracker and the network's message statistics.  The run's m' comes from one
+place, the registry's closed form at the spec's topology size; no
+deployment computes it.
 """
 
 from __future__ import annotations
 
 import gc
-import importlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
 
 from repro.core.consistency import ConsistencyTracker
 from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.net.failures import DisruptionPlan, FailureInjector
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.obs.sinks import NDJSONSink
 from repro.obs.telemetry import collect_run_telemetry
 from repro.protocols.base import ProtocolDeployment
-from repro.protocols.registry import DeploymentRegistry, SYSTEMS
+from repro.protocols.registry import SYSTEMS
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import Tracer
@@ -52,15 +54,7 @@ class RunContext:
 
 
 class ExperimentRunner:
-    """Builds and executes single runs against a deployment registry."""
-
-    def __init__(
-        self,
-        registry: DeploymentRegistry = SYSTEMS,
-        network_config: Optional[NetworkConfig] = None,
-    ) -> None:
-        self.registry = registry
-        self.network_config = network_config
+    """Builds and executes single runs of the registered systems."""
 
     # ------------------------------------------------------------------ assembly
     @staticmethod
@@ -93,11 +87,9 @@ class ExperimentRunner:
         spec.validate()
         rng = RngRegistry(spec.seed)
         sim = Simulator(tracer=self._build_tracer(spec))
-        network = Network(sim, rng, config=self.network_config)
+        network = Network(sim, rng)
         tracker = ConsistencyTracker()
-        deployment = self.registry.build(
-            spec.system, sim, network, tracker, n_users=spec.n_users, **spec.builder_options
-        )
+        deployment = SYSTEMS.build(spec.system, sim, network, tracker, n_users=spec.n_users)
 
         # The spec's scenario family turns the built deployment into this
         # run's disruption plan (the default ``table4`` family reproduces
@@ -190,7 +182,7 @@ class ExperimentRunner:
             )
         stats = context.deployment.collect_run_stats(change_time)
         details = {
-            "m_prime": context.deployment.m_prime,
+            "m_prime": SYSTEMS.resolve(spec.system).m_prime(spec.n_users),
             "n_outages": len(context.injector.plan),
             "executed_events": context.sim.executed_events,
             "changed_version": changed_version,
@@ -220,66 +212,12 @@ class ExperimentRunner:
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
-    """Execute one scenario against the default registry with a fresh runner.
+    """Execute one scenario with a fresh runner.
 
     Everything the run needs is in ``spec`` (including the derived seed), so
-    the function is safe to call from any process.  Sweeps do not use it: the
-    serial executor runs cells on the sweep's runner, and each parallel
-    worker runs its chunks (``_run_chunk``) on its warm ``_WORKER_RUNNER``.
+    the function is safe to call from any process.  Sweeps do not use it:
+    the serial executor runs cells on the sweep's runner, and each parallel
+    worker runs its chunks (``_run_chunk``) on a plain runner.
     """
     return ExperimentRunner().run(spec)
 
-
-#: Default importable reference of the standard deployment registry.
-DEFAULT_REGISTRY_REF = "repro.protocols.registry:SYSTEMS"
-
-
-@dataclass(frozen=True)
-class RunnerSpec:
-    """Picklable recipe for building an :class:`ExperimentRunner` anywhere.
-
-    Deployment builders are closures and cannot cross process boundaries, so
-    a customised registry cannot be shipped to pool workers directly.  A
-    :class:`RunnerSpec` ships the *recipe* instead: an importable
-    ``"module:attr"`` reference that resolves — in whatever process — to
-    either a :class:`~repro.protocols.registry.DeploymentRegistry` instance
-    or a zero-setup factory callable returning one (``registry_options`` are
-    passed to the factory), plus an optional
-    :class:`~repro.net.network.NetworkConfig`.  This is what lifts the old
-    "customised registries must use ``--jobs 1``" restriction.
-    """
-
-    #: ``"module:attr"`` naming a registry instance or a registry factory.
-    registry_ref: str = DEFAULT_REGISTRY_REF
-    #: Keyword options for the factory (must be empty for plain instances).
-    registry_options: Dict[str, Any] = field(default_factory=dict)
-    network_config: Optional[NetworkConfig] = None
-
-    def resolve(self) -> ExperimentRunner:
-        """Import the registry (or call the factory) and build the runner."""
-        module_name, sep, attr = self.registry_ref.partition(":")
-        if not sep or not module_name or not attr:
-            raise ValueError(
-                f"registry_ref must look like 'package.module:attribute', "
-                f"got {self.registry_ref!r}"
-            )
-        target = getattr(importlib.import_module(module_name), attr)
-        if isinstance(target, DeploymentRegistry):
-            if self.registry_options:
-                raise ValueError(
-                    f"{self.registry_ref!r} is a registry instance; "
-                    f"registry_options only apply to factories"
-                )
-            registry = target
-        elif callable(target):
-            registry = target(**self.registry_options)
-            if not isinstance(registry, DeploymentRegistry):
-                raise TypeError(
-                    f"factory {self.registry_ref!r} returned "
-                    f"{type(registry).__name__}, expected a DeploymentRegistry"
-                )
-        else:
-            raise TypeError(
-                f"{self.registry_ref!r} is neither a DeploymentRegistry nor a factory"
-            )
-        return ExperimentRunner(registry, network_config=self.network_config)

@@ -47,8 +47,6 @@ class ScenarioSpec:
     #: memory (implies tracing on).  Purely observational: the path never
     #: feeds the seed derivation, so traced and untraced runs are identical.
     trace_path: Optional[str] = None
-    #: Extra keyword options forwarded to the deployment builder.
-    builder_options: Dict[str, Any] = field(default_factory=dict)
     #: Scenario-family name from :data:`repro.experiments.scenarios.SCENARIOS`.
     #: The default, ``"table4"``, is the paper's model: one outage per node,
     #: one service change.

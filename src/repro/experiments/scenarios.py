@@ -142,18 +142,14 @@ class ScenarioRegistry:
     def __iter__(self) -> Iterator[ScenarioFamily]:
         return iter(self._entries.values())
 
-    def register(self, family: ScenarioFamily, replace: bool = False) -> ScenarioFamily:
-        """Register ``family`` under its name; duplicates raise unless ``replace``."""
+    def register(self, family: ScenarioFamily) -> ScenarioFamily:
+        """Register ``family`` under its name; a duplicate name raises."""
         if not family.name:
             raise ValueError("scenario name must be non-empty")
-        if family.name in self._entries and not replace:
+        if family.name in self._entries:
             raise ValueError(f"scenario {family.name!r} already registered")
         self._entries[family.name] = family
         return family
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration (no-op when absent)."""
-        self._entries.pop(name, None)
 
     def get(self, name: str) -> ScenarioFamily:
         """Look up a family; raises :class:`UnknownScenarioError` with the known names."""

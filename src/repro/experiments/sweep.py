@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import MetricSummary, RunResult
 from repro.experiments.executors import SerialExecutor, SweepExecutor
@@ -49,12 +49,7 @@ from repro.obs import journal
 from repro.obs.analyze import TELEMETRY_JOURNAL
 from repro.obs.progress import SweepProgress
 from repro.obs.sinks import trace_filename
-from repro.protocols.registry import DeploymentRegistry, SYSTEMS
-
-#: Observer called after every finished run (progress reporting).  With a
-#: parallel executor the observer fires in completion order; aggregated
-#: results are always in grid order regardless.
-RunObserver = Callable[[RunResult], None]
+from repro.protocols.registry import SYSTEMS
 
 #: Format version of the checkpoint file (bumped on incompatible changes).
 #: Version 2: cell keys carry the topology size (the ``users`` axis) and the
@@ -127,7 +122,6 @@ class SweepSpec:
     users: Optional[Sequence[int]] = None
     change_time: float = DEFAULT_CHANGE_TIME
     deadline: float = DEFAULT_SIM_DURATION
-    builder_options: Dict[str, Any] = field(default_factory=dict)
     #: Scenario family applied to every cell (``scenario`` is taken by the
     #: per-cell spec factory method below).  The default, ``table4``, is the
     #: paper's model and keeps sweep output byte-identical to the
@@ -150,23 +144,35 @@ class SweepSpec:
             return tuple(int(n) for n in self.users)
         return (self.n_users,)
 
-    def validate(self, registry: DeploymentRegistry = SYSTEMS) -> "SweepSpec":
-        """Check the grid against the registry before spending any cycles."""
+    def validate(self) -> "SweepSpec":
+        """Check the whole grid against the registry before spending any cycles.
+
+        Every axis is checked in full: each failure rate must lie in [0, 1],
+        and no rate, topology size or system may appear twice (systems
+        compare by canonical token), because a repeated coordinate would
+        run one cell key twice.
+        """
         if not self.systems:
             raise ValueError("sweep needs at least one system")
         if not self.failure_rates:
             raise ValueError("sweep needs at least one failure rate")
         if self.runs_per_cell < 1:
             raise ValueError("runs_per_cell must be >= 1")
+        for rate in self.failure_rates:
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"failure rates must be in [0, 1], got {rate!r}")
+        if len(set(self.failure_rates)) != len(self.failure_rates):
+            raise ValueError(f"duplicate failure rates {tuple(self.failure_rates)!r}")
         if len(set(self.users_grid)) != len(self.users_grid):
             raise ValueError(f"duplicate sizes in users grid {self.users_grid!r}")
         for n in self.users_grid:
             if n < 1:
                 raise ValueError(f"users grid sizes must be >= 1, got {n!r}")
-        for system in self.systems:
-            # Raises UnknownSystemError / ValueError with the known names;
-            # accepts bare names and parameterised tokens alike.
-            registry.resolve(system)
+        # Raises UnknownSystemError / ValueError with the known names;
+        # accepts bare names and parameterised tokens alike.
+        tokens = [SYSTEMS.resolve(system).token for system in self.systems]
+        if len(set(tokens)) != len(tokens):
+            raise ValueError(f"duplicate systems {tuple(tokens)!r}")
         self.scenario(self.systems[0], self.failure_rates[0], 0).validate()
         return self
 
@@ -185,7 +191,6 @@ class SweepSpec:
             n_users=self.n_users if n_users is None else n_users,
             change_time=self.change_time,
             deadline=self.deadline,
-            builder_options=dict(self.builder_options),
             scenario=self.scenario_name,
             scenario_options=dict(self.scenario_options),
         )
@@ -295,28 +300,19 @@ class CheckpointMismatchError(ValueError):
     """The checkpoint on disk was written by a different sweep specification."""
 
 
-def _registry_fingerprint(registry: DeploymentRegistry) -> List[List[Any]]:
-    # The closed-form m' evaluated at the reference N (5): equal to the old
-    # integer fingerprint for every legacy registry, so v4 journals only
-    # refuse resume when a system's closed form actually changed.
-    return [
-        [entry.name, entry.m_prime_at(5)] for entry in sorted(registry, key=lambda e: e.name)
-    ]
-
-
-def _checkpoint_header(spec: SweepSpec, registry: DeploymentRegistry) -> Dict[str, Any]:
+def _checkpoint_header(spec: SweepSpec) -> Dict[str, Any]:
     return {
         "version": CHECKPOINT_VERSION,
         "spec": spec.grid_dict(),
-        # builder_options and the registry change the deployment being
-        # measured, so both join the journal identity.  Both checks are
-        # best-effort: option values need a stable repr (a default object
-        # repr embeds an address and will spuriously refuse resume — the
-        # safe direction), and the registry fingerprint (names + m') cannot
-        # see inside builder closures, so two same-shaped registries with
-        # different builders are indistinguishable.
-        "builder_options": repr(sorted(spec.builder_options.items())),
-        "registry": _registry_fingerprint(registry),
+        # A constant: every v5 journal was written with this value, so those
+        # journals resume, and one written with builder options (a
+        # deployment this harness cannot build) is refused.
+        "builder_options": "[]",
+        # Each system's closed-form m' at the reference N (5): a journal
+        # refuses resume once a system's closed form changed.
+        "registry": [
+            [entry.name, entry.m_prime_at(5)] for entry in sorted(SYSTEMS, key=lambda e: e.name)
+        ],
     }
 
 
@@ -326,12 +322,7 @@ def _decode_cell(record: Dict[str, Any]) -> Tuple[str, Any]:
     return record["key"], RunResult.from_dict(record["run"])
 
 
-def save_checkpoint(
-    path: str,
-    spec: SweepSpec,
-    completed: Dict[str, RunResult],
-    registry: DeploymentRegistry = SYSTEMS,
-) -> None:
+def save_checkpoint(path: str, spec: SweepSpec, completed: Dict[str, RunResult]) -> None:
     """Atomically rewrite the whole journal (compaction; appends do the hot path).
 
     Only finished cells survive compaction: ``cell_error`` records are
@@ -342,13 +333,12 @@ def save_checkpoint(
     lines = (
         journal.line({"key": key, "run": run.to_dict()}) for key, run in sorted(completed.items())
     )
-    journal.write(path, _checkpoint_header(spec, registry), lines)
+    journal.write(path, _checkpoint_header(spec), lines)
 
 
 def load_checkpoint(
     path: str,
     spec: SweepSpec,
-    registry: DeploymentRegistry = SYSTEMS,
     errors_out: Optional[List[CellFailure]] = None,
 ) -> Dict[str, RunResult]:
     """Load the finished cells of a previous partial sweep.
@@ -363,7 +353,7 @@ def load_checkpoint(
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return {}
-    expected = _checkpoint_header(spec, registry)
+    expected = _checkpoint_header(spec)
     hint = (
         f"; old journals cannot be resumed — re-run the sweep with a fresh --resume path "
         f"(or delete {path!r}) to regenerate it"
@@ -412,9 +402,9 @@ def _write_telemetry_journal(
     cells: Sequence[SweepCell],
     completed: Dict[str, RunResult],
     walls: Dict[str, float],
-    attempts: Optional[Dict[str, int]] = None,
-    errors: Optional[Dict[str, str]] = None,
-    resilience: Optional[Dict[str, Any]] = None,
+    attempts: Dict[str, int],
+    errors: Dict[str, str],
+    resilience: Optional[Dict[str, Any]],
 ) -> None:
     """Write the per-cell telemetry journal of a finished sweep.
 
@@ -428,8 +418,6 @@ def _write_telemetry_journal(
     A sweep that had to retry, quarantine, or rebuild pools additionally
     carries a ``resilience`` summary in the header.
     """
-    attempts = attempts or {}
-    errors = errors or {}
     header: Dict[str, Any] = {"format": TELEMETRY_FORMAT, "version": 1, "grid": spec.grid_dict()}
     if resilience is not None:
         header["resilience"] = resilience
@@ -456,10 +444,8 @@ def _write_telemetry_journal(
 # --------------------------------------------------------------------------- driver
 def sweep(
     spec: SweepSpec,
-    registry: DeploymentRegistry = SYSTEMS,
-    runner: Optional[ExperimentRunner] = None,
-    observer: Optional[RunObserver] = None,
     *,
+    runner: Optional[ExperimentRunner] = None,
     executor: Optional[SweepExecutor] = None,
     checkpoint: Optional[str] = None,
     trace_dir: Optional[str] = None,
@@ -468,13 +454,16 @@ def sweep(
 ) -> SweepResult:
     """Execute the full grid and aggregate each cell into a :class:`MetricSummary`.
 
-    When an explicit ``runner`` is supplied its registry wins: validation and
-    the per-system ``m_prime`` lookup must see the same registry the
-    deployments are built from.  ``executor`` selects where cells run
-    (default: serial, in process); ``checkpoint`` enables resume — completed
-    cells found in the file are skipped, new completions are persisted after
-    every cell, and the aggregated result is byte-identical to an
-    uninterrupted sweep.
+    Every cell runs the registered system of its token through
+    ``runner`` (default: a plain :class:`ExperimentRunner`; a subclass, for
+    example one that times :meth:`ExperimentRunner.setup`, runs serially
+    only, and a parallel executor rejects it before any cell runs).
+    ``executor`` selects where cells run (default: serial, in process);
+    ``checkpoint`` enables resume — completed cells found in the file are
+    skipped, new completions are persisted after every cell, and the
+    aggregated result is byte-identical to an uninterrupted sweep.  Each
+    summary's m' is the one its runs recorded (the registry's closed form at
+    the cell's topology size).
 
     Observability (both purely additive — they never change the results):
 
@@ -483,22 +472,22 @@ def sweep(
       ``telemetry.ndjson`` journal (per-cell counters + wall time, grid
       order) next to the traces when the sweep finishes.
     * ``progress`` receives live cell-completion updates (typically a
-      :class:`~repro.obs.progress.SweepProgress` printing to stderr).
+      :class:`~repro.obs.progress.SweepProgress` printing to stderr; any
+      object with its ``start``/``cell_done``/``cell_failed``/``finish``
+      methods will do).
 
     ``policy`` adds fault tolerance (:mod:`repro.experiments.resilience`):
     per-cell timeouts, deterministic retries, and a failure budget — up to
     ``policy.max_cell_failures`` cells may fail, each quarantined as a typed
     ``cell_error`` journal record and reported in ``SweepResult.failures``
     with its runs/summaries left as explicit gaps; one failure more raises
-    :class:`~repro.experiments.resilience.FailureBudgetExceededError`.  The
-    default policy keeps the legacy behaviour: the first failing cell aborts
-    the sweep (after writing its quarantine record when checkpointing).
+    :class:`~repro.experiments.resilience.FailureBudgetExceededError`.  With
+    the default policy the first failing cell aborts the sweep (after
+    writing its quarantine record when checkpointing).
     """
     if runner is None:
-        runner = ExperimentRunner(registry)
-    else:
-        registry = runner.registry
-    spec.validate(registry)
+        runner = ExperimentRunner()
+    spec.validate()
     policy = (policy if policy is not None else DEFAULT_POLICY).validate()
     if executor is None:
         executor = SerialExecutor()
@@ -507,13 +496,13 @@ def sweep(
     completed: Dict[str, RunResult] = {}
     header: Dict[str, Any] = {}
     if checkpoint is not None:
-        header = _checkpoint_header(spec, registry)
-        completed = load_checkpoint(checkpoint, spec, registry)
+        header = _checkpoint_header(spec)
+        completed = load_checkpoint(checkpoint, spec)
         if os.path.exists(checkpoint):
             # Compact the journal before appending: this truncates a torn
             # final line left by an interrupted append, so new records never
             # extend a partial line (which would merge into one corrupt record).
-            save_checkpoint(checkpoint, spec, completed, registry)
+            save_checkpoint(checkpoint, spec, completed)
     pending = [cell for cell in cells if cell.key not in completed]
 
     if trace_dir is not None:
@@ -542,12 +531,18 @@ def sweep(
         if checkpoint is not None:
             journal.append(checkpoint, header, journal.line(record))
 
-    def on_result(pending_index: int, result: RunResult) -> None:
+    # Wall times are observational only: they flow to the progress reporter
+    # and the telemetry journal, never into RunResults (which must stay
+    # byte-identical across hosts, executors, and observability settings).
+    walls: Dict[str, float] = {}
+
+    def on_result(pending_index: int, result: RunResult, wall_seconds: float) -> None:
         key = pending[pending_index].key
         completed[key] = result
         journal_cell({"key": key, "run": result.to_dict()})
-        if observer is not None:
-            observer(result)
+        walls[key] = wall_seconds
+        if progress is not None:
+            progress.cell_done(key, wall_seconds)
 
     failures: List[CellFailure] = []
 
@@ -570,37 +565,16 @@ def sweep(
                 + resume_hint
             )
 
-    # Wall times are observational only: they flow to the progress reporter
-    # and the telemetry journal, never into RunResults (which must stay
-    # byte-identical across hosts, executors, and observability settings).
-    walls: Dict[str, float] = {}
-    on_progress: Optional[Callable[[int, RunResult, float], None]] = None
-    if progress is not None or trace_dir is not None:
-
-        def on_progress(pending_index: int, result: RunResult, wall_seconds: float) -> None:
-            key = pending[pending_index].key
-            walls[key] = wall_seconds
-            if progress is not None:
-                progress.cell_done(key, wall_seconds)
-
     if progress is not None:
         progress.start(len(cells), resumed=len(cells) - len(pending))
     executor.run_scenarios(
-        scenarios,
-        runner=runner,
-        on_result=on_result,
-        on_progress=on_progress,
-        keys=[cell.key for cell in pending],
-        policy=policy,
-        on_error=on_error,
+        scenarios, [cell.key for cell in pending], runner, policy, on_result, on_error
     )
     if progress is not None:
         progress.finish()
     if trace_dir is not None:
-        stats = getattr(executor, "last_stats", None)
-        noteworthy = stats is not None and (
-            stats.retried_cells or stats.failed_cells or stats.pool_rebuilds or failures
-        )
+        stats = executor.last_stats
+        noteworthy = stats.retried_cells or stats.failed_cells or stats.pool_rebuilds or failures
         from repro.obs.telemetry import collect_sweep_resilience
 
         _write_telemetry_journal(
@@ -609,9 +583,9 @@ def sweep(
             cells,
             completed,
             walls,
-            attempts=stats.attempts if stats is not None else None,
-            errors={failure.key: failure.error for failure in failures},
-            resilience=collect_sweep_resilience(stats, failures) if noteworthy else None,
+            stats.attempts,
+            {failure.key: failure.error for failure in failures},
+            collect_sweep_resilience(stats, failures) if noteworthy else None,
         )
 
     # Ordered aggregation: grid order, independent of execution/completion
@@ -622,19 +596,13 @@ def sweep(
     run_rows = [completed.get(cell.key) for cell in cells]
     runs = [run for run in run_rows if run is not None]
     summaries: List[MetricSummary] = []
-    for offset, (system, n, _rate) in enumerate(spec.cells()):
-        cell_runs = [
-            run
-            for run in run_rows[offset * spec.runs_per_cell : (offset + 1) * spec.runs_per_cell]
-            if run is not None
-        ]
+    for start in range(0, len(run_rows), spec.runs_per_cell):
+        cell_runs = [run for run in run_rows[start : start + spec.runs_per_cell] if run is not None]
         if not cell_runs:
             continue
-        # The deployment's own m' wins over the registry metadata; the
-        # fallback evaluates the registry's closed form at the cell's actual
-        # topology size, so both agree at every N (not just at 5).
-        m_prime = cell_runs[0].details.get("m_prime", registry.resolve(system).m_prime(n))
-        summaries.append(MetricSummary.from_runs(cell_runs, m_prime=int(m_prime)))
+        summaries.append(
+            MetricSummary.from_runs(cell_runs, m_prime=cell_runs[0].details["m_prime"])
+        )
     return SweepResult(
         spec=spec,
         runs=runs,

@@ -146,7 +146,7 @@ def collect_run_telemetry(
     return telemetry
 
 
-def collect_sweep_resilience(stats: Any, failures: Any = ()) -> Dict[str, Any]:
+def collect_sweep_resilience(stats: Any, failures: Any) -> Dict[str, Any]:
     """Sweep-level resilience summary for the telemetry journal header.
 
     ``stats`` is the executor's :class:`~repro.experiments.resilience.
@@ -158,8 +158,8 @@ def collect_sweep_resilience(stats: Any, failures: Any = ()) -> Dict[str, Any]:
     results.
     """
     return {
-        "retried_cells": 0 if stats is None else stats.retried_cells,
-        "failed_cells": 0 if stats is None else stats.failed_cells,
-        "pool_rebuilds": 0 if stats is None else stats.pool_rebuilds,
+        "retried_cells": stats.retried_cells,
+        "failed_cells": stats.failed_cells,
+        "pool_rebuilds": stats.pool_rebuilds,
         "quarantined": sorted(failure.key for failure in failures),
     }

@@ -13,13 +13,15 @@ One subpackage per modelled system:
   TCP, invalidation-based notification, PR4/PR5).
 
 :mod:`repro.protocols.base` defines the :class:`~repro.protocols.base.ProtocolDeployment`
-interface the experiment harness drives, :mod:`repro.protocols.registry` maps
-the system names above to their builders, and
+interface the experiment harness drives, and :mod:`repro.protocols.registry`
+maps the system names above to their builders and to their closed-form m'
+(Table 2), the one source of m' for every run.
 :mod:`repro.protocols.accounting` holds each protocol's declaration of which
-message kinds are update-related for the efficiency metrics.
+message kinds are update-related, the one rule that decides what a send
+counts toward *y*.
 """
 
 from repro.protocols.base import ProtocolDeployment
-from repro.protocols.registry import SYSTEMS, build_system, system_names
+from repro.protocols.registry import SYSTEMS
 
-__all__ = ["ProtocolDeployment", "SYSTEMS", "build_system", "system_names"]
+__all__ = ["ProtocolDeployment", "SYSTEMS"]

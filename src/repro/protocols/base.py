@@ -42,10 +42,11 @@ class DeploymentRunStats:
 
 
 class ProtocolDeployment:
-    """A concrete topology of one protocol ready to be simulated."""
+    """A concrete topology of one protocol ready to be simulated.
 
-    #: The system's own zero-failure update message count (m' in the paper).
-    m_prime: int = 7
+    A deployment does not know its m': the runner takes it from the
+    registry's closed form (:mod:`repro.protocols.registry`).
+    """
 
     def __init__(self, sim: Simulator, network: Network, tracker: ConsistencyTracker) -> None:
         self.sim = sim

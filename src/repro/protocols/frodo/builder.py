@@ -51,10 +51,6 @@ def default_query() -> ServiceQuery:
 class FrodoDeployment(ProtocolDeployment):
     """A FRODO topology ready to simulate."""
 
-    #: Table 2: N + 2 update messages; the class default documents N = 5, the
-    #: builder sets the instance value for the actual topology size.
-    m_prime = 7
-
     def __init__(
         self,
         sim: Simulator,
@@ -82,7 +78,6 @@ def build_frodo(
     """Instantiate the FRODO topology for the requested subscription mode."""
     config = (config if config is not None else FrodoConfig()).validate()
     deployment = FrodoDeployment(sim, network, tracker, config)
-    deployment.m_prime = n_users + 2
     two_party = config.subscription_mode is SubscriptionMode.TWO_PARTY
 
     transports = Transports(

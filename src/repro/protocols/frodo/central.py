@@ -238,7 +238,6 @@ class FrodoCentral(DiscoveryNode):
                 "version": sd.version,
                 "lease": self.config.registration_lease,
             },
-            update_related=True,
         )
         self.trace(
             "registration_stored", service_id=sd.service_id, version=sd.version, changed=changed
@@ -267,9 +266,7 @@ class FrodoCentral(DiscoveryNode):
         if self.config.enable_src2 and version > entry.sd.version:
             # SRC2: the renewal advertises a newer version than the repository
             # holds - the update notification was missed, so request it.
-            self.send_udp(
-                message.sender, m.UPDATE_REQUEST, {"service_id": service_id}, update_related=True
-            )
+            self.send_udp(message.sender, m.UPDATE_REQUEST, {"service_id": service_id})
 
     # ------------------------------------------------------------------ update propagation
     def handle_service_update(self, message: Message) -> None:
@@ -282,7 +279,6 @@ class FrodoCentral(DiscoveryNode):
             message.sender,
             m.UPDATE_ACK,
             {"service_id": sd.service_id, "version": sd.version},
-            update_related=True,
         )
         self.trace("update_stored", service_id=sd.service_id, version=sd.version)
         self._sync_backup()
@@ -309,7 +305,6 @@ class FrodoCentral(DiscoveryNode):
                 user,
                 m.SERVICE_UPDATE,
                 {"sd": sd, "from_registry": True},
-                update_related=True,
             )
 
         if not self.config.enable_srn1:
@@ -342,9 +337,7 @@ class FrodoCentral(DiscoveryNode):
         sd = self.registrations.get_sd(service_id)
         if sd is None:
             return
-        self.send_udp(
-            message.sender, m.SERVICE_UPDATE, {"sd": sd, "from_registry": True}, update_related=True
-        )
+        self.send_udp(message.sender, m.SERVICE_UPDATE, {"sd": sd, "from_registry": True})
 
     # ------------------------------------------------------------------ subscriptions
     def handle_subscribe_request(self, message: Message) -> None:
@@ -365,7 +358,6 @@ class FrodoCentral(DiscoveryNode):
             message.sender,
             m.SUBSCRIBE_ACK,
             {"service_id": service_id, "sd": sd, "lease": self.config.subscription_lease},
-            update_related=True,
         )
 
     def handle_subscription_renew(self, message: Message) -> None:
@@ -428,7 +420,6 @@ class FrodoCentral(DiscoveryNode):
             message.sender,
             m.SERVICE_QUERY_RESPONSE,
             {"sds": matches, "from_registry": True},
-            update_related=True,
         )
 
     def handle_multicast_query(self, message: Message) -> None:
@@ -441,7 +432,6 @@ class FrodoCentral(DiscoveryNode):
                 message.sender,
                 m.SERVICE_QUERY_RESPONSE,
                 {"sds": matches, "from_registry": True},
-                update_related=True,
             )
 
     @staticmethod

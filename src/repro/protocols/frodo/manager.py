@@ -130,7 +130,7 @@ class FrodoManager(DiscoveryNode):
         central = self.central
 
         def _send(_attempt: int) -> None:
-            self.send_udp(central, m.REGISTRATION, {"sd": self.sd}, update_related=True)
+            self.send_udp(central, m.REGISTRATION, {"sd": self.sd})
 
         self._retries.start(
             ("registration", central),
@@ -208,7 +208,7 @@ class FrodoManager(DiscoveryNode):
         self.central_stale = True
 
         def _send(_attempt: int) -> None:
-            self.send_udp(central, m.SERVICE_UPDATE, {"sd": self.sd}, update_related=True)
+            self.send_udp(central, m.SERVICE_UPDATE, {"sd": self.sd})
 
         self._retries.start(
             ("central_update", central),
@@ -226,7 +226,7 @@ class FrodoManager(DiscoveryNode):
 
     def handle_update_request(self, message: Message) -> None:
         """SRC2 at the Central: it noticed (via a renewal) that it missed an update."""
-        self.send_udp(message.sender, m.SERVICE_UPDATE, {"sd": self.sd}, update_related=True)
+        self.send_udp(message.sender, m.SERVICE_UPDATE, {"sd": self.sd})
 
     # ------------------------------------------------------------------ 2-party subscription handling
     def _push_update_to_user(self, user: Address) -> None:
@@ -234,7 +234,7 @@ class FrodoManager(DiscoveryNode):
         key = ("user_update", user)
 
         def _send(_attempt: int) -> None:
-            self.send_udp(user, m.SERVICE_UPDATE, {"sd": sd}, update_related=True)
+            self.send_udp(user, m.SERVICE_UPDATE, {"sd": sd})
 
         def _give_up(_key: object) -> None:
             if self.config.enable_srn2:
@@ -279,7 +279,6 @@ class FrodoManager(DiscoveryNode):
             message.sender,
             m.SUBSCRIBE_ACK,
             {"service_id": service_id, "sd": self.sd, "lease": self.config.subscription_lease},
-            update_related=True,
         )
 
     def handle_subscription_renew(self, message: Message) -> None:
@@ -312,7 +311,6 @@ class FrodoManager(DiscoveryNode):
                 message.sender,
                 m.SERVICE_QUERY_RESPONSE,
                 {"sds": [self.sd], "from_registry": False},
-                update_related=True,
             )
 
     def handle_service_query(self, message: Message) -> None:

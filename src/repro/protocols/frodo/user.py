@@ -147,7 +147,6 @@ class FrodoUser(DiscoveryNode):
                 "service_type": self.query.service_type,
                 "attributes": dict(self.query.attributes),
             },
-            update_related=True,
         )
 
     def _multicast_query(self) -> None:
@@ -160,7 +159,6 @@ class FrodoUser(DiscoveryNode):
                 "service_type": self.query.service_type,
                 "attributes": dict(self.query.attributes),
             },
-            update_related=True,
         )
 
     def handle_service_query_response(self, message: Message) -> None:
@@ -285,7 +283,6 @@ class FrodoUser(DiscoveryNode):
                 self.central,
                 m.UPDATE_REQUEST,
                 {"service_id": self.service_id},
-                update_related=True,
             )
 
     # ------------------------------------------------------------------ update notifications

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.consistency import ConsistencyTracker
-from repro.core.recovery import expected_update_messages
 from repro.discovery.node import Transports
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.net.multicast import MulticastService
@@ -158,7 +157,6 @@ def build_jini(
     config = (config if config is not None else JiniConfig()).validate()
     monitor = FederationMonitor(k, mode, topology, assign)
     deployment = JiniDeployment(sim, network, tracker, config, monitor, report)
-    deployment.m_prime = expected_update_messages("jini", n_users, registries=k)
 
     transports = Transports(
         udp=UdpTransport(network),

@@ -1,9 +1,12 @@
-"""Pluggable registry of protocol deployments.
+"""Registry of protocol deployments.
 
 Every modelled system is registered here under its name ("frodo2", "frodo3",
 "upnp", the parameterised "jini" family); the experiment harness looks
 builders up by name instead of hard-coding protocol construction, so adding
 a new protocol is one ``SYSTEMS.register(...)`` call and no runner changes.
+:data:`SYSTEMS` is the one registry: every run builds its deployment
+through :meth:`DeploymentRegistry.build` on it, and a name is registered
+once (a duplicate raises).
 
 A *builder* is a callable ``(sim, network, tracker, **options) ->
 ProtocolDeployment``.  Options every builder must accept (with defaults):
@@ -20,13 +23,12 @@ keys, seeds and sweep output are untouched.
 
 ``m_prime`` is a *closed form*, not an N=5 constant: each entry carries a
 callable ``m_prime(n_users, **params) -> int`` (Table 2's per-system update
-message count), so registry metadata and deployment always agree at every
-topology size — the sweep aggregation asks the entry for m' at the cell's
-actual ``--users``.
+message count).  It is the one source of m': the runner records it per run
+at the run's topology size, and no deployment computes its own.
 
-The module-level :data:`SYSTEMS` instance is the default registry used by
-:func:`build_system`, the sweep driver and the ``python -m repro`` CLI; tests
-can construct private :class:`DeploymentRegistry` instances.
+The module-level :data:`SYSTEMS` instance is the registry of the runner, the
+sweep driver and the ``python -m repro`` CLI; tests can construct private
+:class:`DeploymentRegistry` instances.
 """
 
 from __future__ import annotations
@@ -181,34 +183,19 @@ class DeploymentRegistry:
         self,
         name: str,
         builder: DeploymentBuilder,
-        m_prime: object = 7,
+        m_prime: MPrimeForm,
         description: str = "",
-        replace: bool = False,
         params: Optional[Mapping[str, Any]] = None,
         m_prime_form: str = "",
     ) -> SystemEntry:
-        """Register ``builder`` under ``name``.
+        """Register ``builder`` under ``name``; a duplicate name raises.
 
-        ``m_prime`` is the closed form ``(n_users, **params) -> int``; a
-        plain integer is accepted for convenience and wrapped into a
-        constant form (its ``m_prime_form`` defaults to the constant).
-        Duplicate names raise unless ``replace=True`` (used by experiments
-        that swap in instrumented variants of a system).
+        ``m_prime`` is the closed form ``(n_users, **params) -> int``; it
+        must be positive at the reference topology size.
         """
         if not name:
             raise ValueError("system name must be non-empty")
-        if isinstance(m_prime, bool) or not (isinstance(m_prime, int) or callable(m_prime)):
-            raise ValueError(f"m_prime must be an int or a callable, got {m_prime!r}")
-        if isinstance(m_prime, int):
-            if m_prime <= 0:
-                raise ValueError("m_prime must be positive")
-            constant = m_prime
-            m_prime_form = m_prime_form or str(constant)
-
-            def m_prime(n_users: int, **_params: Any) -> int:  # noqa: F811
-                return constant
-
-        if name in self._entries and not replace:
+        if name in self._entries:
             raise ValueError(f"system {name!r} already registered")
         entry = SystemEntry(
             name=name,
@@ -223,13 +210,7 @@ class DeploymentRegistry:
         self._entries[name] = entry
         return entry
 
-    def register_alias(
-        self,
-        name: str,
-        target: str,
-        description: str = "",
-        replace: bool = False,
-    ) -> SystemEntry:
+    def register_alias(self, name: str, target: str, description: str = "") -> SystemEntry:
         """Register ``name`` as a *frozen* alias of the system token ``target``.
 
         The alias shares the target's builder and closed form with the
@@ -246,7 +227,7 @@ class DeploymentRegistry:
             merged.update(overrides)
             return target_m_prime(n_users, **merged)
 
-        if name in self._entries and not replace:
+        if name in self._entries:
             raise ValueError(f"system {name!r} already registered")
         entry = SystemEntry(
             name=name,
@@ -260,10 +241,6 @@ class DeploymentRegistry:
         )
         self._entries[name] = entry
         return entry
-
-    def unregister(self, name: str) -> None:
-        """Remove a registration (no-op when absent)."""
-        self._entries.pop(name, None)
 
     def get(self, name: str) -> SystemEntry:
         """Look up a *bare* system name; raises :class:`UnknownSystemError`.
@@ -322,24 +299,8 @@ class DeploymentRegistry:
         return deployment
 
 
-#: The default registry every standard system registers into.
+#: The registry every standard system registers into.
 SYSTEMS = DeploymentRegistry()
-
-
-def build_system(
-    name: str,
-    sim: Simulator,
-    network: Network,
-    tracker: ConsistencyTracker,
-    **options: object,
-) -> ProtocolDeployment:
-    """Build a system from the default registry (see :data:`SYSTEMS`)."""
-    return SYSTEMS.build(name, sim, network, tracker, **options)
-
-
-def system_names() -> List[str]:
-    """Names registered in the default registry."""
-    return SYSTEMS.names()
 
 
 # --------------------------------------------------------------------------- standard systems
@@ -347,9 +308,8 @@ def _register_standard_systems() -> None:
     """Register the systems of the paper's comparison (Table 4).
 
     Every ``m_prime`` is Table 2's closed form from
-    :func:`repro.core.recovery.expected_update_messages` — one source for
-    the counts, so registry metadata can never drift from the deployments
-    (which compute the same forms at build time).
+    :func:`repro.core.recovery.expected_update_messages` — the one source of
+    m' for every run.
     """
     import dataclasses
 

@@ -45,11 +45,6 @@ def default_query() -> ServiceQuery:
 class UpnpDeployment(ProtocolDeployment):
     """A UPnP topology ready to simulate."""
 
-    #: Table 2: 3N update messages (invalidation + get + response per User);
-    #: the class default documents N = 5, the builder sets the instance value
-    #: for the actual topology size.
-    m_prime = 15
-
     def __init__(
         self,
         sim: Simulator,
@@ -77,7 +72,6 @@ def build_upnp(
     """Instantiate the UPnP topology (1 root device, ``n_users`` control points)."""
     config = (config if config is not None else UpnpConfig()).validate()
     deployment = UpnpDeployment(sim, network, tracker, config)
-    deployment.m_prime = 3 * n_users
 
     transports = Transports(
         udp=UdpTransport(network),

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import ResiliencePolicy, SweepSpec, sweep
 
 
 def _run(argv, capsys):
@@ -62,6 +63,37 @@ def test_sweep_resume_corrupt_checkpoint_is_a_clean_error(tmp_path, capsys):
     code, err = _run(argv, capsys)
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_sweep_checks_every_failure_rate_before_any_cell(tmp_path):
+    # Only the second rate is out of range: it is a spec error before any
+    # cell runs, not a harness fault quarantined under the failure budget.
+    spec = SweepSpec(systems=("frodo3",), failure_rates=(0.0, 1.5), runs_per_cell=1)
+    with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.5"):
+        spec.validate()
+    ck = tmp_path / "ck.jsonl"
+    with pytest.raises(ValueError, match=r"in \[0, 1\], got 1.5"):
+        sweep(spec, checkpoint=str(ck), policy=ResiliencePolicy(max_cell_failures=1))
+    assert not ck.exists()
+
+
+def test_sweep_duplicate_rates_are_a_clean_error(capsys):
+    with pytest.raises(ValueError, match="duplicate failure rates"):
+        SweepSpec(systems=("frodo3",), failure_rates=(0.0, 0.2, 0.0)).validate()
+    code, err = _run(["sweep", "--system", "frodo3", "--rates", "0,0", "--runs", "1"], capsys)
+    assert code == 2
+    assert "duplicate failure rates" in err and "Traceback" not in err
+
+
+def test_sweep_duplicate_systems_are_a_clean_error(capsys):
+    # Systems compare by canonical token, so option order does not matter.
+    spec = SweepSpec(systems=("jini@k=2,mode=pull", "jini@mode=pull,k=2"))
+    with pytest.raises(ValueError, match="duplicate systems"):
+        spec.validate()
+    argv = ["sweep", "--system", "frodo3,frodo3", "--rates", "0", "--runs", "1"]
+    code, err = _run(argv, capsys)
+    assert code == 2
+    assert "duplicate systems" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -59,18 +59,15 @@ def test_battery_covers_the_paper_comparison():
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 @pytest.mark.parametrize("n_users", [5, N_USERS])
 def test_registry_m_prime_matches_deployment(system, n_users):
-    """The registry's closed form and the built deployment agree at every N
-    (the metadata-drift regression the callable m' redesign fixed)."""
-    runner = ExperimentRunner()
-    context = runner.setup(
+    """The m' a run records is the registry's closed form at the run's N,
+    equals the Table 2 form, and is what the deployment built at that N
+    sends failure-free."""
+    result = ExperimentRunner().run(
         ScenarioSpec(system=system, failure_rate=0.0, seed=99, n_users=n_users)
     )
-    try:
-        assert SYSTEMS.resolve(system).m_prime(n_users) == context.deployment.m_prime
-    finally:
-        context.deployment.stop()
-        context.injector.stop()
-        context.sim.tracer.close()
+    assert result.details["m_prime"] == SYSTEMS.resolve(system).m_prime(n_users)
+    assert result.details["m_prime"] == M_PRIME_AT_N[system](n_users)
+    assert result.update_message_count == result.details["m_prime"]
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
@@ -85,16 +82,16 @@ def test_scale_run_updates_every_user(system):
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_scale_run_hits_closed_form_m_prime(system):
-    result, context = scale_run(system)
+    result, _ = scale_run(system)
     expected = M_PRIME_AT_N[system](N_USERS)
-    assert context.deployment.m_prime == expected
+    assert result.details["m_prime"] == expected
     assert result.update_message_count == expected
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_scale_run_metrics_are_perfect(system):
-    result, context = scale_run(system)
-    summary = MetricSummary.from_runs([result], context.deployment.m_prime)
+    result, _ = scale_run(system)
+    summary = MetricSummary.from_runs([result], result.details["m_prime"])
     assert summary.n_users == N_USERS
     assert summary.effectiveness == 1.0
     assert summary.efficiency_degradation == 1.0

@@ -8,6 +8,7 @@ cells ran serially, on a process pool, or resumed from a checkpoint.
 import pytest
 
 from repro.experiments import (
+    DEFAULT_POLICY,
     ExperimentRunner,
     ParallelExecutor,
     ScenarioSpec,
@@ -17,8 +18,6 @@ from repro.experiments import (
     sweep,
 )
 from repro.experiments.report import sweep_to_dict, to_json
-from repro.net.network import NetworkConfig
-from repro.protocols.registry import DeploymentRegistry
 from repro.__main__ import main
 
 
@@ -42,12 +41,17 @@ def test_serial_executor_preserves_submission_order():
         for index, rate in enumerate((0.0, 0.2))
     ]
     seen = []
-    results = SerialExecutor().run_scenarios(
-        scenarios, on_result=lambda index, result: seen.append(index)
+    SerialExecutor().run_scenarios(
+        scenarios,
+        ["a", "b"],
+        ExperimentRunner(),
+        DEFAULT_POLICY,
+        lambda index, result, wall_seconds: seen.append((index, result)),
+        lambda index, failure: pytest.fail(f"cell {index} failed: {failure}"),
     )
-    assert seen == [0, 1]
-    assert [result.failure_rate for result in results] == [0.0, 0.2]
-    assert [result.seed for result in results] == [0, 1]
+    assert [index for index, _ in seen] == [0, 1]
+    assert [result.failure_rate for _, result in seen] == [0.0, 0.2]
+    assert [result.seed for _, result in seen] == [0, 1]
 
 
 def test_parallel_sweep_byte_identical_to_serial_multi_system_grid():
@@ -63,28 +67,64 @@ def test_parallel_sweep_byte_identical_to_serial_multi_system_grid():
 
 
 def test_parallel_executor_rejects_customised_runner_without_spec():
-    private = DeploymentRegistry()
-    with pytest.raises(ValueError, match="RunnerSpec"):
-        ParallelExecutor(2).run_scenarios([], runner=ExperimentRunner(private))
-    tweaked = ExperimentRunner(network_config=NetworkConfig())
-    with pytest.raises(ValueError, match="RunnerSpec"):
-        ParallelExecutor(2).run_scenarios([], runner=tweaked)
-    # make_executor must carry the runner into the guard, not drop it.
-    carried = make_executor(2, ExperimentRunner(private))
-    with pytest.raises(ValueError, match="RunnerSpec"):
-        carried.run_scenarios([])
+    """The executor itself refuses a runner subclass, whether built directly
+    or through make_executor, and fires no callback; a plain runner passes."""
 
-    # An instrumented runner subclass would be silently replaced by the
-    # default runner inside the workers, so the guard rejects it too.
     class InstrumentedRunner(ExperimentRunner):
         pass
 
-    with pytest.raises(ValueError, match="RunnerSpec"):
-        ParallelExecutor(2).run_scenarios([], runner=InstrumentedRunner())
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+
+    scenarios = [ScenarioSpec(system="frodo3", failure_rate=0.0, seed=0)]
+    for executor in (ParallelExecutor(2), make_executor(2)):
+        with pytest.raises(ValueError, match="InstrumentedRunner.*jobs=1"):
+            executor.run_scenarios(
+                scenarios, ["a"], InstrumentedRunner(), DEFAULT_POLICY, record, record
+            )
+    assert seen == []
+    ParallelExecutor(2).run_scenarios([], [], ExperimentRunner(), DEFAULT_POLICY, record, record)
+    assert seen == []
+
+
+def test_parallel_sweep_rejects_a_runner_subclass_before_any_cell(tmp_path):
+    """Workers run cells on a plain runner, so an instrumented subclass would
+    be silently replaced there: the sweep fails before any cell runs."""
+
+    class CountingRunner(ExperimentRunner):
+        calls = 0
+
+        def run(self, spec):
+            CountingRunner.calls += 1
+            return super().run(spec)
+
+    spec = SweepSpec(systems=("frodo3",), failure_rates=(0.0,), runs_per_cell=2)
+    checkpoint = tmp_path / "ck.jsonl"
+    with pytest.raises(ValueError, match="CountingRunner"):
+        sweep(
+            spec,
+            runner=CountingRunner(),
+            executor=ParallelExecutor(2),
+            checkpoint=str(checkpoint),
+        )
+    assert CountingRunner.calls == 0
+    assert not checkpoint.exists()
+    # The same subclass runs serially.
+    assert len(sweep(spec, runner=CountingRunner()).runs) == 2
+    assert CountingRunner.calls == 2
 
 
 def test_parallel_executor_empty_submission_returns_empty():
-    assert ParallelExecutor(2).run_scenarios([]) == []
+    """An empty submission finishes with no result and no callback."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+
+    ParallelExecutor(2).run_scenarios([], [], ExperimentRunner(), DEFAULT_POLICY, record, record)
+    assert seen == []
 
 
 def test_cli_jobs_flag_is_byte_identical_to_serial(tmp_path):

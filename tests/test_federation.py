@@ -105,9 +105,9 @@ def test_unknown_topology_rejected():
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_zero_failure_y_equals_m_prime_for_every_k(k):
     system = f"jini@k={k}" if k != 1 else "jini"
-    result, context = zero_failure_run(system)
+    result, _ = zero_failure_run(system)
     expected = (N_USERS + 2) * k
-    assert context.deployment.m_prime == expected
+    assert result.details["m_prime"] == expected
     assert SYSTEMS.resolve(system).m_prime(N_USERS) == expected
     assert result.update_message_count == expected
     # No inter-registry traffic in push mode: the Manager replicates itself.

@@ -76,6 +76,22 @@ def test_checkpoint_bytes_match_the_pinned_journals(tmp_path, monkeypatch):
     assert resumed == _fixture("journal_checkpoint_resumed.jsonl", "rb")
 
 
+def test_committed_v5_journal_resumes_to_the_pinned_bytes(tmp_path):
+    """The reader side of the pinned checkpoint: resuming the committed
+    quarantined journal (its constant ``builder_options`` field included)
+    fills the gap, ends byte-identical to the committed resumed journal, and
+    writes the output of an uninterrupted sweep."""
+    ck = tmp_path / "ck.jsonl"
+    ck.write_bytes(_fixture("journal_checkpoint_quarantined.jsonl", "rb"))
+    resumed = tmp_path / "resumed.json"
+    fresh = tmp_path / "fresh.json"
+    argv = ["sweep", *GRID, "--per-run"]
+    assert main([*argv, "--resume", str(ck), "--out", str(resumed)]) == 0
+    assert ck.read_bytes() == _fixture("journal_checkpoint_resumed.jsonl", "rb")
+    assert main([*argv, "--out", str(fresh)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+
 def test_telemetry_journal_and_trace_bytes_match_the_pinned_captures(tmp_path, monkeypatch):
     telemetry, digests = capture_traces(tmp_path, monkeypatch)
     assert '"resilience"' in telemetry and '"wall_seconds": null' in telemetry

@@ -59,10 +59,11 @@ def test_paper_comparison_systems_are_registered():
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_zero_failure_baseline_hits_m_prime(system):
-    result, context = zero_failure_run(system)
+    result, _ = zero_failure_run(system)
     m_prime = SYSTEMS.get(system).m_prime_at(5)
-    # The registry metadata and the deployment must agree on m'.
-    assert context.deployment.m_prime == m_prime
+    # The run records the registry's m', which is Table 2's form.
+    assert result.details["m_prime"] == m_prime
+    assert m_prime == expected_update_messages(n_users=5, **TABLE2_FORMS[system][1])
     # y = m' exactly: the declared baseline is the measured baseline.
     assert result.update_message_count == m_prime
     assert sum(result.details["update_counts_by_kind"].values()) == m_prime

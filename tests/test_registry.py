@@ -1,4 +1,4 @@
-"""Tests for the pluggable deployment registry."""
+"""Tests for the deployment registry."""
 
 import pytest
 
@@ -6,13 +6,7 @@ from repro.core.consistency import ConsistencyTracker
 from repro.net.network import Network
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
-from repro.protocols.registry import (
-    SYSTEMS,
-    DeploymentRegistry,
-    UnknownSystemError,
-    build_system,
-    system_names,
-)
+from repro.protocols.registry import SYSTEMS, DeploymentRegistry, UnknownSystemError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -26,7 +20,7 @@ def make_substrate():
 def test_standard_systems_registered():
     assert "frodo3" in SYSTEMS
     assert "frodo2" in SYSTEMS
-    assert set(system_names()) >= {"frodo2", "frodo3", "jini", "jini1", "jini2", "upnp"}
+    assert set(SYSTEMS.names()) >= {"frodo2", "frodo3", "jini", "jini1", "jini2", "upnp"}
     assert SYSTEMS.get("frodo3").m_prime_at(5) == 7
 
 
@@ -90,9 +84,9 @@ def test_register_alias_pins_target_parameters():
     assert registry.resolve("fam4").m_prime(10) == 48
 
 
-def test_build_system_constructs_expected_topology():
+def test_registry_build_constructs_expected_topology():
     sim, network, tracker = make_substrate()
-    deployment = build_system("frodo3", sim, network, tracker, n_users=3)
+    deployment = SYSTEMS.build("frodo3", sim, network, tracker, n_users=3)
     assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
     assert len(deployment.users) == 3
     assert len(deployment.managers) == 1
@@ -103,7 +97,7 @@ def test_build_system_constructs_expected_topology():
 def test_builder_does_not_mutate_caller_config():
     config = FrodoConfig(subscription_mode=SubscriptionMode.TWO_PARTY)
     sim, network, tracker = make_substrate()
-    deployment = build_system("frodo3", sim, network, tracker, config=config)
+    deployment = SYSTEMS.build("frodo3", sim, network, tracker, config=config)
     # The registry name pins the mode ...
     assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
     assert config.subscription_mode is SubscriptionMode.TWO_PARTY  # ... on a copy
@@ -117,19 +111,22 @@ def test_unknown_system_error_lists_known_names():
     assert "frodo3" in message
 
 
-def test_duplicate_registration_rejected_unless_replace():
+def test_duplicate_registration_rejected():
     registry = DeploymentRegistry()
     builder = lambda sim, network, tracker, **kw: ProtocolDeployment(sim, network, tracker)
-    registry.register("x", builder)
-    with pytest.raises(ValueError):
-        registry.register("x", builder)
-    registry.register("x", builder, replace=True)
+    registry.register("x", builder, m_prime=lambda n, **_: n + 2)
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register("x", builder, m_prime=lambda n, **_: n + 2)
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register_alias("x", "x")
     assert len(registry) == 1
 
 
 def test_builder_must_return_deployment():
     registry = DeploymentRegistry()
-    registry.register("bad", lambda sim, network, tracker, **kw: object())
+    registry.register(
+        "bad", lambda sim, network, tracker, **kw: object(), m_prime=lambda n, **_: n + 2
+    )
     sim, network, tracker = make_substrate()
     with pytest.raises(TypeError):
         registry.build("bad", sim, network, tracker)
@@ -139,6 +136,6 @@ def test_registry_validates_metadata():
     registry = DeploymentRegistry()
     builder = lambda sim, network, tracker, **kw: ProtocolDeployment(sim, network, tracker)
     with pytest.raises(ValueError):
-        registry.register("", builder)
-    with pytest.raises(ValueError):
-        registry.register("y", builder, m_prime=0)
+        registry.register("", builder, m_prime=lambda n, **_: n + 2)
+    with pytest.raises(ValueError, match="positive"):
+        registry.register("y", builder, m_prime=lambda n, **_: 0)

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.experiments import (
+    DEFAULT_POLICY,
     CellExecutionError,
     CellFailure,
     CellTimeoutError,
@@ -38,6 +39,7 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import ScenarioSpec
+from repro.obs.progress import SweepProgress
 from repro.__main__ import main
 
 SPEC = SweepSpec(
@@ -165,19 +167,20 @@ def test_serial_executor_routes_failures_to_on_error(monkeypatch):
     scenarios = [cell.scenario for cell in cells]
     keys = [cell.key for cell in cells]
     executor = SerialExecutor()
+    done = []
     errors = []
-    results = executor.run_scenarios(
+    executor.run_scenarios(
         scenarios,
-        keys=keys,
-        on_error=lambda index, failure: errors.append((index, failure)),
+        keys,
+        ExperimentRunner(),
+        DEFAULT_POLICY,
+        lambda index, result, wall_seconds: done.append(index),
+        lambda index, failure: errors.append((index, failure)),
     )
-    assert len(results) == len(cells) - 1
+    assert done == [0, 1, 3]
     assert [(index, failure.key) for index, failure in errors] == [(2, POISON_KEY)]
     assert errors[0][1].error == "InjectedFaultError"
     assert executor.last_stats.failed_cells == 1
-    # Legacy contract without on_error: the cell's own exception propagates.
-    with pytest.raises(InjectedFaultError):
-        executor.run_scenarios(scenarios, keys=keys)
 
 
 def test_sweep_quarantines_within_budget_and_resume_fills_the_gap(
@@ -204,11 +207,9 @@ def test_sweep_quarantines_within_budget_and_resume_fills_the_gap(
     # Resume with the fault gone: only the gap is re-run, and the final
     # output is byte-identical to a sweep that never saw a fault.
     monkeypatch.delenv(FAULT_ENV)
-    executed = []
-    resumed = _sweep_json(
-        SPEC, checkpoint=str(ck), observer=lambda run: executed.append(run)
-    )
-    assert len(executed) == 1
+    progress = SweepProgress()
+    resumed = _sweep_json(SPEC, checkpoint=str(ck), progress=progress)
+    assert progress.done - progress.resumed == 1
     assert resumed == baseline
 
 

@@ -1,124 +1,43 @@
-"""RunnerSpec: picklable registry recipes that lift the old --jobs 1 limit.
+"""Runners carry no spec: parallel workers always build a plain runner.
 
-Before the warm-worker executor, a sweep over a customised
-:class:`~repro.protocols.registry.DeploymentRegistry` had to run serially —
-deployment builders are closures and cannot be pickled into pool workers.  A
-:class:`~repro.experiments.runner.RunnerSpec` ships an importable
-``"module:attr"`` reference instead; these tests pin the resolution rules
-and prove the parallel path now produces byte-identical output for a
-customised registry too.
+There is no recipe that could describe a customised
+:class:`~repro.experiments.runner.ExperimentRunner` to a pool worker, so a
+parallel sweep would silently run it as the plain runner.  The parallel path
+therefore keys its guard on the runner's exact type, not on what the
+subclass overrides.
 """
 
 import pytest
 
 from repro.experiments import (
+    DEFAULT_POLICY,
     ExperimentRunner,
-    ParallelExecutor,
-    RunnerSpec,
-    SweepSpec,
+    ScenarioSpec,
+    SerialExecutor,
     make_executor,
-    sweep,
 )
-from repro.experiments.report import sweep_to_dict, to_json
-from repro.net.network import NetworkConfig
-from repro.protocols.registry import DeploymentRegistry
-
-from registry_fixtures import subset_registry
-
-CUSTOM_SPEC = SweepSpec(
-    systems=("frodo3", "upnp"),
-    failure_rates=(0.0, 0.2),
-    runs_per_cell=2,
-    base_seed=41,
-)
-
-
-def _sweep_json(spec, **kwargs):
-    return to_json(sweep_to_dict(sweep(spec, **kwargs), include_runs=True))
-
-
-# ----------------------------------------------------------------- resolution
-def test_resolve_factory_builds_a_runner():
-    spec = RunnerSpec(registry_ref="registry_fixtures:subset_registry")
-    runner = spec.resolve()
-    assert isinstance(runner, ExperimentRunner)
-    assert runner.registry.names() == ["frodo3", "upnp"]
-
-
-def test_resolve_factory_forwards_options():
-    spec = RunnerSpec(
-        registry_ref="registry_fixtures:subset_registry",
-        registry_options={"systems": ("jini1",)},
-    )
-    assert spec.resolve().registry.names() == ["jini1"]
-
-
-def test_resolve_accepts_registry_instances():
-    spec = RunnerSpec(registry_ref="registry_fixtures:FIXED_REGISTRY")
-    assert spec.resolve().registry.names() == ["frodo3", "upnp"]
-
-
-def test_resolve_default_ref_is_the_standard_registry():
-    from repro.protocols.registry import SYSTEMS
-
-    assert RunnerSpec().resolve().registry is SYSTEMS
-
-
-def test_resolve_carries_network_config():
-    config = NetworkConfig()
-    runner = RunnerSpec(network_config=config).resolve()
-    assert runner.network_config is config
-
-
-def test_resolve_rejects_bad_references():
-    with pytest.raises(ValueError, match="module:attribute"):
-        RunnerSpec(registry_ref="no-colon").resolve()
-    with pytest.raises(ValueError, match="registry_options"):
-        RunnerSpec(
-            registry_ref="registry_fixtures:FIXED_REGISTRY",
-            registry_options={"x": 1},
-        ).resolve()
-    with pytest.raises(TypeError, match="neither"):
-        RunnerSpec(registry_ref="registry_fixtures:NOT_A_REGISTRY").resolve()
-    with pytest.raises(ModuleNotFoundError):
-        RunnerSpec(registry_ref="no.such.module:thing").resolve()
-
-
-# ------------------------------------------------- parallel customised sweeps
-def test_customised_registry_runs_in_parallel_byte_identically():
-    """The headline: a customised registry no longer needs --jobs 1."""
-    runner_spec = RunnerSpec(registry_ref="registry_fixtures:subset_registry")
-    serial = _sweep_json(CUSTOM_SPEC, runner=runner_spec.resolve())
-    parallel = _sweep_json(
-        CUSTOM_SPEC,
-        executor=ParallelExecutor(2, runner_spec=runner_spec),
-    )
-    assert parallel == serial
-
-
-def test_make_executor_resolves_spec_for_serial_jobs():
-    executor = make_executor(
-        1, runner_spec=RunnerSpec(registry_ref="registry_fixtures:subset_registry")
-    )
-    assert executor.jobs == 1
-    assert executor.runner is not None
-    assert executor.runner.registry.names() == ["frodo3", "upnp"]
-
-
-def test_explicit_spec_overrides_the_customised_runner_guard():
-    """Passing both a customised runner and a spec: the spec wins (it is the
-    picklable recipe for exactly that runner)."""
-    registry = subset_registry()
-    executor = ParallelExecutor(
-        2,
-        runner=ExperimentRunner(registry),
-        runner_spec=RunnerSpec(registry_ref="registry_fixtures:subset_registry"),
-    )
-    results = executor.run_scenarios([cell.scenario for cell in CUSTOM_SPEC.expand()[:2]])
-    assert len(results) == 2
 
 
 def test_customised_runner_without_spec_still_rejected():
-    private = DeploymentRegistry()
-    with pytest.raises(ValueError, match="RunnerSpec"):
-        ParallelExecutor(2).run_scenarios([], runner=ExperimentRunner(private))
+    class EmptySubclass(ExperimentRunner):
+        """Overrides nothing; an isinstance check would let it through."""
+
+    scenarios = [ScenarioSpec(system="frodo3", failure_rate=0.0, seed=3)]
+    done = []
+
+    def on_result(index, result, wall_seconds):
+        done.append((index, result.seed))
+
+    def on_error(index, failure):
+        pytest.fail(f"cell {index} failed: {failure}")
+
+    with pytest.raises(ValueError, match="EmptySubclass"):
+        make_executor(2).run_scenarios(
+            scenarios, ["a"], EmptySubclass(), DEFAULT_POLICY, on_result, on_error
+        )
+    assert done == []
+    # The same runner is fine where it runs in the calling process.
+    SerialExecutor().run_scenarios(
+        scenarios, ["a"], EmptySubclass(), DEFAULT_POLICY, on_result, on_error
+    )
+    assert done == [(0, 3)]

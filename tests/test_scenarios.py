@@ -66,15 +66,13 @@ def test_unknown_scenario_error_names_the_alternatives():
     assert "bogus" in message and "table4" in message and "churn" in message
 
 
-def test_register_rejects_duplicates_unless_replace():
+def test_register_rejects_duplicates():
     registry = ScenarioRegistry()
     family = ScenarioFamily(name="x", builder=lambda *a: DisruptionPlan())
     registry.register(family)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already registered"):
         registry.register(family)
-    registry.register(family, replace=True)
-    registry.unregister("x")
-    assert "x" not in registry
+    assert registry.names() == ["x"]
 
 
 def test_validate_options_rejects_unknown_and_mistyped():

@@ -9,7 +9,6 @@ the cells the journal does not already contain, tolerate a torn final line
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.experiments import (
 )
 from repro.experiments.report import sweep_to_dict, to_json
 from repro.experiments.sweep import CHECKPOINT_VERSION
-from repro.protocols.registry import DeploymentRegistry
+from repro.obs.progress import SweepProgress
 from repro.__main__ import main
 
 SPEC = SweepSpec(
@@ -40,6 +39,14 @@ def _sweep_json(spec, **kwargs):
 
 def _journal_lines(path):
     return [line for line in path.read_text().splitlines() if line.strip()]
+
+
+def _rewrite_header(path, **fields):
+    """Replace header fields of a journal, as another harness might have written them."""
+    lines = _journal_lines(path)
+    header = json.loads(lines[0])
+    header.update(fields)
+    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
 
 
 def _truncate_checkpoint(path, keep):
@@ -65,11 +72,12 @@ def test_resume_from_partial_checkpoint_is_byte_identical(tmp_path):
     sweep(SPEC, checkpoint=str(ck))
     kept = _truncate_checkpoint(ck, keep=1)
 
-    executed = []
-    resumed = _sweep_json(SPEC, checkpoint=str(ck), observer=lambda run: executed.append(run))
+    progress = SweepProgress()
+    resumed = _sweep_json(SPEC, checkpoint=str(ck), progress=progress)
     assert resumed == baseline
     # Only the cells missing from the checkpoint were executed.
-    assert len(executed) == SPEC.total_runs - len(kept)
+    assert progress.resumed == len(kept)
+    assert progress.done - progress.resumed == SPEC.total_runs - len(kept)
     # The journal is complete again afterwards.
     assert len(_journal_lines(ck)) - 1 == SPEC.total_runs
 
@@ -122,22 +130,26 @@ def test_checkpoint_from_different_grid_is_rejected(tmp_path):
 
 
 def test_checkpoint_with_different_builder_options_is_rejected(tmp_path):
-    # Same grid, different deployment configuration: must not mix results.
+    # Same grid, but written with builder options (a deployment this
+    # harness cannot build): must not mix results.
     ck = tmp_path / "ck.jsonl"
     save_checkpoint(str(ck), SPEC, {})
-    tweaked = replace(SPEC, builder_options={"n_registries": 2})
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(str(ck), tweaked)
+    assert json.loads(_journal_lines(ck)[0])["builder_options"] == "[]"
+    _rewrite_header(ck, builder_options="[('n_registries', 2)]")
+    with pytest.raises(CheckpointMismatchError, match="different sweep spec"):
+        load_checkpoint(str(ck), SPEC)
 
 
 def test_checkpoint_from_different_registry_is_rejected(tmp_path):
-    # Same grid, different deployment registry: must not mix results.
+    # Same grid, written when a system had another closed-form m': must not
+    # mix results.
     ck = tmp_path / "ck.jsonl"
     save_checkpoint(str(ck), SPEC, {})
-    private = DeploymentRegistry()
-    private.register("frodo3", lambda *a, **k: None, m_prime=99)
+    registry = json.loads(_journal_lines(ck)[0])["registry"]
+    assert ["frodo3", 7] in registry
+    _rewrite_header(ck, registry=[[name, 99 if name == "frodo3" else m] for name, m in registry])
     with pytest.raises(CheckpointMismatchError, match="different deployment registry"):
-        load_checkpoint(str(ck), SPEC, private)
+        load_checkpoint(str(ck), SPEC)
 
 
 def test_corrupt_and_foreign_checkpoint_files_are_rejected(tmp_path):
