@@ -24,11 +24,8 @@ from repro.core.metrics import (
 )
 from repro.core.recovery import (
     RecoveryTechnique,
-    UpdateScenario,
-    RecoveryCategory,
     PROTOCOL_PROFILES,
     ProtocolProfile,
-    techniques_for,
 )
 
 __all__ = [
@@ -42,9 +39,6 @@ __all__ = [
     "responsiveness",
     "update_efficiency",
     "RecoveryTechnique",
-    "UpdateScenario",
-    "RecoveryCategory",
     "PROTOCOL_PROFILES",
     "ProtocolProfile",
-    "techniques_for",
 ]

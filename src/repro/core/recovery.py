@@ -32,21 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-
-class RecoveryCategory(str, Enum):
-    """Top-level split of Table 1."""
-
-    SUBSCRIPTION_RECOVERY = "subscription-recovery"
-    PURGE_REDISCOVERY = "purge-rediscovery"
-
-
-class UpdateScenario(str, Enum):
-    """Update scenarios for subscription-recovery techniques."""
-
-    CRITICAL = "critical"
-    NON_CRITICAL = "non-critical"
+from typing import Dict, FrozenSet
 
 
 class RecoveryTechnique(str, Enum):
@@ -62,66 +48,6 @@ class RecoveryTechnique(str, Enum):
     PR4 = "PR4"
     PR5 = "PR5"
 
-    @property
-    def category(self) -> RecoveryCategory:
-        """Whether this is a subscription-recovery or a purge-rediscovery technique."""
-        if self.value.startswith("SR"):
-            return RecoveryCategory.SUBSCRIPTION_RECOVERY
-        return RecoveryCategory.PURGE_REDISCOVERY
-
-    @property
-    def update_scenario(self) -> Optional[UpdateScenario]:
-        """The update scenario a subscription-recovery technique applies to."""
-        if self in (RecoveryTechnique.SRC1, RecoveryTechnique.SRC2):
-            return UpdateScenario.CRITICAL
-        if self in (RecoveryTechnique.SRN1, RecoveryTechnique.SRN2):
-            return UpdateScenario.NON_CRITICAL
-        return None
-
-
-#: Human-readable descriptions of each technique (Table 1 and Section 4.3).
-TECHNIQUE_DESCRIPTIONS: Dict[RecoveryTechnique, str] = {
-    RecoveryTechnique.SRC1: (
-        "Critical updates: acknowledgements and retransmissions of notifications "
-        "with no retransmission limit (stop only on subscription expiry, "
-        "acknowledgement, or loss of connectivity)."
-    ),
-    RecoveryTechnique.SRC2: (
-        "Critical updates: active User and Registry monitoring of update sequence "
-        "numbers / expected update times; missed updates are explicitly requested."
-    ),
-    RecoveryTechnique.SRN1: (
-        "Non-critical updates: acknowledgements and bounded retransmissions of "
-        "notifications (stop on retry limit, ack, expiry, connectivity loss, or a "
-        "newer change)."
-    ),
-    RecoveryTechnique.SRN2: (
-        "Non-critical updates: the Manager caches inconsistent Users and retries "
-        "the notification when a message (e.g. a subscription renewal) arrives "
-        "from such a User."
-    ),
-    RecoveryTechnique.PR1: (
-        "Manager and Registry purge each other: rediscovery through periodic "
-        "announcements; on re-registration the Registry notifies interested Users."
-    ),
-    RecoveryTechnique.PR2: (
-        "User purges the Registry: rediscovery through announcements, then the "
-        "User queries the Registry for the service."
-    ),
-    RecoveryTechnique.PR3: (
-        "Registry purges the User: a later lease renewal triggers resubscription, "
-        "whose response carries the updated service description."
-    ),
-    RecoveryTechnique.PR4: (
-        "Manager purges the User: a later message from the User triggers "
-        "resubscription, whose response carries the updated service description."
-    ),
-    RecoveryTechnique.PR5: (
-        "User purges the Manager: rediscovery through multicast queries, Manager "
-        "announcements, or a unicast query to the Registry."
-    ),
-}
-
 
 @dataclass(frozen=True)
 class ProtocolProfile:
@@ -135,14 +61,6 @@ class ProtocolProfile:
     #: Zero-failure update message count m' for the standard scenario (N = 5 Users).
     m_prime: int = 7
     notes: str = ""
-
-    def implements(self, technique: RecoveryTechnique) -> bool:
-        """``True`` when the protocol implements ``technique`` (natively or via TCP)."""
-        return technique in self.techniques
-
-    def implements_natively(self, technique: RecoveryTechnique) -> bool:
-        """``True`` when the protocol implements ``technique`` without relying on TCP."""
-        return technique in self.techniques and technique not in self.tcp_dependent
 
 
 def expected_update_messages(
@@ -253,27 +171,3 @@ PROTOCOL_PROFILES: Dict[str, ProtocolProfile] = {
         notes="300D Managers notify subscribed Users directly; SRN2 retries on renewals.",
     ),
 }
-
-
-def techniques_for(system: str) -> FrozenSet[RecoveryTechnique]:
-    """Return the set of recovery techniques implemented by ``system``."""
-    try:
-        return PROTOCOL_PROFILES[system].techniques
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown system {system!r}; known systems: {sorted(PROTOCOL_PROFILES)}"
-        ) from exc
-
-
-def taxonomy_table() -> List[Tuple[str, str, str]]:
-    """A flat rendering of Table 1: (technique, category, description)."""
-    rows = []
-    for technique in RecoveryTechnique:
-        rows.append(
-            (
-                technique.value,
-                technique.category.value,
-                TECHNIQUE_DESCRIPTIONS[technique],
-            )
-        )
-    return rows

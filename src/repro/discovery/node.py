@@ -36,12 +36,6 @@ class NodeRole(str, Enum):
     REGISTRY = "registry"
 
 
-# ``is_update_related`` is imported lazily (repro.protocols imports this
-# module via protocols.base, so a module-level import would be circular) and
-# cached here after the first message so later sends skip the import machinery.
-_is_update_related: Optional[Callable[[str, str], bool]] = None
-
-
 @dataclass
 class Transports:
     """The transports available to a protocol node."""
@@ -65,6 +59,9 @@ class DiscoveryNode(Process):
 
     #: Protocol tag stamped on every message this node sends ("frodo", "jini", "upnp").
     protocol: str = "generic"
+    #: The message kinds that count toward *y*: each protocol node class sets
+    #: its ``messages.UPDATE_RELATED_KINDS`` here, next to :attr:`protocol`.
+    update_related_kinds: FrozenSet[str] = frozenset()
 
     def __init__(
         self,
@@ -99,17 +96,10 @@ class DiscoveryNode(Process):
     ) -> Message:
         """Construct a message originating at this node.
 
-        Whether it counts toward *y* follows from its kind alone: the
-        protocol-wide declaration in :mod:`repro.protocols.accounting` (each
-        protocol's ``messages`` module registers its
-        ``UPDATE_RELATED_KINDS``) is the one tagging rule, with no per-send
-        override.
+        Whether it counts toward *y* follows from its kind alone: membership
+        in the class's :attr:`update_related_kinds` is the one tagging rule,
+        with no per-send override.
         """
-        global _is_update_related
-        if _is_update_related is None:
-            from repro.protocols.accounting import is_update_related
-
-            _is_update_related = is_update_related
         # Positional: every protocol send builds one (layer and size keep
         # their defaults).
         return Message(
@@ -118,7 +108,7 @@ class DiscoveryNode(Process):
             self.protocol,
             kind,
             None if payload is None else dict(payload),
-            _is_update_related(self.protocol, kind),
+            kind in self.update_related_kinds,
             MessageLayer.DISCOVERY,
             256,
             next(self.network.msg_ids),

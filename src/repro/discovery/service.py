@@ -14,7 +14,7 @@ version to all interested Users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,11 @@ class ServiceDescription:
         # Freeze the attribute mapping so cached copies cannot be mutated in place.
         object.__setattr__(self, "attributes", dict(self.attributes))
 
-    def with_update(
-        self,
-        service_type: Optional[str] = None,
-        attributes: Optional[Mapping[str, Any]] = None,
-    ) -> "ServiceDescription":
-        """Return the next version of this SD with the given fields changed."""
-        new_attrs: Dict[str, Any] = dict(self.attributes)
-        if attributes:
-            new_attrs.update(attributes)
+    def with_update(self, changed_at: float) -> "ServiceDescription":
+        """The next version of this SD, its ``changed_at`` attribute set to the change time."""
         return replace(
             self,
-            service_type=service_type if service_type is not None else self.service_type,
-            attributes=new_attrs,
+            attributes={**self.attributes, "changed_at": changed_at},
             version=self.version + 1,
         )
 
@@ -88,3 +80,20 @@ class ServiceQuery:
             if sd.attributes.get(key) != value:
                 return False
         return True
+
+
+def default_service(manager_id: str) -> ServiceDescription:
+    """The paper's example service description (a colour printer)."""
+    return ServiceDescription(
+        service_id="printer-service",
+        manager_id=manager_id,
+        device_type="Printer",
+        service_type="ColorPrinter",
+        attributes={"PaperSize": "A4", "Location": "Study"},
+        version=1,
+    )
+
+
+def default_query() -> ServiceQuery:
+    """Every User's requirement: any printer."""
+    return ServiceQuery(device_type="Printer")

@@ -67,7 +67,7 @@ class ScenarioSpec:
         # Imported lazily: the scenario registry builds on this module.
         from repro.experiments.scenarios import SCENARIOS
 
-        SCENARIOS.get(self.scenario).validate_options(self.scenario_options)
+        SCENARIOS.get(self.scenario).validate(self)
         return self
 
     @property

@@ -26,9 +26,13 @@ Determinism rules
   the baseline outage plan (churn, lossy, multichange) share the *same*
   per-node outages as ``table4`` at equal seeds — paired comparisons.
 
-Conformance invariants
-----------------------
-Each family carries a ``check(spec, result)`` hook returning a list of
+Option checks and conformance invariants
+----------------------------------------
+Each family may carry a ``validator(spec, options)`` hook that raises
+:class:`ValueError` when its merged options cannot run under the spec;
+:meth:`ScenarioSpec.validate <repro.experiments.scenario.ScenarioSpec.validate>`
+runs it, so a bad option is a spec error before any cell runs.  Each family
+also carries a ``checker(spec, result, options)`` hook returning a list of
 violated-invariant descriptions (empty when conformant).  All families share
 the generic recovery invariant: when the last disruption (outage end, loss
 window end, churn rejoin — and the last service change) leaves a
@@ -62,8 +66,12 @@ PlanBuilder = Callable[
     [ScenarioSpec, ProtocolDeployment, RngRegistry, Dict[str, Any]], DisruptionPlan
 ]
 
-#: Conformance hook signature: returns violated-invariant descriptions.
-ConformanceCheck = Callable[[ScenarioSpec, RunResult], List[str]]
+#: Option check signature: spec + merged options; raises :class:`ValueError`.
+OptionsCheck = Callable[[ScenarioSpec, Dict[str, Any]], None]
+
+#: Conformance hook signature: spec + finished run + merged options ->
+#: violated-invariant descriptions.
+ConformanceCheck = Callable[[ScenarioSpec, RunResult, Dict[str, Any]], List[str]]
 
 #: Upper bound, in seconds, on purge + rediscovery + update propagation for
 #: every modelled system once disruptions have ceased: the slowest periodic
@@ -106,11 +114,19 @@ class ScenarioFamily:
     #: Family-specific conformance hook (the generic recovery invariant
     #: always runs in addition).
     checker: Optional[ConformanceCheck] = None
+    #: Range check of the merged options against the spec.
+    validator: Optional[OptionsCheck] = None
 
     def validate_options(self, options: Mapping[str, Any]) -> Dict[str, Any]:
         """Merge ``options`` over the defaults, rejecting unknown names and
         mistyped values (:func:`~repro.experiments.tokens.validate_options`)."""
         return validate_options("scenario", self.name, self.defaults, options)
+
+    def validate(self, spec: ScenarioSpec) -> None:
+        """Raise :class:`ValueError` when ``spec``'s options cannot run."""
+        options = self.validate_options(spec.scenario_options)
+        if self.validator is not None:
+            self.validator(spec, options)
 
     def build(
         self, spec: ScenarioSpec, deployment: ProtocolDeployment, rng: RngRegistry
@@ -123,7 +139,9 @@ class ScenarioFamily:
         """Violated conformance invariants of one finished run (empty = pass)."""
         problems = _recovery_invariant(spec, result)
         if self.checker is not None:
-            problems.extend(self.checker(spec, result))
+            # Merged, not validated: a family may judge another family's run.
+            options = {**self.defaults, **spec.scenario_options}
+            problems.extend(self.checker(spec, result, options))
         return problems
 
 
@@ -273,7 +291,7 @@ def _build_table4(
     return DisruptionPlan(outages=_baseline_outages(spec, deployment, rng))
 
 
-def _check_table4(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _check_table4(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
     if failures.get("n_churn", 0) or failures.get("n_loss_windows", 0):
@@ -290,8 +308,6 @@ def _build_overlap(
     options: Dict[str, Any],
 ) -> DisruptionPlan:
     per_node = int(options["n"])
-    if per_node < 2:
-        raise ValueError(f"overlap@n must be >= 2, got {per_node!r}")
     if spec.failure_rate == 0.0:
         return DisruptionPlan()
     stream = rng.stream("scenario", "overlap")
@@ -308,10 +324,15 @@ def _build_overlap(
     return DisruptionPlan(outages=tuple(outages))
 
 
-def _check_overlap(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_overlap(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    if options["n"] < 2:
+        raise ValueError(f"overlap@n must be >= 2, got {options['n']!r}")
+
+
+def _check_overlap(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
-    per_node = int(spec.scenario_options.get("n", 2))
+    per_node = int(options["n"])
     n_outages = int(failures.get("n_outages", 0))
     if spec.failure_rate > 0 and (n_outages == 0 or n_outages % per_node):
         problems.append(
@@ -336,20 +357,11 @@ def _build_churn(
 ) -> DisruptionPlan:
     rate = float(options["rate"])
     gap = float(options["gap"])
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"churn@rate must be in [0, 1], got {rate!r}")
-    if gap <= 0:
-        raise ValueError(f"churn@gap must be positive, got {gap!r}")
     outages = _baseline_outages(spec, deployment, rng)
     users = [node.node_id for node in deployment.users]
     if rate == 0.0 or not users:
         return DisruptionPlan(outages=outages)
-    latest_leave = spec.deadline - gap - RECOVERY_BOUND / 2
-    if latest_leave <= EARLIEST_DISRUPTION:
-        raise ValueError(
-            f"churn@gap={gap:g} leaves no room for a leave/rejoin cycle before "
-            f"the {spec.deadline:g}s deadline"
-        )
+    latest_leave = _latest_churn_leave(spec, gap)
     stream = rng.stream("scenario", "churn")
     count = min(len(users), max(1, round(rate * len(users))))
     churn: List[NodeChurn] = []
@@ -359,7 +371,27 @@ def _build_churn(
     return DisruptionPlan(outages=outages, churn=tuple(churn))
 
 
-def _check_churn(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _latest_churn_leave(spec: ScenarioSpec, gap: float) -> float:
+    """The latest leave time that leaves a rejoin and a recovery window."""
+    return spec.deadline - gap - RECOVERY_BOUND / 2
+
+
+def _validate_churn(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    rate = float(options["rate"])
+    gap = float(options["gap"])
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"churn@rate must be in [0, 1], got {rate!r}")
+    if gap <= 0:
+        raise ValueError(f"churn@gap must be positive, got {gap!r}")
+    # Without churn nobody leaves, so no gap is too long: churn@rate=0 runs.
+    if rate > 0.0 and _latest_churn_leave(spec, gap) <= EARLIEST_DISRUPTION:
+        raise ValueError(
+            f"churn@gap={gap:g} leaves no room for a leave/rejoin cycle before "
+            f"the {spec.deadline:g}s deadline"
+        )
+
+
+def _check_churn(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
     departed = list(failures.get("departed", ()))
@@ -378,8 +410,6 @@ def _build_correlated(
     options: Dict[str, Any],
 ) -> DisruptionPlan:
     groups = int(options["groups"])
-    if groups < 1:
-        raise ValueError(f"correlated@groups must be >= 1, got {groups!r}")
     if spec.failure_rate == 0.0:
         return DisruptionPlan()
     stream = rng.stream("scenario", "correlated")
@@ -399,11 +429,16 @@ def _build_correlated(
     return DisruptionPlan(outages=tuple(outages))
 
 
-def _check_correlated(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_correlated(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    if options["groups"] < 1:
+        raise ValueError(f"correlated@groups must be >= 1, got {options['groups']!r}")
+
+
+def _check_correlated(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
     if spec.failure_rate > 0:
-        groups = int(spec.scenario_options.get("groups", 2))
+        groups = int(options["groups"])
         downtimes = failures.get("realized_downtime", {})
         distinct = len(set(downtimes.values()))
         if distinct > groups:
@@ -421,8 +456,6 @@ def _build_cascade(
     options: Dict[str, Any],
 ) -> DisruptionPlan:
     lag = float(options["lag"])
-    if lag <= 0:
-        raise ValueError(f"cascade@lag must be positive, got {lag!r}")
     if spec.failure_rate == 0.0:
         return DisruptionPlan()
     stream = rng.stream("scenario", "cascade")
@@ -442,7 +475,13 @@ def _build_cascade(
     return DisruptionPlan(outages=outages)
 
 
-def _check_cascade(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_cascade(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    lag = float(options["lag"])
+    if lag <= 0:
+        raise ValueError(f"cascade@lag must be positive, got {lag!r}")
+
+
+def _check_cascade(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
     if spec.failure_rate > 0 and not failures.get("n_outages", 0):
@@ -461,12 +500,6 @@ def _build_lossy(
     p = float(options["p"])
     windows = int(options["windows"])
     span = float(options["span"])
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"lossy@p must be in [0, 1], got {p!r}")
-    if windows < 1:
-        raise ValueError(f"lossy@windows must be >= 1, got {windows!r}")
-    if span <= 0:
-        raise ValueError(f"lossy@span must be positive, got {span!r}")
     outages = _baseline_outages(spec, deployment, rng)
     if p == 0.0:
         return DisruptionPlan(outages=outages)
@@ -482,11 +515,23 @@ def _build_lossy(
     return DisruptionPlan(outages=outages, loss_windows=loss_windows)
 
 
-def _check_lossy(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_lossy(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    p = float(options["p"])
+    windows = int(options["windows"])
+    span = float(options["span"])
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"lossy@p must be in [0, 1], got {p!r}")
+    if windows < 1:
+        raise ValueError(f"lossy@windows must be >= 1, got {windows!r}")
+    if span <= 0:
+        raise ValueError(f"lossy@span must be positive, got {span!r}")
+
+
+def _check_lossy(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
-    p = float(spec.scenario_options.get("p", 0.2))
-    expected = int(spec.scenario_options.get("windows", 3)) if p > 0 else 0
+    p = float(options["p"])
+    expected = int(options["windows"]) if p > 0 else 0
     if int(failures.get("n_loss_windows", 0)) != expected:
         problems.append(
             f"lossy must schedule exactly {expected} loss window(s), "
@@ -503,15 +548,6 @@ def _build_restart(
 ) -> DisruptionPlan:
     at = float(options["at"])
     outage = float(options["outage"])
-    if not 0 < at < spec.deadline:
-        raise ValueError(f"restart@at must fall inside the run, got {at!r}")
-    if outage <= 0:
-        raise ValueError(f"restart@outage must be positive, got {outage!r}")
-    if at + outage >= spec.deadline:
-        raise ValueError(
-            f"restart@at={at:g} + outage={outage:g} must end before the "
-            f"{spec.deadline:g}s deadline"
-        )
     # Restart the infrastructure: the Registries where the system has them,
     # otherwise its auxiliary nodes (FRODO's Central), otherwise the primary
     # Manager — every system has *something* whose restart triggers a
@@ -524,7 +560,21 @@ def _build_restart(
     return DisruptionPlan(outages=_baseline_outages(spec, deployment, rng), churn=churn)
 
 
-def _check_restart(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_restart(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    at = float(options["at"])
+    outage = float(options["outage"])
+    if not 0 < at < spec.deadline:
+        raise ValueError(f"restart@at must fall inside the run, got {at!r}")
+    if outage <= 0:
+        raise ValueError(f"restart@outage must be positive, got {outage!r}")
+    if at + outage >= spec.deadline:
+        raise ValueError(
+            f"restart@at={at:g} + outage={outage:g} must end before the "
+            f"{spec.deadline:g}s deadline"
+        )
+
+
+def _check_restart(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
     if not failures.get("n_churn", 0):
@@ -546,6 +596,15 @@ def _build_multichange(
 ) -> DisruptionPlan:
     changes = int(options["changes"])
     spacing = float(options["spacing"])
+    extra = tuple(spec.change_time + i * spacing for i in range(1, changes))
+    return DisruptionPlan(
+        outages=_baseline_outages(spec, deployment, rng), extra_change_times=extra
+    )
+
+
+def _validate_multichange(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    changes = int(options["changes"])
+    spacing = float(options["spacing"])
     if changes < 2:
         raise ValueError(f"multichange@changes must be >= 2, got {changes!r}")
     if spacing <= 0:
@@ -556,15 +615,11 @@ def _build_multichange(
             f"multichange: the last of {changes} changes lands at {last:g}s, "
             f"at or past the {spec.deadline:g}s deadline"
         )
-    extra = tuple(spec.change_time + i * spacing for i in range(1, changes))
-    return DisruptionPlan(
-        outages=_baseline_outages(spec, deployment, rng), extra_change_times=extra
-    )
 
 
-def _check_multichange(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _check_multichange(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
-    changes = int(spec.scenario_options.get("changes", 3))
+    changes = int(options["changes"])
     # The initial description is version 1 and every change bumps by one.
     version = result.details.get("changed_version")
     if isinstance(version, int) and version != changes + 1:
@@ -572,7 +627,7 @@ def _check_multichange(spec: ScenarioSpec, result: RunResult) -> List[str]:
             f"multichange triggered {changes} changes so the authoritative "
             f"version must reach {changes + 1}, got {version}"
         )
-    spacing = float(spec.scenario_options.get("spacing", 400.0))
+    spacing = float(options["spacing"])
     expected_last = spec.change_time + (changes - 1) * spacing
     if abs(result.change_time - expected_last) > 1e-6:
         problems.append(
@@ -595,21 +650,6 @@ def _build_partition(
     mode = str(options["mode"])
     start = float(options["start"])
     duration = float(options["duration"])
-    if mode not in PARTITION_MODES:
-        raise ValueError(
-            f"partition@mode must be one of {', '.join(PARTITION_MODES)}, got {mode!r}"
-        )
-    if start < EARLIEST_DISRUPTION:
-        raise ValueError(
-            f"partition@start must be >= {EARLIEST_DISRUPTION:g}, got {start!r}"
-        )
-    if duration <= 0:
-        raise ValueError(f"partition@duration must be positive, got {duration!r}")
-    if start + duration >= spec.deadline:
-        raise ValueError(
-            f"partition@start={start:g} + duration={duration:g} must heal before "
-            f"the {spec.deadline:g}s deadline"
-        )
     outages = _baseline_outages(spec, deployment, rng)
     ids = deployment.registry_ids() if hasattr(deployment, "registry_ids") else []
     if len(ids) < 2:
@@ -643,12 +683,33 @@ def _build_partition(
     return DisruptionPlan(outages=outages, link_cuts=(cut,))
 
 
-def _check_partition(spec: ScenarioSpec, result: RunResult) -> List[str]:
+def _validate_partition(spec: ScenarioSpec, options: Dict[str, Any]) -> None:
+    mode = str(options["mode"])
+    start = float(options["start"])
+    duration = float(options["duration"])
+    if mode not in PARTITION_MODES:
+        raise ValueError(
+            f"partition@mode must be one of {', '.join(PARTITION_MODES)}, got {mode!r}"
+        )
+    if start < EARLIEST_DISRUPTION:
+        raise ValueError(
+            f"partition@start must be >= {EARLIEST_DISRUPTION:g}, got {start!r}"
+        )
+    if duration <= 0:
+        raise ValueError(f"partition@duration must be positive, got {duration!r}")
+    if start + duration >= spec.deadline:
+        raise ValueError(
+            f"partition@start={start:g} + duration={duration:g} must heal before "
+            f"the {spec.deadline:g}s deadline"
+        )
+
+
+def _check_partition(spec: ScenarioSpec, result: RunResult, options: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     failures = _failure_section(result)
-    mode = str(spec.scenario_options.get("mode", "split"))
-    start = float(spec.scenario_options.get("start", 1800.0))
-    heal = start + float(spec.scenario_options.get("duration", 600.0))
+    mode = str(options["mode"])
+    start = float(options["start"])
+    heal = start + float(options["duration"])
     n_cuts = int(failures.get("n_link_cuts", 0))
     if mode == "crash":
         if n_cuts:
@@ -752,6 +813,7 @@ def _register_standard_scenarios() -> None:
                 "— windows repeat and overlap (depth-counted interfaces)"
             ),
             checker=_check_overlap,
+            validator=_validate_overlap,
         )
     )
     SCENARIOS.register(
@@ -764,6 +826,7 @@ def _register_standard_scenarios() -> None:
                 "and rejoining `gap` seconds later with a fresh bootstrap"
             ),
             checker=_check_churn,
+            validator=_validate_churn,
         )
     )
     SCENARIOS.register(
@@ -776,6 +839,7 @@ def _register_standard_scenarios() -> None:
                 "group for the same lambda*D window (mode both)"
             ),
             checker=_check_correlated,
+            validator=_validate_correlated,
         )
     )
     SCENARIOS.register(
@@ -788,6 +852,7 @@ def _register_standard_scenarios() -> None:
                 "seconds after the previous one, each for lambda*D seconds"
             ),
             checker=_check_cascade,
+            validator=_validate_cascade,
         )
     )
     SCENARIOS.register(
@@ -800,6 +865,7 @@ def _register_standard_scenarios() -> None:
                 "dropping each delivery with probability `p`"
             ),
             checker=_check_lossy,
+            validator=_validate_lossy,
         )
     )
     SCENARIOS.register(
@@ -815,6 +881,7 @@ def _register_standard_scenarios() -> None:
                 "(non-federated systems degrade to plain table4)"
             ),
             checker=_check_partition,
+            validator=_validate_partition,
         )
     )
     SCENARIOS.register(
@@ -828,6 +895,7 @@ def _register_standard_scenarios() -> None:
                 "seconds later, triggering flash-crowd rediscovery"
             ),
             checker=_check_restart,
+            validator=_validate_restart,
         )
     )
     SCENARIOS.register(
@@ -840,6 +908,7 @@ def _register_standard_scenarios() -> None:
                 "seconds apart (metrics follow the last change)"
             ),
             checker=_check_multichange,
+            validator=_validate_multichange,
         )
     )
 

@@ -448,6 +448,12 @@ class FailureInjector(Process):
             default=0.0,
         )
         fractions = [seconds / horizon for seconds in realized.values()] if horizon else []
+        # Summed left to right: from Python 3.12 on, sum() compensates float
+        # rounding, which would change the mean's last digit and the bytes
+        # pinned on 3.9-3.11.
+        total = 0.0
+        for fraction in fractions:
+            total += fraction
         return {
             "n_outages": len(self.plan),
             "n_churn": len(self.churn),
@@ -457,9 +463,7 @@ class FailureInjector(Process):
             "departed": sorted(self.departed),
             "rejoined": sorted(self.rejoined),
             "realized_downtime": {node: realized[node] for node in sorted(realized)},
-            "realized_fraction_mean": (
-                sum(fractions) / len(fractions) if fractions else 0.0
-            ),
+            "realized_fraction_mean": total / len(fractions) if fractions else 0.0,
             "last_outage_end": last_end,
             "last_loss_end": last_loss_end,
             "last_churn_end": last_churn_end,

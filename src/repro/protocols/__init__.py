@@ -13,12 +13,13 @@ One subpackage per modelled system:
   TCP, invalidation-based notification, PR4/PR5).
 
 :mod:`repro.protocols.base` defines the :class:`~repro.protocols.base.ProtocolDeployment`
-interface the experiment harness drives, and :mod:`repro.protocols.registry`
-maps the system names above to their builders and to their closed-form m'
-(Table 2), the one source of m' for every run.
-:mod:`repro.protocols.accounting` holds each protocol's declaration of which
-message kinds are update-related, the one rule that decides what a send
-counts toward *y*.
+the experiment harness drives, and :mod:`repro.protocols.registry` maps the
+system names above to their builders, one per family, and to their
+closed-form m' (Table 2), the one source of m' for every run.  Each
+subpackage's ``messages`` module declares which message kinds are
+update-related (``UPDATE_RELATED_KINDS``); every node class of the protocol
+carries that set as its ``update_related_kinds`` attribute, the one rule
+that decides what a send counts toward *y*.
 """
 
 from repro.protocols.base import ProtocolDeployment

@@ -6,16 +6,18 @@ start everything, trigger the service change, enumerate the node ids for
 failure injection, and collect the per-run message statistics the Update
 Metrics are computed from.
 
-Concrete deployments are constructed through
-:mod:`repro.protocols.registry`, never by hard-coding a builder; the
+Deployments are constructed through :mod:`repro.protocols.registry`,
+never by hard-coding a builder; the
 :class:`~repro.experiments.runner.ExperimentRunner` drives every deployment
-exclusively through this interface.
+exclusively through this interface.  FRODO and UPnP builders return a plain
+:class:`ProtocolDeployment`; only the Jini federation subclasses it, to
+report cross-registry metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import DiscoveryNode
@@ -86,22 +88,19 @@ class ProtocolDeployment:
             node.stop()
 
     # ------------------------------------------------------------------ scenario hooks
-    def trigger_service_change(
-        self, attributes: Optional[Dict[str, object]] = None
-    ) -> ServiceDescription:
+    def trigger_service_change(self) -> ServiceDescription:
         """Change the primary Manager's service description (the paper's update event).
 
-        Concrete deployments forward this to their Manager implementation and
-        return the new authoritative service description.
+        Returns the new authoritative service description.
         """
-        raise NotImplementedError
+        return self.primary_manager.change_service()  # type: ignore[attr-defined]
 
     def collect_run_stats(self, change_time: float) -> DeploymentRunStats:
         """Extract the per-run message accounting after the run finished.
 
-        Subclasses may override this when their accounting deviates from the
-        default (e.g. UPnP/Jini over TCP, where transport overhead is excluded
-        from Table 2 counts but still reported separately).
+        Every system shares this accounting: transport-layer messages (TCP
+        segments and acknowledgements) count toward neither *y* nor the
+        discovery total, and are reported separately.
         """
         stats = self.network.stats
         return DeploymentRunStats(

@@ -17,19 +17,16 @@ around two objectives:
 """
 
 from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
-from repro.protocols.frodo.device_classes import DeviceClass
 from repro.protocols.frodo.central import FrodoCentral
 from repro.protocols.frodo.manager import FrodoManager
 from repro.protocols.frodo.user import FrodoUser
-from repro.protocols.frodo.builder import FrodoDeployment, build_frodo
+from repro.protocols.frodo.builder import build_frodo
 
 __all__ = [
     "FrodoConfig",
     "SubscriptionMode",
-    "DeviceClass",
     "FrodoCentral",
     "FrodoManager",
     "FrodoUser",
-    "FrodoDeployment",
     "build_frodo",
 ]

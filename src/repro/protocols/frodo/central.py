@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.consistency import ConsistencyTracker
 from repro.discovery.cache import ServiceCache
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.discovery.retry import AckRetryScheduler
@@ -47,6 +46,7 @@ class FrodoCentral(DiscoveryNode):
     """A 300D node's registry component: Central when elected, Backup otherwise."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -55,13 +55,11 @@ class FrodoCentral(DiscoveryNode):
         node_id: Address,
         transports: Transports,
         config: FrodoConfig,
-        capability: int = 100,
-        tracker: Optional[ConsistencyTracker] = None,
+        capability: int,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.REGISTRY, transports)
-        self.config = config.validate()
+        self.config = config
         self.capability = capability
-        self.tracker = tracker
 
         self.active = False
         self.is_backup = False

@@ -10,7 +10,7 @@ arrives) and PR4 (resubscription requests to purged Users).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
@@ -21,8 +21,7 @@ from repro.net.addressing import Address
 from repro.net.messages import Message
 from repro.net.network import Network
 from repro.protocols.frodo import messages as m
-from repro.protocols.frodo.config import FrodoConfig
-from repro.protocols.frodo.device_classes import DeviceClass
+from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 
@@ -31,6 +30,7 @@ class FrodoManager(DiscoveryNode):
     """A FRODO Manager of either device class."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -40,12 +40,10 @@ class FrodoManager(DiscoveryNode):
         transports: Transports,
         config: FrodoConfig,
         sd: ServiceDescription,
-        device_class: DeviceClass = DeviceClass.DOLLAR_3D,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
-        self.config = config.validate()
-        self.device_class = device_class
+        self.config = config
         self.sd = sd
         self.tracker = tracker
 
@@ -71,7 +69,7 @@ class FrodoManager(DiscoveryNode):
     @property
     def two_party(self) -> bool:
         """``True`` when this Manager handles its own subscribers (300D)."""
-        return self.device_class.uses_two_party_subscription
+        return self.config.subscription_mode is SubscriptionMode.TWO_PARTY
 
     @property
     def service_id(self) -> str:
@@ -80,8 +78,7 @@ class FrodoManager(DiscoveryNode):
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self._announce_presence()
         self._announce_timer.start()
 
@@ -176,22 +173,15 @@ class FrodoManager(DiscoveryNode):
             self.central_stale = False
 
     # ------------------------------------------------------------------ the service change
-    def change_service(
-        self,
-        attributes: Optional[Dict[str, object]] = None,
-        service_type: Optional[str] = None,
-    ) -> ServiceDescription:
+    def change_service(self) -> ServiceDescription:
         """Apply a change to the service description and propagate it.
 
         This is the event the whole experiment revolves around: the new SD
         version must reach every subscribed User, via the Central (3-party)
         or directly (2-party).
         """
-        self.sd = self.sd.with_update(
-            service_type=service_type, attributes=attributes or {"changed_at": self.now}
-        )
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.sd = self.sd.with_update(self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self.trace("service_changed", version=self.sd.version)
         self._send_update_to_central()
         if self.two_party:

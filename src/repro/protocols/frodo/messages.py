@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from repro.protocols.accounting import register_update_related_kinds
-
 PROTOCOL = "frodo"
 
 # ------------------------------------------------------------------ announcements / discovery
@@ -69,6 +67,3 @@ UPDATE_RELATED_KINDS: FrozenSet[str] = frozenset(
         MULTICAST_QUERY,
     }
 )
-
-
-register_update_related_kinds(PROTOCOL, UPDATE_RELATED_KINDS)

@@ -40,6 +40,7 @@ class FrodoUser(DiscoveryNode):
     """A FRODO User looking for one service."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -49,10 +50,10 @@ class FrodoUser(DiscoveryNode):
         transports: Transports,
         config: FrodoConfig,
         query: ServiceQuery,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.USER, transports)
-        self.config = config.validate()
+        self.config = config
         self.query = query
         self.tracker = tracker
 
@@ -176,8 +177,7 @@ class FrodoUser(DiscoveryNode):
         self.service_id = sd.service_id
         self.manager_addr = sd.manager_id
         self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
-        if self.tracker is not None:
-            self.tracker.record_view(self.node_id, sd.version, self.now)
+        self.tracker.record_view(self.node_id, sd.version, self.now)
         self._rediscovery_timer.stop()
         self._pr5_fallback.cancel()
         self._query_retry.cancel()

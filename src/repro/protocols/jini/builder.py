@@ -14,11 +14,11 @@ multicast is transmitted redundantly (6 copies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import Transports
-from repro.discovery.service import ServiceDescription, ServiceQuery
+from repro.discovery.service import ServiceDescription, default_query, default_service
 from repro.net.multicast import MulticastService
 from repro.net.network import Network
 from repro.net.tcp import TcpTransport
@@ -38,8 +38,8 @@ MODES: Tuple[str, ...] = ("push", "pull", "gossip")
 ASSIGNS: Tuple[str, ...] = ("multi", "partition")
 
 #: Typed parameter defaults of the ``jini`` system family (the registry
-#: entry's ``params``); the defaults select the single-registry replicated
-#: model.
+#: entry's ``params``, the one place they are defined); the defaults select
+#: the single-registry replicated model.
 JINI_PARAM_DEFAULTS: Dict[str, object] = {
     "k": 1,
     "mode": "push",
@@ -51,21 +51,26 @@ JINI_PARAM_DEFAULTS: Dict[str, object] = {
 }
 
 
-def default_service(manager_id: str) -> ServiceDescription:
-    """The paper's example service description (a colour printer)."""
-    return ServiceDescription(
-        service_id="printer-service",
-        manager_id=manager_id,
-        device_type="Printer",
-        service_type="ColorPrinter",
-        attributes={"PaperSize": "A4", "Location": "Study"},
-        version=1,
-    )
+def check_jini_params(params: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` when a merged ``jini`` selection is out of range.
 
-
-def default_query() -> ServiceQuery:
-    """The clients' requirement: any printer."""
-    return ServiceQuery(device_type="Printer")
+    The registry runs this when it resolves a ``jini`` token, so a bad
+    value is a spec error before any cell runs.
+    """
+    if params["k"] < 1:
+        raise ValueError("k must be >= 1")
+    if params["mode"] not in MODES:
+        raise ValueError(f"unknown federation mode {params['mode']!r}; known: {', '.join(MODES)}")
+    if params["assign"] not in ASSIGNS:
+        raise ValueError(
+            f"unknown user assignment {params['assign']!r}; known: {', '.join(ASSIGNS)}"
+        )
+    if params["topology"] not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {params['topology']!r}; known: {', '.join(TOPOLOGIES)}")
+    if params["ttl"] <= 0:
+        raise ValueError("ttl must be positive")
+    if params["gossip_interval"] <= 0:
+        raise ValueError("gossip_interval must be positive")
 
 
 class JiniDeployment(ProtocolDeployment):
@@ -76,20 +81,15 @@ class JiniDeployment(ProtocolDeployment):
         sim: Simulator,
         network: Network,
         tracker: ConsistencyTracker,
-        config: JiniConfig,
         monitor: FederationMonitor,
         report: bool,
     ) -> None:
         super().__init__(sim, network, tracker)
-        self.config = config
         self.monitor = monitor
         self.report = report
 
-    def trigger_service_change(
-        self, attributes: Optional[Dict[str, object]] = None
-    ) -> ServiceDescription:
-        provider: JiniServiceProvider = self.primary_manager  # type: ignore[assignment]
-        sd = provider.change_service(attributes=attributes)
+    def trigger_service_change(self) -> ServiceDescription:
+        sd = super().trigger_service_change()
         self.monitor.record_change(sd.version, self.sim.now)
         return sd
 
@@ -121,15 +121,14 @@ def build_jini(
     sim: Simulator,
     network: Network,
     tracker: ConsistencyTracker,
-    config: Optional[JiniConfig] = None,
+    k: int,
+    mode: str,
+    topology: str,
+    assign: str,
+    ttl: float,
+    gossip_interval: float,
+    report: bool,
     n_users: int = 5,
-    k: int = 1,
-    mode: str = "push",
-    topology: str = "mesh",
-    assign: str = "multi",
-    ttl: float = 600.0,
-    gossip_interval: float = 120.0,
-    report: bool = True,
 ) -> JiniDeployment:
     """Instantiate a federation of ``k`` Jini Lookup Services.
 
@@ -139,24 +138,15 @@ def build_jini(
     freshness horizon and ``gossip_interval`` the anti-entropy period.
     ``report=False`` suppresses the ``federation`` details block (the
     ``jini1``/``jini2`` aliases pin it off to keep their per-run output
-    unchanged).  The construction order (registries, provider, clients) is
-    part of the byte-identity contract of those aliases.
+    unchanged).  The registry checked the values
+    (:func:`check_jini_params`) and supplies the defaults
+    (:data:`JINI_PARAM_DEFAULTS`).  The construction order (registries,
+    provider, clients) is part of the byte-identity contract of those
+    aliases.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"unknown federation mode {mode!r}; known: {', '.join(MODES)}")
-    if assign not in ASSIGNS:
-        raise ValueError(f"unknown user assignment {assign!r}; known: {', '.join(ASSIGNS)}")
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; known: {', '.join(TOPOLOGIES)}")
-    if ttl <= 0:
-        raise ValueError("ttl must be positive")
-    if gossip_interval <= 0:
-        raise ValueError("gossip_interval must be positive")
-    config = (config if config is not None else JiniConfig()).validate()
+    config = JiniConfig().validate()
     monitor = FederationMonitor(k, mode, topology, assign)
-    deployment = JiniDeployment(sim, network, tracker, config, monitor, report)
+    deployment = JiniDeployment(sim, network, tracker, monitor, report)
 
     transports = Transports(
         udp=UdpTransport(network),
@@ -171,7 +161,6 @@ def build_jini(
             f"jini-lus-{index + 1}",
             transports,
             config,
-            tracker=tracker,
             mode=mode,
             ttl=ttl,
             gossip_interval=gossip_interval,

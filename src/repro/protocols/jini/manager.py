@@ -62,6 +62,7 @@ class JiniServiceProvider(DiscoveryNode):
     to one home registry."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -71,11 +72,11 @@ class JiniServiceProvider(DiscoveryNode):
         transports: Transports,
         config: JiniConfig,
         sd: ServiceDescription,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
         home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
-        self.config = config.validate()
+        self.config = config
         self.sd = sd
         self.tracker = tracker
         #: ``None`` = multi-homed (push mode).
@@ -93,8 +94,7 @@ class JiniServiceProvider(DiscoveryNode):
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self._discovery_tick()
         self._discovery_timer.start()
         self._renew_timer.start()
@@ -194,17 +194,10 @@ class JiniServiceProvider(DiscoveryNode):
         self._register_with(message.sender)
 
     # ------------------------------------------------------------------ the service change
-    def change_service(
-        self,
-        attributes: Optional[dict] = None,
-        service_type: Optional[str] = None,
-    ) -> ServiceDescription:
+    def change_service(self) -> ServiceDescription:
         """Apply a change and re-register the item at every Lookup Service."""
-        self.sd = self.sd.with_update(
-            service_type=service_type, attributes=attributes or {"changed_at": self.now}
-        )
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.sd = self.sd.with_update(self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self.trace("service_changed", version=self.sd.version)
         for addr, state in list(self.registrars.items()):
             if state.registered:

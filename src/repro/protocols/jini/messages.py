@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from repro.protocols.accounting import register_update_related_kinds
-
 PROTOCOL = "jini"
 
 # ------------------------------------------------------------------ discovery (multicast, 6 copies)
@@ -82,5 +80,3 @@ UPDATE_RELATED_KINDS: FrozenSet[str] = frozenset(
         FED_GOSSIP_ACK,
     }
 )
-
-register_update_related_kinds(PROTOCOL, UPDATE_RELATED_KINDS)

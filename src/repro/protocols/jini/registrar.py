@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.consistency import ConsistencyTracker
 from repro.discovery.cache import ServiceCache
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.discovery.service import ServiceDescription, ServiceQuery
@@ -68,6 +67,7 @@ class JiniLookupService(DiscoveryNode):
     """One Jini Lookup Service (LUS): one registry of a federation."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -76,15 +76,13 @@ class JiniLookupService(DiscoveryNode):
         node_id: Address,
         transports: Transports,
         config: JiniConfig,
-        tracker: Optional[ConsistencyTracker] = None,
-        mode: str = "push",
-        ttl: float = 600.0,
-        gossip_interval: float = 120.0,
-        monitor: Optional[FederationMonitor] = None,
+        mode: str,
+        ttl: float,
+        gossip_interval: float,
+        monitor: FederationMonitor,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.REGISTRY, transports)
-        self.config = config.validate()
-        self.tracker = tracker
+        self.config = config
 
         #: Registered service descriptions (registration lease enforced).
         self.registrations = ServiceCache(default_lease=config.registration_lease)
@@ -220,8 +218,7 @@ class JiniLookupService(DiscoveryNode):
     def _note_stored(self, sd: ServiceDescription) -> None:
         """Record a store for the consistency metrics (pure bookkeeping)."""
         self._fetched_at[sd.service_id] = self.now
-        if self.monitor is not None:
-            self.monitor.record_store(self.node_id, sd.version, self.now)
+        self.monitor.record_store(self.node_id, sd.version, self.now)
 
     def _is_stale(self, service_id: str) -> bool:
         """``True`` when the entry is missing or older than the cache TTL."""

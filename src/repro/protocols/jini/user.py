@@ -58,6 +58,7 @@ class JiniClient(DiscoveryNode):
     registry."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -67,11 +68,11 @@ class JiniClient(DiscoveryNode):
         transports: Transports,
         config: JiniConfig,
         query: ServiceQuery,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
         home: Optional[Address] = None,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.USER, transports)
-        self.config = config.validate()
+        self.config = config
         self.query = query
         self.tracker = tracker
         #: ``None`` = multi-homed (``assign=multi``).
@@ -189,8 +190,7 @@ class JiniClient(DiscoveryNode):
             return
         self.service_id = sd.service_id
         self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
-        if self.tracker is not None:
-            self.tracker.record_view(self.node_id, sd.version, self.now)
+        self.tracker.record_view(self.node_id, sd.version, self.now)
         self._lookup_retry.cancel()
         for addr, state in list(self.registrars.items()):
             if not state.event_registered:

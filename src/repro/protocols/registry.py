@@ -8,18 +8,20 @@ a new protocol is one ``SYSTEMS.register(...)`` call and no runner changes.
 through :meth:`DeploymentRegistry.build` on it, and a name is registered
 once (a duplicate raises).
 
-A *builder* is a callable ``(sim, network, tracker, **options) ->
-ProtocolDeployment``.  Options every builder must accept (with defaults):
-
-* ``n_users`` — number of measured Users in the topology (Table 4 uses 5).
+A *builder* is a callable ``(sim, network, tracker, n_users=5, **params)
+-> ProtocolDeployment``: ``n_users`` is the number of measured Users in the
+topology (Table 4 uses 5), and ``params`` are the entry's parameters, each
+passed every time.  A builder decides its topology and protocol config
+itself; nothing else about it is settable.
 
 Systems can declare typed *parameters* (:attr:`SystemEntry.params`): the CLI
 selects them with ``name@key=value,...`` tokens — ``--system
 jini@k=8,mode=gossip`` — sharing the grammar of ``--scenario`` tokens
 (:mod:`repro.experiments.tokens`).  :meth:`DeploymentRegistry.resolve` turns
 a token into a :class:`ResolvedSystem` (entry + validated parameters +
-canonical token); bare legacy names resolve to themselves, so existing cell
-keys, seeds and sweep output are untouched.
+canonical token), running the entry's range :attr:`~SystemEntry.check`, so a
+bad value is a spec error before any cell runs; bare legacy names resolve to
+themselves, so existing cell keys, seeds and sweep output are untouched.
 
 ``m_prime`` is a *closed form*, not an N=5 constant: each entry carries a
 callable ``m_prime(n_users, **params) -> int`` (Table 2's per-system update
@@ -33,6 +35,7 @@ sweep driver and the ``python -m repro`` CLI; tests can construct private
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -46,6 +49,9 @@ DeploymentBuilder = Callable[..., ProtocolDeployment]
 
 #: Signature of a closed-form m' — ``(n_users, **params) -> int``.
 MPrimeForm = Callable[..., int]
+
+#: Signature of a parameter range check — raises :class:`ValueError`.
+ParamsCheck = Callable[[Mapping[str, Any]], None]
 
 #: Reference topology size for registration-time sanity checks and registry
 #: fingerprints (Table 4's N).
@@ -112,14 +118,20 @@ class SystemEntry:
     frozen: bool = False
     #: Canonical token the entry is an alias of (informational; "" = none).
     alias_of: str = ""
+    #: Range check of the merged parameters (``None`` = types only).
+    check: Optional[ParamsCheck] = None
 
     def validate_params(self, options: Mapping[str, Any]) -> Dict[str, Any]:
         """Merge ``options`` over the parameter defaults, rejecting unknown
         names and mistyped values (the scenario options' rule, from
-        :func:`~repro.experiments.tokens.validate_options`)."""
+        :func:`~repro.experiments.tokens.validate_options`) and values
+        outside the entry's :attr:`check`."""
         from repro.experiments.tokens import validate_options
 
-        return validate_options("system", self.name, self.params, options)
+        merged = validate_options("system", self.name, self.params, options)
+        if self.check is not None:
+            self.check(merged)
+        return merged
 
     def m_prime_at(self, n_users: int, options: Optional[Mapping[str, Any]] = None) -> int:
         """The closed-form m' at ``n_users`` with ``options`` over the defaults."""
@@ -156,12 +168,10 @@ class ResolvedSystem:
         sim: Simulator,
         network: Network,
         tracker: ConsistencyTracker,
-        **options: object,
+        n_users: int = 5,
     ) -> ProtocolDeployment:
-        """Construct the deployment with the selection's parameters applied."""
-        merged = dict(self.params)
-        merged.update(options)
-        return self.entry.builder(sim, network, tracker, **merged)
+        """Construct the deployment of ``n_users`` Users with the selection's parameters."""
+        return self.entry.builder(sim, network, tracker, n_users=n_users, **self.params)
 
 
 class DeploymentRegistry:
@@ -187,11 +197,13 @@ class DeploymentRegistry:
         description: str = "",
         params: Optional[Mapping[str, Any]] = None,
         m_prime_form: str = "",
+        check: Optional[ParamsCheck] = None,
     ) -> SystemEntry:
         """Register ``builder`` under ``name``; a duplicate name raises.
 
         ``m_prime`` is the closed form ``(n_users, **params) -> int``; it
-        must be positive at the reference topology size.
+        must be positive at the reference topology size.  ``check`` raises
+        :class:`ValueError` on merged parameters out of range.
         """
         if not name:
             raise ValueError("system name must be non-empty")
@@ -204,6 +216,7 @@ class DeploymentRegistry:
             description=description,
             params=dict(params or {}),
             m_prime_form=m_prime_form,
+            check=check,
         )
         if entry.m_prime_at(REFERENCE_N_USERS) <= 0:
             raise ValueError("m_prime must be positive")
@@ -282,15 +295,15 @@ class DeploymentRegistry:
         sim: Simulator,
         network: Network,
         tracker: ConsistencyTracker,
-        **options: object,
+        n_users: int = 5,
     ) -> ProtocolDeployment:
-        """Construct a system's deployment on the given substrate.
+        """Construct a system's deployment of ``n_users`` Users on the given substrate.
 
         ``name`` may be a bare registry name or a full system token; the
-        token's parameters are merged into the builder options.
+        token's parameters are passed to the builder.
         """
         resolved = self.resolve(name)
-        deployment = resolved.build(sim, network, tracker, **options)
+        deployment = resolved.build(sim, network, tracker, n_users)
         if not isinstance(deployment, ProtocolDeployment):
             raise TypeError(
                 f"builder for {name!r} returned {type(deployment).__name__}, "
@@ -311,61 +324,33 @@ def _register_standard_systems() -> None:
     :func:`repro.core.recovery.expected_update_messages` — the one source of
     m' for every run.
     """
-    import dataclasses
-
     from repro.core.recovery import expected_update_messages
     from repro.protocols.frodo.builder import build_frodo
-    from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
-    from repro.protocols.jini.builder import JINI_PARAM_DEFAULTS, build_jini
+    from repro.protocols.frodo.config import SubscriptionMode
+    from repro.protocols.jini.builder import JINI_PARAM_DEFAULTS, build_jini, check_jini_params
     from repro.protocols.upnp.builder import build_upnp
-    from repro.protocols.upnp.config import UpnpConfig
-
-    def _frodo_builder(mode: SubscriptionMode) -> DeploymentBuilder:
-        def _build(
-            sim: Simulator,
-            network: Network,
-            tracker: ConsistencyTracker,
-            n_users: int = 5,
-            config: Optional[FrodoConfig] = None,
-        ) -> ProtocolDeployment:
-            # Copy before pinning the mode: the caller's config object must
-            # not be mutated (it may be shared across sweep replications).
-            base = config if config is not None else FrodoConfig()
-            cfg = dataclasses.replace(base, subscription_mode=mode)
-            return build_frodo(sim, network, tracker, config=cfg, n_users=n_users)
-
-        return _build
 
     def _frodo_m_prime(n_users: int, **_params: Any) -> int:
         return expected_update_messages("frodo", n_users)
 
     SYSTEMS.register(
         "frodo3",
-        _frodo_builder(SubscriptionMode.THREE_PARTY),
+        functools.partial(build_frodo, mode=SubscriptionMode.THREE_PARTY),
         m_prime=_frodo_m_prime,
         m_prime_form="N + 2",
         description="FRODO, 3-party subscription (3D Manager, Central relays updates)",
     )
     SYSTEMS.register(
         "frodo2",
-        _frodo_builder(SubscriptionMode.TWO_PARTY),
+        functools.partial(build_frodo, mode=SubscriptionMode.TWO_PARTY),
         m_prime=_frodo_m_prime,
         m_prime_form="N + 2",
         description="FRODO, 2-party subscription (300D Manager notifies Users directly)",
     )
 
-    def _build_upnp(
-        sim: Simulator,
-        network: Network,
-        tracker: ConsistencyTracker,
-        n_users: int = 5,
-        config: Optional[UpnpConfig] = None,
-    ) -> ProtocolDeployment:
-        return build_upnp(sim, network, tracker, config=config, n_users=n_users)
-
     SYSTEMS.register(
         "upnp",
-        _build_upnp,
+        build_upnp,
         m_prime=lambda n_users, **_params: expected_update_messages("upnp", n_users),
         m_prime_form="3N",
         description="UPnP (2-party GENA eventing over TCP, SSDP rediscovery, 6-copy multicast)",
@@ -379,6 +364,7 @@ def _register_standard_systems() -> None:
         ),
         params=JINI_PARAM_DEFAULTS,
         m_prime_form="(N + 2) * k",
+        check=check_jini_params,
         description=(
             "Jini, K federated Lookup Services "
             "(mesh/star/ring/line topology; push/pull/gossip propagation)"

@@ -14,7 +14,7 @@ an error that triggers resubscription) and PR5 (a control point that loses
 its device purges it and rediscovers via multicast).
 """
 
-from repro.protocols.upnp.builder import UpnpDeployment, build_upnp
+from repro.protocols.upnp.builder import build_upnp
 from repro.protocols.upnp.config import UpnpConfig
 
-__all__ = ["UpnpConfig", "UpnpDeployment", "build_upnp"]
+__all__ = ["UpnpConfig", "build_upnp"]

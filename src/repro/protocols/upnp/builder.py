@@ -9,11 +9,9 @@ transmitted redundantly (6 copies, Table 3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import Transports
-from repro.discovery.service import ServiceDescription, ServiceQuery
+from repro.discovery.service import default_query, default_service
 from repro.net.multicast import MulticastService
 from repro.net.network import Network
 from repro.net.tcp import TcpTransport
@@ -25,53 +23,15 @@ from repro.protocols.upnp.user import UpnpControlPoint
 from repro.sim.engine import Simulator
 
 
-def default_service(manager_id: str) -> ServiceDescription:
-    """The paper's example service description (a colour printer)."""
-    return ServiceDescription(
-        service_id="printer-service",
-        manager_id=manager_id,
-        device_type="Printer",
-        service_type="ColorPrinter",
-        attributes={"PaperSize": "A4", "Location": "Study"},
-        version=1,
-    )
-
-
-def default_query() -> ServiceQuery:
-    """The control points' requirement: any printer."""
-    return ServiceQuery(device_type="Printer")
-
-
-class UpnpDeployment(ProtocolDeployment):
-    """A UPnP topology ready to simulate."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        tracker: ConsistencyTracker,
-        config: UpnpConfig,
-    ) -> None:
-        super().__init__(sim, network, tracker)
-        self.config = config
-
-    def trigger_service_change(
-        self, attributes: Optional[Dict[str, object]] = None
-    ) -> ServiceDescription:
-        device: UpnpRootDevice = self.primary_manager  # type: ignore[assignment]
-        return device.change_service(attributes=attributes)
-
-
 def build_upnp(
     sim: Simulator,
     network: Network,
     tracker: ConsistencyTracker,
-    config: Optional[UpnpConfig] = None,
     n_users: int = 5,
-) -> UpnpDeployment:
+) -> ProtocolDeployment:
     """Instantiate the UPnP topology (1 root device, ``n_users`` control points)."""
-    config = (config if config is not None else UpnpConfig()).validate()
-    deployment = UpnpDeployment(sim, network, tracker, config)
+    config = UpnpConfig().validate()
+    deployment = ProtocolDeployment(sim, network, tracker)
 
     transports = Transports(
         udp=UdpTransport(network),

@@ -12,8 +12,6 @@ the control point resubscribe (PR4).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.discovery.service import ServiceDescription, ServiceQuery
@@ -32,6 +30,7 @@ class UpnpRootDevice(DiscoveryNode):
     """A UPnP root device hosting one service."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -41,10 +40,10 @@ class UpnpRootDevice(DiscoveryNode):
         transports: Transports,
         config: UpnpConfig,
         sd: ServiceDescription,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
-        self.config = config.validate()
+        self.config = config
         self.sd = sd
         self.tracker = tracker
         self.subscriptions = SubscriptionTable(default_lease=config.subscription_lease)
@@ -58,8 +57,7 @@ class UpnpRootDevice(DiscoveryNode):
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self._announce_alive()
         self._announce_timer.start()
 
@@ -122,17 +120,10 @@ class UpnpRootDevice(DiscoveryNode):
         self.send_tcp(message.sender, m.SUBSCRIBE_RENEW_ACK, {"service_id": service_id})
 
     # ------------------------------------------------------------------ the service change
-    def change_service(
-        self,
-        attributes: Optional[dict] = None,
-        service_type: Optional[str] = None,
-    ) -> ServiceDescription:
+    def change_service(self) -> ServiceDescription:
         """Apply a change and propagate the invalidation to every subscriber."""
-        self.sd = self.sd.with_update(
-            service_type=service_type, attributes=attributes or {"changed_at": self.now}
-        )
-        if self.tracker is not None:
-            self.tracker.record_authoritative(self.sd, self.now)
+        self.sd = self.sd.with_update(self.now)
+        self.tracker.record_authoritative(self.sd, self.now)
         self.trace("service_changed", version=self.sd.version)
         for sub in self.subscriptions.subscribers_for(self.service_id, now=self.now):
             self._notify_subscriber(sub.subscriber)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-from repro.protocols.accounting import register_update_related_kinds
-
 PROTOCOL = "upnp"
 
 # ------------------------------------------------------------------ SSDP (multicast, 6 copies)
@@ -46,5 +44,3 @@ UPDATE_RELATED_KINDS: FrozenSet[str] = frozenset(
         EVENT_NOTIFY,
     }
 )
-
-register_update_related_kinds(PROTOCOL, UPDATE_RELATED_KINDS)

@@ -40,6 +40,7 @@ class UpnpControlPoint(DiscoveryNode):
     """A UPnP control point looking for one service."""
 
     protocol = m.PROTOCOL
+    update_related_kinds = m.UPDATE_RELATED_KINDS
 
     def __init__(
         self,
@@ -49,10 +50,10 @@ class UpnpControlPoint(DiscoveryNode):
         transports: Transports,
         config: UpnpConfig,
         query: ServiceQuery,
-        tracker: Optional[ConsistencyTracker] = None,
+        tracker: ConsistencyTracker,
     ) -> None:
         super().__init__(sim, network, node_id, NodeRole.USER, transports)
-        self.config = config.validate()
+        self.config = config
         self.query = query
         self.tracker = tracker
 
@@ -164,8 +165,7 @@ class UpnpControlPoint(DiscoveryNode):
         self.service_id = sd.service_id
         self.device_addr = sd.manager_id
         self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
-        if self.tracker is not None:
-            self.tracker.record_view(self.node_id, sd.version, self.now)
+        self.tracker.record_view(self.node_id, sd.version, self.now)
         self._search_timer.stop()
         self._rediscovery_timer.stop()
         if not self.subscribed:

@@ -96,6 +96,37 @@ def test_sweep_duplicate_systems_are_a_clean_error(capsys):
     assert "duplicate systems" in err and "Traceback" not in err
 
 
+#: Option values no cell can run, with the error each one reports.
+OUT_OF_RANGE = {
+    "jini@k=0": "k must be >= 1",
+    "jini@mode=bogus": "unknown federation mode 'bogus'",
+    "jini@ttl=-5.0": "ttl must be positive",
+    "overlap@n=1": "overlap@n must be >= 2",
+    "lossy@p=1.5": "lossy@p must be in [0, 1]",
+    "partition@mode=bogus": "partition@mode must be one of",
+    "restart@at=9000": "restart@at must fall inside the run",
+}
+
+
+@pytest.mark.parametrize("token", sorted(OUT_OF_RANGE))
+def test_out_of_range_options_are_spec_errors_before_any_cell(token, tmp_path, capsys):
+    # A value no cell can run is rejected up front, even under a failure
+    # budget that would otherwise quarantine every cell; no journal is
+    # written.
+    message = OUT_OF_RANGE[token]
+    if token.startswith("jini@"):
+        selection = ["--system", token]
+    else:
+        selection = ["--system", "frodo3", "--scenario", token]
+    ck = tmp_path / "ck.jsonl"
+    argv = ["sweep", *selection, "--rates", "0,20", "--runs", "2", "--max-cell-failures", "10"]
+    code, err = _run([*argv, "--resume", str(ck), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 2 and err.startswith(f"error: {message}")
+    assert not ck.exists()
+    code, err = _run(["run", *selection, "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 2 and err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """End-to-end smoke tests: runner, sweep determinism, failure model, CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,15 @@ def test_cli_stdout_and_systems(capsys):
     assert main(["systems"]) == 0
     listing = capsys.readouterr().out
     assert "frodo3" in listing and "frodo2" in listing
+
+
+def test_cli_listings_match_the_pinned_bytes(capsys):
+    """``systems`` and ``scenarios`` print exactly ``tests/data/cli_listings.txt``."""
+    assert main(["systems"]) == 0
+    assert main(["scenarios"]) == 0
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_listings.txt")
+    with open(path, encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_cli_profile_subcommand(tmp_path):

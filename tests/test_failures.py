@@ -196,6 +196,26 @@ def test_injector_telemetry_reports_clamped_realized_downtime():
     assert telemetry["skipped_ops"] == 0
 
 
+def test_realized_fraction_mean_is_summed_left_to_right():
+    """Six full 1,080 s outages in a 5,400 s run: each fraction is 0.2.
+
+    Summed left to right, as on Python 3.9-3.11, the mean is one ulp below
+    0.2; Python 3.12's compensated ``sum()`` gives 0.20000000000000004,
+    which would change the pinned journal bytes.
+    """
+    sim, network, _ = make_network(6)
+    plan = [
+        InterfaceOutage(node=f"node-{index}", start=100.0, duration=1080.0, mode="both")
+        for index in range(6)
+    ]
+    injector = FailureInjector(sim, network, plan, deadline=5400.0)
+    injector.start()
+    sim.run(until=5400.0)
+    telemetry = injector.failure_telemetry()
+    assert set(telemetry["realized_downtime"].values()) == {1080.0}
+    assert repr(telemetry["realized_fraction_mean"]) == "0.19999999999999998"
+
+
 # --------------------------------------------------------------------------- departed endpoints
 def test_outage_on_departed_node_is_skipped_not_raised():
     sim, network, _ = make_network(2, trace=True)

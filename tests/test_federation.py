@@ -20,10 +20,10 @@ import json
 import pytest
 
 from repro.core.consistency import ConsistencyTracker
+from repro.discovery.service import default_service
 from repro.experiments import ExperimentRunner, ScenarioSpec
 from repro.net.messages import Message
 from repro.net.network import Network
-from repro.protocols.jini.builder import default_service
 from repro.protocols.jini.topology import diameter, max_degree, neighbor_indices
 from repro.protocols.registry import SYSTEMS
 from repro.sim.engine import Simulator

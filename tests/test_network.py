@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import DiscoveryNode, NodeRole, Transports
 from repro.discovery.service import ServiceQuery
 from repro.net.addressing import MULTICAST_GROUP
@@ -501,7 +502,14 @@ def make_jini_client(home=None):
     network = Network(sim, RngRegistry(5))
     network.join(Endpoint("lus"))
     client = JiniClient(
-        sim, network, "client", Transports(), JiniConfig(), query=ServiceQuery(), home=home
+        sim,
+        network,
+        "client",
+        Transports(),
+        JiniConfig(),
+        query=ServiceQuery(),
+        tracker=ConsistencyTracker(),
+        home=home,
     )
     return sim, network, client
 

@@ -9,7 +9,8 @@ internally:
   system's declared m′ (Efficiency Degradation = 1.0);
 * no update-related message sent before the change time is counted;
 * the ``update_related`` tagging of every discovery-layer message matches the
-  protocol's declaration in :mod:`repro.protocols.accounting`;
+  ``UPDATE_RELATED_KINDS`` declared in the protocol's ``messages`` module,
+  which every node class of the protocol carries as ``update_related_kinds``;
 * the declared m′ agrees with the Table 2 closed forms and the recovery-
   technique profiles in :mod:`repro.core.recovery`;
 * efficiency ratios never exceed 1, at any failure rate.
@@ -18,16 +19,29 @@ The battery parametrises over ``SYSTEMS.names()``: registering a new system
 automatically subjects it to every invariant here.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.protocols
 from repro.core.metrics import MetricSummary, PAPER_GLOBAL_MINIMUM_MESSAGES
 from repro.core.recovery import PROTOCOL_PROFILES, expected_update_messages
+from repro.discovery.node import DiscoveryNode
 from repro.experiments import ExperimentRunner, ScenarioSpec, SweepSpec, sweep
 from repro.net.messages import MessageLayer
-from repro.protocols.accounting import update_related_kinds
+from repro.protocols.frodo import messages as frodo_messages
+from repro.protocols.jini import messages as jini_messages
 from repro.protocols.registry import SYSTEMS
+from repro.protocols.upnp import messages as upnp_messages
 
 ALL_SYSTEMS = SYSTEMS.names()
+
+#: Protocol tag -> the update-related kinds its ``messages`` module declares.
+DECLARED_KINDS = {
+    module.PROTOCOL: module.UPDATE_RELATED_KINDS
+    for module in (frodo_messages, jini_messages, upnp_messages)
+}
 
 #: Registry name -> (recovery-profile key, Table 2 closed-form arguments).
 TABLE2_FORMS = {
@@ -120,11 +134,35 @@ def test_update_tagging_matches_protocol_declaration(system):
     for rec in context.network.stats.sent:
         if rec.layer is not MessageLayer.DISCOVERY:
             continue
-        declared = rec.kind in update_related_kinds(rec.protocol)
+        declared = rec.kind in DECLARED_KINDS[rec.protocol]
         assert rec.update_related == declared, (
             f"{system}: {rec.protocol}.{rec.kind} tagged update_related={rec.update_related} "
             f"but the protocol declaration says {declared}"
         )
+
+
+def _protocol_node_classes():
+    """Every DiscoveryNode subclass defined in a ``repro.protocols`` module."""
+    for info in pkgutil.walk_packages(repro.protocols.__path__, "repro.protocols."):
+        importlib.import_module(info.name)
+    pending, found = [DiscoveryNode], []
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.startswith("repro.protocols."):
+                found.append(sub)
+    return found
+
+
+def test_every_protocol_node_carries_its_update_related_kinds():
+    """A node class without the attribute would silently count nothing toward y."""
+    classes = _protocol_node_classes()
+    assert len(classes) == 8  # 3 FRODO, 3 Jini and 2 UPnP roles
+    for cls in classes:
+        family = cls.__module__.split(".")[2]
+        messages = importlib.import_module(f"repro.protocols.{family}.messages")
+        assert cls.protocol == messages.PROTOCOL, cls
+        assert cls.update_related_kinds is messages.UPDATE_RELATED_KINDS, cls
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)

@@ -5,7 +5,8 @@ import pytest
 from repro.core.consistency import ConsistencyTracker
 from repro.net.network import Network
 from repro.protocols.base import ProtocolDeployment
-from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
+from repro.protocols.frodo.central import FrodoCentral
+from repro.protocols.frodo.config import FrodoConfig
 from repro.protocols.registry import SYSTEMS, DeploymentRegistry, UnknownSystemError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -85,22 +86,28 @@ def test_register_alias_pins_target_parameters():
 
 
 def test_registry_build_constructs_expected_topology():
-    sim, network, tracker = make_substrate()
-    deployment = SYSTEMS.build("frodo3", sim, network, tracker, n_users=3)
-    assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
-    assert len(deployment.users) == 3
-    assert len(deployment.managers) == 1
-    assert len(deployment.registries) == 1
-    assert len(deployment.node_ids()) == len(deployment.all_nodes)
+    for system, two_party in (("frodo3", False), ("frodo2", True)):
+        sim, network, tracker = make_substrate()
+        deployment = SYSTEMS.build(system, sim, network, tracker, n_users=3)
+        assert len(deployment.users) == 3
+        assert len(deployment.managers) == 1
+        assert len(deployment.registries) == 1
+        assert len(deployment.node_ids()) == len(deployment.all_nodes)
+        # The registry name alone decides the subscription mode: 2-party
+        # FRODO deploys a Backup and a 300D Manager that handles its own
+        # subscribers.
+        assert deployment.managers[0].two_party is two_party
+        backups = [node for node in deployment.other_nodes if isinstance(node, FrodoCentral)]
+        assert len(backups) == (1 if two_party else 0)
+        assert all(user.two_party is two_party for user in deployment.users)
 
 
-def test_builder_does_not_mutate_caller_config():
-    config = FrodoConfig(subscription_mode=SubscriptionMode.TWO_PARTY)
+def test_build_takes_no_config():
+    # Each builder builds its own config; a system token is the one way to
+    # select a deployment.
     sim, network, tracker = make_substrate()
-    deployment = SYSTEMS.build("frodo3", sim, network, tracker, config=config)
-    # The registry name pins the mode ...
-    assert deployment.config.subscription_mode is SubscriptionMode.THREE_PARTY
-    assert config.subscription_mode is SubscriptionMode.TWO_PARTY  # ... on a copy
+    with pytest.raises(TypeError, match="config"):
+        SYSTEMS.build("frodo3", sim, network, tracker, config=FrodoConfig())
 
 
 def test_unknown_system_error_lists_known_names():

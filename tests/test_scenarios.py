@@ -127,6 +127,31 @@ def test_spec_validation_resolves_the_scenario():
         ).validate()
 
 
+def test_spec_validation_checks_option_ranges_against_the_run():
+    with pytest.raises(ValueError, match="restart@at must fall inside the run"):
+        ScenarioSpec(
+            system="frodo3", scenario="restart", scenario_options={"at": 9000.0}
+        ).validate()
+    with pytest.raises(ValueError, match="leaves no room"):
+        ScenarioSpec(
+            system="frodo3", scenario="churn", scenario_options={"rate": 0.1, "gap": 9000.0}
+        ).validate()
+
+
+def test_churn_without_churn_runs_with_any_gap():
+    # The gap only places leave/rejoin cycles; at rate 0 there are none, so
+    # even a gap longer than the run leaves the table4 plan.
+    spec = ScenarioSpec(
+        system="frodo3",
+        failure_rate=0.2,
+        seed=5,
+        scenario="churn",
+        scenario_options={"rate": 0.0, "gap": 9000.0},
+    )
+    baseline = ScenarioSpec(system="frodo3", failure_rate=0.2, seed=5)
+    assert run_scenario(spec.validate()) == run_scenario(baseline)
+
+
 # --------------------------------------------------------------------------- cell keys
 def test_table4_cell_keys_keep_the_bare_v2_shape():
     assert cell_key("frodo3", 0.2, 1) == "frodo3~5u@0.2#1"
