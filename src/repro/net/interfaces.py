@@ -35,6 +35,12 @@ class NetworkInterface:
     restore it the moment the first outage ended).  ``tx_up``/``rx_up``
     remain plain attributes, kept in sync by fail/restore, so the per-message
     delivery path still reads a single attribute.
+
+    :attr:`on_rx_fail`, when set, is called after every :meth:`fail` of the
+    receiver: the node uses it to put announcement copies the network
+    absorbed while ``rx_up`` held back on the calendar.  Nothing is
+    absorbed while the receiver is down, so :meth:`restore` and
+    :meth:`reset` need no such call.
     """
 
     def __init__(self, address: Address) -> None:
@@ -44,6 +50,7 @@ class NetworkInterface:
         self._tx_depth = 0
         self._rx_depth = 0
         self.counters = InterfaceCounters()
+        self.on_rx_fail: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------ control
     def fail(self, tx: bool = False, rx: bool = False) -> None:
@@ -54,6 +61,8 @@ class NetworkInterface:
         if rx:
             self._rx_depth += 1
             self.rx_up = False
+            if self.on_rx_fail is not None:
+                self.on_rx_fail()
 
     def restore(self, tx: bool = False, rx: bool = False) -> None:
         """Undo one :meth:`fail` of the transmitter and/or receiver.
@@ -132,6 +141,14 @@ class Endpoint:
     network: the network caches its fan-out plans until the next join or
     leave, and keeps the endpoint's position in its join order in
     :attr:`slot` for them.
+
+    :attr:`refresh` maps a kind to the node's *refresh map* for it: sender
+    address -> record, holding exactly the senders whose copy of that kind
+    the node would only note as heard (see
+    :meth:`~repro.net.network.Network.settle`).  The network absorbs such
+    copies into the record instead of posting them.  The node fills it
+    before its first multicast after joining and mutates the maps in place:
+    fan-out plans cache them.
     """
 
     def __init__(
@@ -147,6 +164,7 @@ class Endpoint:
         self._handler = handler
         self.handlers = {} if handlers is None else handlers
         self.accepts = accepts
+        self.refresh: Dict[str, Dict[Address, Any]] = {}
         #: Position in the network's join order, set by the network.
         self.slot = 0
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from heapq import heappush
+from math import inf
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.net.addressing import Address, MULTICAST_GROUP, validate_address
-from repro.net.interfaces import Endpoint
+from repro.net.interfaces import Endpoint, NetworkInterface
 from repro.net.messages import Message, MessageLayer
 from repro.net.stats import MessageStats
 from repro.sim.engine import Simulator
@@ -47,6 +49,9 @@ class FanoutPlan(NamedTuple):
     tail: int
     #: Endpoints that do not accept the kind.
     ignoring: int
+    #: Per accepting endpoint, its refresh map for the kind and its
+    #: interface, or ``None``; ``None`` when no endpoint has such a map.
+    refresh: Optional[Tuple[Optional[Tuple[Dict[Address, Any], NetworkInterface]], ...]]
 
 
 @dataclass
@@ -70,6 +75,22 @@ class Network:
     cached per kind until the next :meth:`join`/:meth:`leave`; an
     endpoint's :attr:`~repro.net.interfaces.Endpoint.accepts` is therefore
     fixed once it has joined.
+
+    On that path a copy is *absorbed* instead of posted when its only
+    effect would be to mark the sender as heard: the receiver's refresh map
+    for the kind (:attr:`~repro.net.interfaces.Endpoint.refresh`) holds a
+    record for the sender, its receiver is up, the record's previous
+    absorbed copy is already in the past and the copy is due by the run's
+    bound.  The record keeps ``last_heard`` and at most one absorbed copy
+    (``copy_time``, ``copy_seq``, ``copy_message``); absorbing folds the
+    previous one into ``last_heard`` and stores the new one.  The copy
+    consumes its sequence number and counts as received and in
+    :attr:`absorbed`, but posts no event.  The receiving node keeps it
+    exact: before it reads ``last_heard`` it calls :meth:`settle`, which
+    folds a copy that would have fired by then, and whenever the record
+    leaves the map, the node stops or its receiver fails it calls
+    :meth:`release`, which also puts a copy that would not have fired back
+    on the calendar under its own key.
     """
 
     def __init__(
@@ -121,6 +142,9 @@ class Network:
         #: accept their kind: multicast copies, and unicasts sent without a
         #: delivery callback (telemetry; see :attr:`Endpoint.accepts`).
         self.ignored = 0
+        #: Multicast copies received without an event: folded into their
+        #: receiver's refresh record (telemetry; see the class docstring).
+        self.absorbed = 0
 
     # ------------------------------------------------------------------ membership
     def join(self, endpoint: Endpoint) -> Endpoint:
@@ -148,6 +172,7 @@ class Network:
         slots: List[int] = []
         skips: List[int] = []
         delivers: List[Callable[[Message], bool]] = []
+        refresh: List[Optional[Tuple[Dict[Address, Any], NetworkInterface]]] = []
         gap = 0
         for slot, endpoint in enumerate(self._endpoints.values()):
             endpoint.slot = slot
@@ -156,11 +181,18 @@ class Network:
                 slots.append(slot)
                 skips.append(gap)
                 delivers.append(endpoint.deliver)
+                records = endpoint.refresh.get(kind)
+                refresh.append(None if records is None else (records, endpoint.interface))
                 gap = 0
             else:
                 gap += 1
         plan = self._plans[kind] = FanoutPlan(
-            tuple(slots), tuple(skips), tuple(delivers), gap, len(self._endpoints) - len(slots)
+            tuple(slots),
+            tuple(skips),
+            tuple(delivers),
+            gap,
+            len(self._endpoints) - len(slots),
+            tuple(refresh) if any(refresh) else None,
         )
         return plan
 
@@ -509,13 +541,15 @@ class Network:
         plan = self._plans.get(kind)
         if plan is None:
             plan = self._plan(kind)
-        slots, skips, delivers, tail, ignored = plan
+        slots, skips, delivers, tail, ignored, refresh = plan
         slot = sender_ep.slot
         at = bisect_left(slots, slot)
         own = at < len(slots) and slots[at] == slot
         if own:
             # The sender accepts its own kind: it is not a receiver.
             delivers = delivers[:at] + delivers[at + 1 :]
+            if refresh is not None:
+                refresh = refresh[:at] + refresh[at + 1 :]
         else:
             ignored -= 1  # the sender's slot is one of the skipped ones
         if not ignored:
@@ -537,7 +571,75 @@ class Network:
                 delays.append(min_delay + delay_span * rand())
             if tail:
                 skip_bits(64 * tail)
-        # One engine call posts them all, exactly as one post() each would.
-        self.sim.post_each(delays, delivers, message)
         self.ignored += ignored
+        sim = self.sim
+        if refresh is None:
+            # One engine call posts them all, exactly as one post() each would.
+            sim.post_each(delays, delivers, message)
+            return True
+        # post_each inlined, absorbing the copies the class docstring names:
+        # each receiver takes its sequence number either way.
+        now = sim._now
+        bound = sim.bound
+        queue = sim._queue
+        heap = queue._heap
+        seq = queue._next_seq
+        args = (message,)
+        absorbed = 0
+        for delay, deliver, entry in zip(delays, delivers, refresh):
+            time = now + delay
+            if entry is not None and time <= bound:
+                records, interface = entry
+                record = records.get(sender)
+                if record is not None and interface.rx_up and record.copy_time < now:
+                    if record.copy_time > record.last_heard:
+                        record.last_heard = record.copy_time
+                    record.copy_time = time
+                    record.copy_seq = seq
+                    record.copy_message = message
+                    interface.counters.received += 1
+                    absorbed += 1
+                    seq += 1
+                    continue
+            heappush(heap, (time, 0, seq, deliver, args))
+            seq += 1
+        queue._next_seq = seq
+        queue._live += len(delays) - absorbed
+        if len(heap) > queue.hwm:
+            queue.hwm = len(heap)
+        self.absorbed += absorbed
         return True
+
+    # ------------------------------------------------------------------ absorbed copies
+    def settle(self, record: Any) -> bool:
+        """Fold ``record``'s absorbed copy into ``last_heard`` once it would have fired.
+
+        That is, once its key precedes the firing event's in heap order
+        (:meth:`Simulator.has_fired`).  Returns ``True`` while a copy that
+        would not have fired yet is held.
+        """
+        if record.copy_message is None:
+            return False
+        if not self.sim.has_fired(record.copy_time, record.copy_seq):
+            return True
+        if record.copy_time > record.last_heard:
+            record.last_heard = record.copy_time
+        record.copy_time = -inf
+        record.copy_message = None
+        return False
+
+    def release(self, endpoint: Endpoint, record: Any) -> None:
+        """Settle ``record`` and put a copy still held back on the calendar.
+
+        The copy takes its own key and becomes a delivery to ``endpoint``
+        again, taken back out of ``received`` and :attr:`absorbed`.
+        """
+        if not self.settle(record):
+            return
+        self.sim.post_reserved(
+            record.copy_time, record.copy_seq, endpoint.deliver, record.copy_message
+        )
+        endpoint.interface.counters.received -= 1
+        self.absorbed -= 1
+        record.copy_time = -inf
+        record.copy_message = None

@@ -19,7 +19,8 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     Total calendar keys drawn (cancellable events + fire-and-forget posts +
     wheel timers; the shared sequence counter counts them all).
 ``engine.events_fired``
-    Callbacks actually executed by the run loop.
+    Callbacks actually executed by the run loop.  Since version 5 the
+    multicast copies in ``net.absorbed`` are received without one.
 ``engine.events_cancelled``
     Cancellations of calendar events (timer cancellations count separately).
 ``engine.heap_hwm``
@@ -56,6 +57,13 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     ``tcp_syn``/``tcp_synack`` segments, since version 4).  They consume the
     same random draws as delivered messages but post no event, fire no
     callback and leave no ``unhandled_message`` trace record.
+``net.absorbed``
+    Multicast copies received without an event (version 5): a Jini
+    client's copies of a known Lookup Service's announcement, folded into
+    its registrar record by the network (see
+    :class:`~repro.net.network.Network`).  They count in ``net.delivered``
+    and consume their sequence number, so ``events_fired + absorbed`` is
+    the count of version 4.
 ``net.link_losses``
     Deliveries dropped on the wire by scenario loss windows (zero outside
     lossy-link scenarios).
@@ -88,7 +96,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 4
+TELEMETRY_SCHEMA_VERSION = 5
 
 
 def collect_run_telemetry(
@@ -139,6 +147,7 @@ def collect_run_telemetry(
             "dropped_rx": dropped_rx,
             "link_losses": network.link_losses,
             "ignored": network.ignored,
+            "absorbed": network.absorbed,
         },
     }
     if injector is not None:

@@ -27,7 +27,7 @@ consistency cost the cross-registry metrics measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import inf
 from typing import Dict, Optional
 
 from repro.core.consistency import ConsistencyTracker
@@ -44,13 +44,25 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 
 
-@dataclass
 class ClientRegistrarState:
-    """What the client knows about one Lookup Service."""
+    """What the client knows about one Lookup Service.
 
-    event_registered: bool = False
-    #: Simulation time anything was last heard from this Lookup Service.
-    last_heard: float = 0.0
+    It is also the registrar record the network absorbs announcement copies
+    into (see :class:`~repro.net.network.Network`): ``copy_time``,
+    ``copy_seq`` and ``copy_message`` hold at most one copy received
+    without an event, and ``last_heard`` is exact only once
+    :meth:`Network.settle <repro.net.network.Network.settle>` has folded it.
+    """
+
+    __slots__ = ("event_registered", "last_heard", "copy_time", "copy_seq", "copy_message")
+
+    def __init__(self, last_heard: float = 0.0) -> None:
+        self.event_registered = False
+        #: Simulation time anything was last heard from this Lookup Service.
+        self.last_heard = last_heard
+        self.copy_time = -inf
+        self.copy_seq = 0
+        self.copy_message: Optional[Message] = None
 
 
 class JiniClient(DiscoveryNode):
@@ -79,6 +91,13 @@ class JiniClient(DiscoveryNode):
         self.home = home
 
         self.registrars: Dict[Address, ClientRegistrarState] = {}
+        # The refresh map the network absorbs registrar announcements into:
+        # exactly the registrars handle_registrar_announce refreshes in place
+        # (known, inside the partition, node not stopped).  A Lookup Service
+        # announces itself, so its address is the copies' sender.
+        self._refresh_map: Dict[Address, ClientRegistrarState] = {}
+        self.endpoint.refresh[m.REGISTRAR_ANNOUNCE] = self._refresh_map
+        self.endpoint.interface.on_rx_fail = self._release_copies
         self.service_id: Optional[str] = None
         self.cache = ServiceCache(default_lease=config.service_cache_lease)
 
@@ -102,14 +121,28 @@ class JiniClient(DiscoveryNode):
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
+        for addr, state in self.registrars.items():
+            self._publish(addr, state)
         self._discovery_tick()
         self._discovery_timer.start()
         self._renew_timer.start()
 
     def on_stop(self) -> None:
+        self._release_copies()
+        self._refresh_map.clear()
         self._discovery_timer.stop()
         self._renew_timer.stop()
         self._lookup_retry.cancel()
+
+    # ------------------------------------------------------------------ absorbed announcement copies
+    def _publish(self, addr: Address, state: ClientRegistrarState) -> None:
+        if self.home is None or addr == self.home:
+            self._refresh_map[addr] = state
+
+    def _release_copies(self) -> None:
+        """Put every absorbed copy that has not fired yet back on the calendar."""
+        for state in self._refresh_map.values():
+            self.network.release(self.endpoint, state)
 
     # ------------------------------------------------------------------ Lookup Service discovery
     def _discovery_tick(self) -> None:
@@ -137,6 +170,7 @@ class JiniClient(DiscoveryNode):
         if state is None:
             state = ClientRegistrarState(last_heard=self.now)
             self.registrars[addr] = state
+            self._publish(addr, state)
             if self.has_service:
                 self._register_notify(addr)
             else:
@@ -145,7 +179,11 @@ class JiniClient(DiscoveryNode):
             state.last_heard = self.now
 
     def _drop_registrar(self, addr: Address, reason: str) -> None:
-        if self.registrars.pop(addr, None) is not None:
+        state = self.registrars.pop(addr, None)
+        if state is not None:
+            # A copy still in flight now reaches _learn_registrar.
+            self._refresh_map.pop(addr, None)
+            self.network.release(self.endpoint, state)
             self.trace("registrar_purged", registrar=addr, reason=reason)
         if not self.registrars:
             # PR2: rediscover through multicast requests and announcements.
@@ -216,6 +254,7 @@ class JiniClient(DiscoveryNode):
         if state is None:
             state = ClientRegistrarState()
             self.registrars[message.sender] = state
+            self._publish(message.sender, state)
         state.event_registered = True
         state.last_heard = self.now
         self._maybe_resync(message.sender, message.payload.get("current_version", 0))
@@ -231,7 +270,9 @@ class JiniClient(DiscoveryNode):
     # ------------------------------------------------------------------ lease renewals / PR2 watchdog
     def _renew_tick(self) -> None:
         now = self.now
+        settle = self.network.settle
         for addr, state in list(self.registrars.items()):
+            settle(state)
             if now - state.last_heard > self.config.registry_silence_timeout:
                 # PR2: the Lookup Service has been silent for too long.
                 self._drop_registrar(addr, reason="announcement_silence")

@@ -21,6 +21,13 @@ Per-node timers go through :attr:`Simulator.timers` — a
 loop merges with the event calendar by ``(time, priority, sequence)`` key.
 Both heaps draw sequence numbers from one shared counter, so the merged
 firing order is exactly the order a single flat calendar would produce.
+
+A caller that consumed a post's key without pushing it (the network
+absorbing an announcement copy, see :class:`~repro.net.network.Network`)
+uses :attr:`Simulator.firing` and :meth:`Simulator.has_fired` to tell
+whether that post would already have fired, :attr:`Simulator.bound` to
+keep it inside the run, and :meth:`Simulator.post_reserved` to put it on
+the calendar after all.
 """
 
 from __future__ import annotations
@@ -80,6 +87,8 @@ class Simulator:
         "tracer",
         "executed_events",
         "timers",
+        "firing",
+        "bound",
     )
 
     def __init__(self, start_time: float = 0.0, tracer: Optional[Tracer] = None) -> None:
@@ -95,6 +104,13 @@ class Simulator:
         self.executed_events = 0
         #: Batched timer wheel for per-node timers (see :mod:`repro.sim.timers`).
         self.timers = TimerWheel(self)
+        #: Heap entry of the event being executed, or of the last one; after
+        #: a run that reached its bound, ``(until, inf)``.  Keys compare
+        #: against it by tuple order (see :meth:`has_fired`).
+        self.firing: tuple = (-inf,)
+        #: The ``until`` of the run in progress; ``-inf`` outside a run and
+        #: in a run without a bound.
+        self.bound = -inf
 
     # ------------------------------------------------------------------ clock
     @property
@@ -188,6 +204,36 @@ class Simulator:
         if len(heap) > queue.hwm:
             queue.hwm = len(heap)
 
+    def post_reserved(
+        self,
+        time: float,
+        sequence: int,
+        callback: Callable[..., Any],
+        *args: Any,
+    ) -> None:
+        """Post ``callback(*args)`` under the key ``(time, 0, sequence)`` drawn earlier.
+
+        The sequence number is not drawn again: the event takes the place it
+        would have had if it had been posted when its key was drawn.  The
+        key must follow the firing event's.
+        """
+        if self.has_fired(time, sequence):
+            raise SimulationError(
+                f"key ({time!r}, 0, {sequence!r}) does not follow the firing event"
+            )
+        queue = self._queue
+        heappush(queue._heap, (time, 0, sequence, callback, args))
+        queue._live += 1
+        if len(queue._heap) > queue.hwm:
+            queue.hwm = len(queue._heap)
+
+    def has_fired(self, time: float, sequence: int) -> bool:
+        """``True`` when a post keyed ``(time, 0, sequence)`` would have fired by now.
+
+        That is, when its key precedes the firing event's in heap order.
+        """
+        return (time, 0, sequence) < self.firing
+
     def post_at(
         self,
         time: float,
@@ -222,6 +268,7 @@ class Simulator:
             if key is None or (tentry[0], tentry[1], tentry[2]) < key:
                 timers.pop()
                 self._now = tentry[0]
+                self.firing = tentry
                 event = tentry[3]
                 event.fired = True
                 event.callback(*event.args)
@@ -233,6 +280,7 @@ class Simulator:
         if entry[0] < self._now:  # pragma: no cover - defensive
             raise SimulationError("event calendar went backwards")
         self._now = entry[0]
+        self.firing = entry
         if len(entry) == 5:
             entry[3](*entry[4])
         else:
@@ -246,7 +294,8 @@ class Simulator:
         """Run until the calendars empty or the clock reaches ``until``.
 
         Returns the final simulation time.  When ``until`` is given the clock
-        is advanced to exactly ``until`` even if the last event fired earlier.
+        is advanced to exactly ``until`` even if the last event fired earlier,
+        and :attr:`bound` holds it while the loop runs.
 
         The loop is a two-way merge of the event heap and the timer-wheel
         heap: both hold ``(time, priority, sequence, ...)`` tuples keyed from
@@ -263,6 +312,7 @@ class Simulator:
         # ``inf`` sentinel keeps the per-event bound check to one C-level
         # float comparison instead of an ``is not None`` test plus a compare.
         limit = inf if until is None else until
+        self.bound = -inf if until is None else until
         pop = heappop
         executed = 0
         try:
@@ -289,6 +339,7 @@ class Simulator:
                         pop(theap)
                         timers._live -= 1
                         self._now = time
+                        self.firing = thead
                         event = thead[3]
                         event.fired = True
                         event.callback(*event.args)
@@ -303,6 +354,7 @@ class Simulator:
                     break
                 queue._live -= 1
                 self._now = time
+                self.firing = entry
                 if len(entry) == 5:
                     entry[3](*entry[4])
                 else:
@@ -313,12 +365,21 @@ class Simulator:
         finally:
             self._running = False
             self.executed_events += executed
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+            self.bound = -inf
+        if until is not None and not self._stopped:
+            # Every event due by the bound has fired.
+            self.firing = (until, inf)
+            if self._now < until:
+                self._now = until
         return self._now
 
     def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after the current event."""
+        """Request the current :meth:`run` loop to stop after the current event.
+
+        Announcement copies the network absorbed for later times (see
+        :class:`~repro.net.network.Network`) stay counted as received: a
+        run whose counters are read ends at its bound, as every cell does.
+        """
         self._stopped = True
 
     # ------------------------------------------------------------------ helpers

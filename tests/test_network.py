@@ -505,7 +505,7 @@ def make_jini_client(home=None):
         sim,
         network,
         "client",
-        Transports(),
+        Transports(tcp=TcpTransport(network)),
         JiniConfig(),
         query=ServiceQuery(),
         tracker=ConsistencyTracker(),
@@ -527,18 +527,46 @@ def announce(network, registrar="lus", copies=2):
 
 def test_known_registrar_announcement_refreshes_in_place(monkeypatch):
     sim, network, client = make_jini_client()
-    state = client.registrars["lus"] = ClientRegistrarState(last_heard=0.0)
+    announce(network, copies=1)
+    sim.run(until=1.0)
+    # Learned through the protocol: the copy reached _learn_registrar, which
+    # published the new record in the client's refresh map.
+    state = client.registrars["lus"]
+    assert client.endpoint.refresh[jini_messages.REGISTRAR_ANNOUNCE] == {"lus": state}
+    assert network.absorbed == 0
 
     def learn(addr):
         raise AssertionError(f"_learn_registrar called for {addr}")
 
     monkeypatch.setattr(client, "_learn_registrar", learn)
+    fired = sim.executed_events
+    counters = client.endpoint.interface.counters
+    received = counters.received
+    sim.schedule_at(50.0, announce, network)
+    sim.run(until=60.0)
+    # Both copies were received without a delivery event: the two events
+    # fired are the announcement and the second copy's emission.
+    assert network.absorbed == 2
+    assert sim.executed_events - fired == 2
+    assert counters.received - received == 2
+    # The record holds the second copy until a reader settles it.
+    spacing = network.config.multicast_copy_spacing
+    copy_time = state.copy_time
+    assert 50.0 + spacing < copy_time <= 50.0 + spacing + network.config.max_delay
+    assert state.last_heard < copy_time
+    assert network.settle(state) is False
+    assert state.last_heard == copy_time
+    assert state.copy_message is None
+
+
+def test_announcements_are_events_in_a_run_without_a_bound():
+    sim, network, client = make_jini_client()
+    announce(network, copies=1)
     sim.schedule(50.0, announce, network)
     sim.run()
-    # Refreshed at the delivery of the second (last) copy.
-    spacing = network.config.multicast_copy_spacing
-    assert 50.0 + spacing < state.last_heard <= 50.0 + spacing + network.config.max_delay
-    assert state.last_heard == sim.now
+    assert network.absorbed == 0
+    # Refreshed at the delivery of the second (last) copy, the last event.
+    assert client.registrars["lus"].last_heard == sim.now
 
 
 @pytest.mark.parametrize("home", [None, "other-lus"])

@@ -228,14 +228,16 @@ def _reconcile_with_fixture(produced, fixture):
     every ignored copy was one scheduled event, and each one that fired
     before the deadline was one fired event and one delivery (or receiver
     drop).  Adding ``ignored`` to both sides of the fired/delivered equation
-    cancels the copies still in flight at the deadline.
+    cancels the copies still in flight at the deadline.  Absorbed copies
+    (``net.absorbed``, version 5) are still scheduled and delivered, but no
+    longer fired, so they join the fired side.
     """
     new_counts = _split_work_counts(produced)
     old_counts = _split_work_counts(fixture)
     assert produced == fixture
     assert len(new_counts) == len(old_counts) > 0
     for (new, new_fired), (old, old_fired) in zip(new_counts, old_counts):
-        assert new["version"] == 4 and old["version"] == 1
+        assert new["version"] == 5 and old["version"] == 1
         assert new["net"]["link_losses"] == 0  # table4 has no loss windows
         assert new["timers"] == old["timers"]
         engine, old_engine = new["engine"], old["engine"]
@@ -255,9 +257,8 @@ def _reconcile_with_fixture(produced, fixture):
         assert engine["events_scheduled"] + ignored == old_engine["events_scheduled"]
         deliveries = net["delivered"] + net["dropped_rx"]
         old_deliveries = old_net["delivered"] + old_net["dropped_rx"]
-        assert engine["events_fired"] + ignored - old_engine["events_fired"] == (
-            deliveries + ignored - old_deliveries
-        )
+        fired = engine["events_fired"] + net["absorbed"]
+        assert fired + ignored - old_engine["events_fired"] == deliveries + ignored - old_deliveries
 
 
 def test_default_sweep_is_byte_identical_to_pre_scenario_fixture(tmp_path):
@@ -312,13 +313,30 @@ def test_churn_and_restart_sweeps_are_byte_identical_to_fixture(tmp_path, scenar
 #: its TTL stale-entry fallback.
 IDENTITY_SYSTEMS = {"partition": "jini@k=4,mode=pull"}
 
+#: Families whose grid also runs on jini2: they stop, churn out or rejoin
+#: Jini clients, the events that put absorbed announcement copies back on
+#: the calendar.
+JINI_IDENTITY_FAMILIES = ("cascade", "churn", "restart")
+
 
 @pytest.mark.parametrize("family_name", SCENARIOS.names())
 def test_family_sweep_is_byte_identical_serial_and_parallel(tmp_path, family_name):
+    _assert_serial_sweep_equals_parallel(
+        tmp_path, family_name, IDENTITY_SYSTEMS.get(family_name, "frodo3")
+    )
+
+
+@pytest.mark.parametrize("family_name", JINI_IDENTITY_FAMILIES)
+def test_jini_family_sweep_is_byte_identical_serial_and_parallel(tmp_path, family_name):
+    runs = _assert_serial_sweep_equals_parallel(tmp_path, family_name, "jini2")
+    assert all(run["details"]["telemetry"]["net"]["absorbed"] > 0 for run in runs)
+
+
+def _assert_serial_sweep_equals_parallel(tmp_path, family_name, system):
     argv = [
         "sweep",
         "--system",
-        IDENTITY_SYSTEMS.get(family_name, "frodo3"),
+        system,
         "--scenario",
         family_name,
         "--rates",
@@ -334,10 +352,11 @@ def test_family_sweep_is_byte_identical_serial_and_parallel(tmp_path, family_nam
     assert main([*argv, "--out", str(serial)]) == 0
     assert main([*argv, "--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    runs = json.loads(serial.read_text())["runs"]
     if family_name == "churn":
-        runs = json.loads(serial.read_text())["runs"]
         departed = [run["details"]["telemetry"]["failures"]["departed"] for run in runs]
         assert any(departed)  # the scenario actually did something
+    return runs
 
 
 def test_families_share_table4_baseline_outages_at_equal_seeds():

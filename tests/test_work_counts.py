@@ -38,6 +38,23 @@ SIMULATED_EVERYTHING = {
 }
 
 
+#: (engine.events_fired, net.absorbed) of the same cells.  A Jini client's
+#: copies of a known Lookup Service's announcement are absorbed instead of
+#: fired; UPnP and FRODO publish no refresh map, so they absorb none.
+FAILURE_FREE_FIRED = {
+    ("jini", 100): (10_852, 26_900),
+    ("upnp", 100): (9_890, 0),
+    ("frodo3", 1000): (33_468, 0),
+}
+
+#: events_fired + absorbed of the same cells when every copy was an event.
+FIRED_EVERY_COPY = {
+    ("jini", 100): 37_752,
+    ("upnp", 100): 9_890,
+    ("frodo3", 1000): 33_468,
+}
+
+
 @pytest.mark.parametrize("system,users", sorted(FAILURE_FREE_WORK))
 def test_failure_free_work_counts_are_pinned(system, users):
     spec = ScenarioSpec(system=system, failure_rate=0.0, seed=1906, n_users=users)
@@ -47,6 +64,11 @@ def test_failure_free_work_counts_are_pinned(system, users):
     ignored = telemetry["net"]["ignored"]
     assert scheduled + ignored == SIMULATED_EVERYTHING[system, users]
     assert (scheduled, ignored) == FAILURE_FREE_WORK[system, users]
+    fired = telemetry["engine"]["events_fired"]
+    absorbed = telemetry["net"]["absorbed"]
+    assert fired + absorbed == FIRED_EVERY_COPY[system, users]
+    assert (fired, absorbed) == FAILURE_FREE_FIRED[system, users]
+    assert result.details["executed_events"] == fired
     assert result.update_message_count == result.details["m_prime"]
 
 
