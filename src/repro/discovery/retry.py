@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 
 
 @dataclass
@@ -27,7 +28,7 @@ class _PendingExchange:
     max_retries: int = 3
     timeout: float = 2.0
     on_give_up: Optional[Callable[[Hashable], None]] = None
-    timer: Optional[EventHandle] = None
+    timer: Optional[Event] = None
     done: bool = False
 
 
@@ -79,9 +80,9 @@ class AckRetryScheduler:
             return False
         exchange.done = True
         if exchange.timer is not None:
-            exchange.timer.cancel()
+            self._sim.cancel(exchange.timer)
             # The timer's event holds the exchange in its args; dropping the
-            # handle breaks that cycle, so the exchange dies by refcount.
+            # event breaks that cycle, so the exchange dies by refcount.
             exchange.timer = None
         return True
 

@@ -601,10 +601,9 @@ class Network:
                     absorbed += 1
                     seq += 1
                     continue
-            heappush(heap, (time, 0, seq, deliver, args))
+            heappush(heap, (time, seq, deliver, args))
             seq += 1
         queue._next_seq = seq
-        queue._live += len(delays) - absorbed
         if len(heap) > queue.hwm:
             queue.hwm = len(heap)
         self.absorbed += absorbed

@@ -17,19 +17,23 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
 ---------------------------------------------------------
 ``engine.events_scheduled``
     Total calendar keys drawn (cancellable events + fire-and-forget posts +
-    wheel timers; the shared sequence counter counts them all).
+    timers; the one sequence counter counts them all).
 ``engine.events_fired``
     Callbacks actually executed by the run loop.  Since version 5 the
     multicast copies in ``net.absorbed`` are received without one.
 ``engine.events_cancelled``
-    Cancellations of calendar events (timer cancellations count separately).
+    Cancellations of calendar events, timers included (since version 6;
+    before, it left out the ``timers.cancelled`` ones).
 ``engine.heap_hwm``
-    High-water mark of the event heap (live + buried-cancelled entries).
+    High-water mark of the event heap (live + buried-cancelled entries),
+    timers included since version 6.
 ``engine.heap_compactions``
     Times the event heap was rebuilt to shed cancelled entries.
-``timers.scheduled`` / ``timers.cancelled`` / ``timers.heap_hwm`` /
-``timers.compactions``
-    The same, for the batched timer wheel.
+``timers.scheduled`` / ``timers.cancelled``
+    Timers armed and disarmed through
+    :class:`~repro.sim.timers.TimerWheel`.  Since version 6 the timers
+    share the event heap, so their own ``heap_hwm`` and ``compactions``
+    are gone.
 ``net.sends``
     Logical transmissions recorded (one per unicast attempt that left the
     transmitter, one per multicast announcement).
@@ -96,7 +100,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 5
+TELEMETRY_SCHEMA_VERSION = 6
 
 
 def collect_run_telemetry(
@@ -133,8 +137,6 @@ def collect_run_telemetry(
         "timers": {
             "scheduled": timers.scheduled_total,
             "cancelled": timers.cancelled_total,
-            "heap_hwm": timers.hwm,
-            "compactions": timers.compactions,
         },
         "net": {
             "sends": len(stats),

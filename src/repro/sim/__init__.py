@@ -7,7 +7,7 @@ a structured trace log.  All protocol models in :mod:`repro.protocols` are
 plain Python state machines driven by this kernel.
 """
 
-from repro.sim.engine import Simulator, EventHandle, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import Process
 from repro.sim.timers import PeriodicTimer, OneShotTimer, TimerWheel
@@ -16,7 +16,6 @@ from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "SimulationError",
     "Event",
     "EventQueue",

@@ -1,26 +1,20 @@
 """The simulation engine.
 
-:class:`Simulator` owns the clock and the event calendar.  Protocol models
-schedule callbacks with :meth:`Simulator.schedule` (relative delay) or
-:meth:`Simulator.schedule_at` (absolute time) and the engine executes them in
-deterministic time order.
+:class:`Simulator` owns the clock and the event calendar: one heap of
+``(time, sequence, ...)`` tuples (see :mod:`repro.sim.events`), which the
+run loop pops in key order.  Models put callbacks on it in three ways:
 
-Two scheduling tiers exist:
-
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-  :class:`EventHandle` for cancellation — use these when the caller may need
-  to disarm the callback;
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` are the flattened
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return the
+  :class:`~repro.sim.events.Event`, which :meth:`Simulator.cancel` disarms
+  — use these when the caller may need to cancel the callback;
+* :meth:`Simulator.post` / :meth:`Simulator.post_at` are the
   fire-and-forget tier (message deliveries, retransmissions): no handle and
   no per-event object is allocated, which is what keeps large-N simulations
   (thousands of in-flight deliveries) cheap; :meth:`Simulator.post_each`
-  posts a batch of them (one multicast copy's deliveries) in one call.
-
-Per-node timers go through :attr:`Simulator.timers` — a
-:class:`~repro.sim.timers.TimerWheel` holding a separate heap that the run
-loop merges with the event calendar by ``(time, priority, sequence)`` key.
-Both heaps draw sequence numbers from one shared counter, so the merged
-firing order is exactly the order a single flat calendar would produce.
+  posts a batch of them (one multicast copy's deliveries) in one call;
+* per-node timers go through :attr:`Simulator.timers`, a
+  :class:`~repro.sim.timers.TimerWheel` that schedules cancellable entries
+  on the same heap and counts them.
 
 A caller that consumed a post's key without pushing it (the network
 absorbing an announcement copy, see :class:`~repro.net.network.Network`)
@@ -39,32 +33,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.sim.events import Event, EventQueue, SimulationError
 from repro.sim.tracing import Tracer
 
-__all__ = ["EventHandle", "SimulationError", "Simulator"]
-
-
-class EventHandle:
-    """Opaque handle returned by the scheduling API; supports cancellation."""
-
-    __slots__ = ("_event", "_queue")
-
-    def __init__(self, event: Event, queue: EventQueue) -> None:
-        self._event = event
-        self._queue = queue
-
-    @property
-    def time(self) -> float:
-        """Absolute time at which the underlying event fires."""
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        """``True`` while the event has not been cancelled or fired."""
-        event = self._event
-        return not event.cancelled and not event.fired
-
-    def cancel(self) -> bool:
-        """Cancel the scheduled event.  Returns ``True`` if it was still live."""
-        return self._queue.cancel(self._event)
+__all__ = ["SimulationError", "Simulator"]
 
 
 class Simulator:
@@ -82,7 +51,6 @@ class Simulator:
     __slots__ = (
         "_now",
         "_queue",
-        "_running",
         "_stopped",
         "tracer",
         "executed_events",
@@ -98,11 +66,10 @@ class Simulator:
 
         self._now = float(start_time)
         self._queue = EventQueue()
-        self._running = False
         self._stopped = False
         self.tracer = tracer if tracer is not None else Tracer()
         self.executed_events = 0
-        #: Batched timer wheel for per-node timers (see :mod:`repro.sim.timers`).
+        #: Counted per-node timers on the event heap (see :mod:`repro.sim.timers`).
         self.timers = TimerWheel(self)
         #: Heap entry of the event being executed, or of the last one; after
         #: a run that reached its bound, ``(until, inf)``.  Keys compare
@@ -118,47 +85,22 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live (not yet fired, not cancelled) events, timers included."""
-        return len(self._queue) + len(self.timers)
-
     # -------------------------------------------------------------- scheduling
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        queue = self._queue
-        return EventHandle(queue.push(self._now + delay, callback, args, priority), queue)
+        return self._queue.push(self._now + delay, callback, args)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time!r}, current time is {self._now!r}"
             )
-        queue = self._queue
-        return EventHandle(queue.push(time, callback, args, priority), queue)
+        return self._queue.push(time, callback, args)
 
-    def post(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
+    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, no per-event allocation.
 
         The push is inlined (no :class:`EventQueue` method call): deliveries
@@ -169,10 +111,10 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        heappush(queue._heap, (self._now + delay, priority, seq, callback, args))
-        queue._live += 1
-        if len(queue._heap) > queue.hwm:
-            queue.hwm = len(queue._heap)
+        heap = queue._heap
+        heappush(heap, (self._now + delay, seq, callback, args))
+        if len(heap) > queue.hwm:
+            queue.hwm = len(heap)
 
     def post_each(
         self,
@@ -198,9 +140,8 @@ class Simulator:
         now = self._now
         first = queue._next_seq
         for seq, delay, callback in zip(range(first, first + count), delays, callbacks):
-            heappush(heap, (now + delay, 0, seq, callback, args))
+            heappush(heap, (now + delay, seq, callback, args))
         queue._next_seq = first + count
-        queue._live += count
         if len(heap) > queue.hwm:
             queue.hwm = len(heap)
 
@@ -211,36 +152,28 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
     ) -> None:
-        """Post ``callback(*args)`` under the key ``(time, 0, sequence)`` drawn earlier.
+        """Post ``callback(*args)`` under the key ``(time, sequence)`` drawn earlier.
 
         The sequence number is not drawn again: the event takes the place it
         would have had if it had been posted when its key was drawn.  The
         key must follow the firing event's.
         """
         if self.has_fired(time, sequence):
-            raise SimulationError(
-                f"key ({time!r}, 0, {sequence!r}) does not follow the firing event"
-            )
+            raise SimulationError(f"key ({time!r}, {sequence!r}) does not follow the firing event")
         queue = self._queue
-        heappush(queue._heap, (time, 0, sequence, callback, args))
-        queue._live += 1
-        if len(queue._heap) > queue.hwm:
-            queue.hwm = len(queue._heap)
+        heap = queue._heap
+        heappush(heap, (time, sequence, callback, args))
+        if len(heap) > queue.hwm:
+            queue.hwm = len(heap)
 
     def has_fired(self, time: float, sequence: int) -> bool:
-        """``True`` when a post keyed ``(time, 0, sequence)`` would have fired by now.
+        """``True`` when a post keyed ``(time, sequence)`` would have fired by now.
 
         That is, when its key precedes the firing event's in heap order.
         """
-        return (time, 0, sequence) < self.firing
+        return (time, sequence) < self.firing
 
-    def post_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no handle, no per-event allocation."""
         if time < self._now:
             raise SimulationError(
@@ -249,66 +182,31 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        heappush(queue._heap, (time, priority, seq, callback, args))
-        queue._live += 1
-        if len(queue._heap) > queue.hwm:
-            queue.hwm = len(queue._heap)
+        heap = queue._heap
+        heappush(heap, (time, seq, callback, args))
+        if len(heap) > queue.hwm:
+            queue.hwm = len(heap)
 
-    def cancel(self, handle: EventHandle) -> bool:
-        """Cancel a previously scheduled event."""
-        return handle.cancel()
+    def cancel(self, event: Event) -> bool:
+        """Cancel an event that :meth:`schedule` or :meth:`schedule_at` returned.
+
+        Returns ``True`` if it was still live.  Timers are cancelled through
+        :attr:`timers`, which counts them.
+        """
+        return self._queue.cancel(event)
 
     # --------------------------------------------------------------- execution
-    def step(self) -> bool:
-        """Execute the single next event (or timer).  Returns ``False`` when none remain."""
-        timers = self.timers
-        tentry = timers.peek()
-        if tentry is not None:
-            key = self._queue.peek_key()
-            if key is None or (tentry[0], tentry[1], tentry[2]) < key:
-                timers.pop()
-                self._now = tentry[0]
-                self.firing = tentry
-                event = tentry[3]
-                event.fired = True
-                event.callback(*event.args)
-                self.executed_events += 1
-                return True
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        if entry[0] < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event calendar went backwards")
-        self._now = entry[0]
-        self.firing = entry
-        if len(entry) == 5:
-            entry[3](*entry[4])
-        else:
-            event = entry[3]
-            event.fired = True
-            event.callback(*event.args)
-        self.executed_events += 1
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the calendars empty or the clock reaches ``until``.
+        """Run until the calendar empties or the clock reaches ``until``.
 
         Returns the final simulation time.  When ``until`` is given the clock
         is advanced to exactly ``until`` even if the last event fired earlier,
-        and :attr:`bound` holds it while the loop runs.
-
-        The loop is a two-way merge of the event heap and the timer-wheel
-        heap: both hold ``(time, priority, sequence, ...)`` tuples keyed from
-        one shared sequence counter, so comparing their heads picks the exact
-        event a single flat calendar would have fired next.  The heaps are
-        accessed directly here — this loop is the simulation's hot path.
+        and :attr:`bound` holds it while the loop runs.  The heap is accessed
+        directly here — this loop is the simulation's hot path.
         """
-        self._running = True
         self._stopped = False
         queue = self._queue
-        timers = self.timers
-        qheap = queue._heap
-        theap = timers._heap
+        heap = queue._heap
         # ``inf`` sentinel keeps the per-event bound check to one C-level
         # float comparison instead of an ``is not None`` test plus a compare.
         limit = inf if until is None else until
@@ -316,54 +214,27 @@ class Simulator:
         pop = heappop
         executed = 0
         try:
-            while not self._stopped:
-                # Drop cancelled heads so the head comparison sees live work.
-                # ``_dead`` counts buried cancellations, so a zero counter
-                # proves the head is live without inspecting it.
-                if queue._dead:
-                    while qheap and len(qheap[0]) == 4 and qheap[0][3].cancelled:
-                        pop(qheap)
-                        queue._dead -= 1
-                if timers._dead:
-                    while theap and theap[0][3].cancelled:
-                        pop(theap)
-                        timers._dead -= 1
-                if theap:
-                    thead = theap[0]
-                    # Tuple comparison stays in C: sequences are unique across
-                    # both heaps, so it never reaches the payload elements.
-                    if not qheap or thead < qheap[0]:
-                        time = thead[0]
-                        if time > limit:
-                            break
-                        pop(theap)
-                        timers._live -= 1
-                        self._now = time
-                        self.firing = thead
-                        event = thead[3]
-                        event.fired = True
-                        event.callback(*event.args)
-                        executed += 1
-                        continue
-                if not qheap:
-                    break
-                entry = pop(qheap)
+            while heap and not self._stopped:
+                entry = pop(heap)
                 time = entry[0]
                 if time > limit:
-                    heappush(qheap, entry)
+                    heappush(heap, entry)
                     break
-                queue._live -= 1
-                self._now = time
-                self.firing = entry
-                if len(entry) == 5:
-                    entry[3](*entry[4])
+                if len(entry) == 4:
+                    self._now = time
+                    self.firing = entry
+                    entry[2](*entry[3])
                 else:
-                    event = entry[3]
+                    event = entry[2]
+                    if event.cancelled:
+                        queue._dead -= 1
+                        continue
+                    self._now = time
+                    self.firing = entry
                     event.fired = True
                     event.callback(*event.args)
                 executed += 1
         finally:
-            self._running = False
             self.executed_events += executed
             self.bound = -inf
         if until is not None and not self._stopped:

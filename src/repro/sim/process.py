@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, List
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
+
+#: :meth:`Process.after` drops spent events from its list once the list
+#: passes this length and has doubled since the last prune.
+_PRUNE_FLOOR = 256
 
 
 class Process:
@@ -21,7 +26,8 @@ class Process:
         self.name = name
         self.started = False
         self.stopped = False
-        self._owned_handles: List[EventHandle] = []
+        self._owned: List[Event] = []
+        self._prune_at = _PRUNE_FLOOR
 
     # ------------------------------------------------------------------ lifecycle
     def start(self) -> None:
@@ -36,9 +42,9 @@ class Process:
         if self.stopped:
             return
         self.stopped = True
-        for handle in self._owned_handles:
-            handle.cancel()
-        self._owned_handles.clear()
+        for event in self._owned:
+            self.sim.cancel(event)
+        self._owned.clear()
         self.on_stop()
 
     def restart(self) -> None:
@@ -67,13 +73,20 @@ class Process:
         """Current simulation time (read from the clock slot: handlers ask often)."""
         return self.sim._now
 
-    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule a callback owned by this process (cancelled on :meth:`stop`)."""
-        handle = self.sim.schedule(delay, callback, *args)
-        self._owned_handles.append(handle)
-        if len(self._owned_handles) > 256:
-            self._owned_handles = [h for h in self._owned_handles if h.active]
-        return handle
+    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """Schedule a callback owned by this process (cancelled on :meth:`stop`).
+
+        Spent events leave the owned list only once it has doubled since
+        the last prune, so arming ``n`` events rebuilds it O(log n) times
+        and the list stays within twice its length after that prune.
+        """
+        event = self.sim.schedule(delay, callback, *args)
+        owned = self._owned
+        owned.append(event)
+        if len(owned) > self._prune_at:
+            owned = self._owned = [e for e in owned if not e.cancelled and not e.fired]
+            self._prune_at = max(_PRUNE_FLOOR, 2 * len(owned))
+        return event
 
     def trace(self, event: str, **fields: Any) -> None:
         """Record a trace entry under this process's name."""

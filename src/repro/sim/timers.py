@@ -1,177 +1,61 @@
-"""Timers: a batched timer wheel plus the restartable timer helpers.
+"""Timers: the counted timer front of the calendar, and the restartable timer helpers.
 
 Protocol models arm one or more timers per node (renewals, announcements,
-time-outs).  Scheduling each of those directly on the engine calendar makes
-the main heap — and every push/pop — scale with *nodes x timers*, which
-dominates large-N runs, and a cancel/restart-heavy protocol leaves the heap
-full of dead entries.  The :class:`TimerWheel` keeps all timers in a separate
-heap that the engine's run loop merges with the event calendar by key, so
-timer churn never touches the (much larger) event heap.
-
-Determinism contract
---------------------
-The wheel preserves the *exact* firing order of flat per-timer scheduling:
-every timer draws its ``(time, priority, sequence)`` key from the engine
-queue's own sequence counter
-(:meth:`~repro.sim.events.EventQueue.next_sequence`), so timers and ordinary
-events share one total order, assigned in the same program order as a flat
-schedule would assign it.  The engine fires whichever of the two heap heads
-has the smaller key — a two-way merge that reproduces the single-heap order
-event for event (``executed_events`` included).
-
-Cancellation is an O(1) flag; dead timers are compacted away once they
-outnumber live ones.
+time-outs) through :attr:`Simulator.timers <repro.sim.engine.Simulator.timers>`.
+A :class:`TimerWheel` pushes each timer onto the engine's one event heap as
+a cancellable ``(time, sequence, event)`` entry, with its sequence number
+drawn from the same counter as every other event, so timers and events
+fire in one total order: the order of a single flat calendar.  What the
+wheel adds is the count of timers scheduled and cancelled (telemetry
+``timers.*``); cancellation is the calendar's
+(:meth:`~repro.sim.events.EventQueue.cancel`): an O(1) flag, with dead
+entries compacted away once they outnumber live ones.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.events import Event, SimulationError
 
 if TYPE_CHECKING:  # imported for annotations only (engine imports this module)
     from repro.sim.engine import Simulator
 
-#: Compaction threshold for cancelled wheel entries (mirrors the event queue).
-_MIN_COMPACT = 64
-
 
 class TimerWheel:
-    """Heap of per-node timers, merged with the event calendar by the engine.
+    """Per-node timers on the engine's event heap, counted for telemetry."""
 
-    The engine run loop reads ``_heap``/``_live``/``_dead`` directly on its
-    hot path; everything else goes through the methods below.
-    """
-
-    __slots__ = (
-        "_sim",
-        "_queue",
-        "_heap",
-        "_live",
-        "_dead",
-        "hwm",
-        "scheduled_total",
-        "cancelled_total",
-        "compactions",
-    )
+    __slots__ = ("_sim", "_queue", "scheduled_total", "cancelled_total")
 
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
         self._queue = sim._queue
-        self._heap: List[tuple] = []  # (time, priority, sequence, Event)
-        self._live = 0
-        self._dead = 0
         # Always-on telemetry counters (read by repro.obs.telemetry).
-        self.hwm = 0
         self.scheduled_total = 0
         self.cancelled_total = 0
-        self.compactions = 0
 
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:  # pragma: no cover - trivial
-        return self._live > 0
-
-    # ------------------------------------------------------------------ scheduling
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Arm a timer ``delay`` seconds from now; returns its cancellation record.
-
-        :meth:`schedule_at`'s body, inlined: every renewal and announcement
-        re-arms through here, so it costs one Python frame, not two.
-        """
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """Arm a timer ``delay`` seconds from now; returns its cancellation record."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._sim._now + delay
-        queue = self._queue
-        sequence = queue._next_seq
-        queue._next_seq = sequence + 1
-        event = Event(time, priority, sequence, callback, args)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
-        self._live += 1
         self.scheduled_total += 1
-        if len(self._heap) > self.hwm:
-            self.hwm = len(self._heap)
-        return event
+        return self._queue.push(self._sim._now + delay, callback, args)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Arm a timer at absolute ``time``; returns its cancellation record."""
         if time < self._sim._now:
             raise SimulationError(
                 f"cannot schedule timer at {time!r}, current time is {self._sim._now!r}"
             )
-        # Sequence draw inlined from EventQueue.next_sequence(): timers are
-        # re-armed once per lease renewal, which is hot at large N.
-        queue = self._queue
-        sequence = queue._next_seq
-        queue._next_seq = sequence + 1
-        event = Event(time, priority, sequence, callback, args)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
-        self._live += 1
         self.scheduled_total += 1
-        if len(self._heap) > self.hwm:
-            self.hwm = len(self._heap)
-        return event
+        return self._queue.push(time, callback, args)
 
     def cancel(self, event: Event) -> bool:
         """Disarm a timer.  Returns ``True`` if it was still live."""
-        if event.cancelled or event.fired:
+        if not self._queue.cancel(event):
             return False
-        event.cancelled = True
-        self._live -= 1
-        self._dead += 1
         self.cancelled_total += 1
-        if self._dead > _MIN_COMPACT and self._dead * 2 > len(self._heap):
-            # In place (slice assignment, not rebinding): the engine's run
-            # loop holds a direct reference to this list across the run.
-            heap = self._heap
-            heap[:] = [entry for entry in heap if not entry[3].cancelled]
-            heapq.heapify(heap)
-            self._dead = 0
-            self.compactions += 1
         return True
-
-    # ------------------------------------------------------------------ inspection
-    def peek(self) -> Optional[tuple]:
-        """The next live ``(time, priority, sequence, Event)`` entry, or ``None``.
-
-        Skips (and drops) cancelled heads as a side effect, so the head it
-        returns is always live.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        return heap[0] if heap else None
-
-    def pop(self) -> None:
-        """Remove the head entry previously returned by :meth:`peek`."""
-        heapq.heappop(self._heap)
-        self._live -= 1
-
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the next live timer, or ``None`` when idle."""
-        entry = self.peek()
-        return None if entry is None else entry[0]
-
-    def clear(self) -> None:
-        """Drop all pending timers."""
-        self._heap.clear()
-        self._live = 0
-        self._dead = 0
 
 
 class OneShotTimer:

@@ -154,7 +154,7 @@ def test_multicast_rejects_fewer_than_one_copy(copies):
     # Nothing was recorded, posted, emitted or counted.
     assert len(network.stats) == 0
     assert network.stats.total_sent(count_copies=True) == 0
-    assert sim.pending_events == 0
+    assert sim._queue._heap == []
     assert network.endpoint("node-0").interface.counters.sent == 0
     sim.run()
     assert all(inbox == [] for inbox in inboxes.values())

@@ -1,44 +1,39 @@
 """Regression battery for the flattened simulator core.
 
-Pins the semantics the large-N hot path must preserve: the two-way merge of
-the timer-wheel heap with the event calendar (identical firing order to a
-single flat calendar), Event cancel/fired state transitions, fire-and-forget
-posting, and — critically — that lazy heap compaction keeps the *same list
-object*, because the engine's run loop aliases both heaps for the whole run.
+Pins the semantics the large-N hot path must preserve: timers and events
+on one heap in one total order, Event cancel/fired state transitions,
+fire-and-forget posting, and — critically — that lazy heap compaction
+keeps the *same list object*, because the engine's run loop aliases the
+heap for the whole run.  ``tests/test_calendar_oracle.py`` checks the
+firing order against a reference calendar that shares no code with
+:mod:`repro.sim`.
 """
 
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.timers import OneShotTimer, PeriodicTimer, TimerWheel
 
 
 # --------------------------------------------------------------- Event record
 def test_event_cancel_and_fired_state_transitions():
-    event = Event(1.0, 0, 7, lambda: None)
-    assert not event.cancelled and not event.fired
-    assert event.key == (1.0, 0, 7)
-    assert event.fire() is None  # callback returns None
-    assert event.fired
-    cancelled = Event(2.0, 0, 8, lambda: pytest.fail("must not run"))
-    cancelled.cancelled = True
-    assert cancelled.fire() is None  # cancelled events never execute
-    assert not cancelled.fired
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    cancelled = sim.timers.schedule(1.0, lambda: pytest.fail("must not run"))
+    assert not fired.cancelled and not fired.fired
+    assert sim.timers.cancel(cancelled) is True
+    assert cancelled.cancelled and not cancelled.fired
+    sim.run()
+    assert fired.fired and not fired.cancelled
+    assert not cancelled.fired  # cancelled events never execute
+    assert sim.executed_events == 1
 
 
-def test_event_ordering_is_time_then_priority_then_sequence():
-    a = Event(1.0, 0, 1, lambda: None)
-    b = Event(1.0, 0, 2, lambda: None)
-    c = Event(1.0, -1, 3, lambda: None)
-    d = Event(0.5, 5, 4, lambda: None)
-    assert d < c < a < b
-
-
-# -------------------------------------------------- wheel/calendar merge order
+# ------------------------------------------------------------ one total order
 def test_timers_and_events_fire_in_one_total_order():
-    """The wheel shares the calendar's sequence counter: interleaved schedules
-    at the same instant fire in program order, exactly as a flat calendar."""
+    """Timers share the calendar's heap and sequence counter: interleaved
+    schedules at the same instant fire in program order."""
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "event-1")
@@ -51,27 +46,6 @@ def test_timers_and_events_fire_in_one_total_order():
     assert sim.executed_events == 5
 
 
-def test_timer_priority_beats_insertion_order_across_heaps():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "normal-event")
-    sim.timers.schedule(1.0, fired.append, "urgent-timer", priority=-1)
-    sim.run()
-    assert fired == ["urgent-timer", "normal-event"]
-
-
-def test_step_merges_both_heaps():
-    sim = Simulator()
-    fired = []
-    sim.timers.schedule(1.0, fired.append, "timer")
-    sim.schedule(2.0, fired.append, "event")
-    assert sim.step() is True
-    assert fired == ["timer"] and sim.now == 1.0
-    assert sim.step() is True
-    assert fired == ["timer", "event"] and sim.now == 2.0
-    assert sim.step() is False
-
-
 def test_run_until_leaves_future_timers_armed():
     sim = Simulator()
     fired = []
@@ -80,7 +54,7 @@ def test_run_until_leaves_future_timers_armed():
     sim.run(until=5.0)
     assert fired == ["early"]
     assert sim.now == 5.0
-    assert sim.pending_events == 1
+    assert [entry[0] for entry in sim._queue._heap] == [10.0]
     sim.run()
     assert fired == ["early", "late-timer"]
 
@@ -94,20 +68,24 @@ def test_timer_wheel_rejects_past_and_negative_times():
 
 
 def test_timer_cancellation_and_live_count():
+    """A timer cancellation counts once on the wheel and once on the calendar,
+    and leaves one buried entry, which the run loop sheds."""
     sim = Simulator()
     wheel = sim.timers
+    queue = sim._queue
     fired = []
     keep = wheel.schedule(2.0, fired.append, "kept")
     drop = wheel.schedule(1.0, fired.append, "dropped")
-    assert len(wheel) == 2
+    assert len(queue._heap) - queue._dead == 2
     assert wheel.cancel(drop) is True
     assert wheel.cancel(drop) is False
-    assert len(wheel) == 1
-    assert wheel.peek_time() == 2.0
+    assert len(queue._heap) - queue._dead == 1
+    assert (wheel.scheduled_total, wheel.cancelled_total, queue.cancelled_total) == (2, 1, 1)
     sim.run()
     assert fired == ["kept"]
-    assert len(wheel) == 0
+    assert queue._heap == [] and queue._dead == 0
     assert wheel.cancel(keep) is False  # fired timers cannot be cancelled
+    assert (wheel.cancelled_total, queue.cancelled_total) == (1, 1)
 
 
 # ------------------------------------------------- compaction aliasing (bugfix)
@@ -124,13 +102,14 @@ def test_wheel_compaction_keeps_heap_list_identity():
     list, so rebinding it silently orphans every later-scheduled timer."""
     sim = Simulator()
     wheel = sim.timers
-    alias = wheel._heap
+    alias = sim._queue._heap
     _trigger_compaction(
         lambda t: wheel.schedule(t, lambda: None),
         wheel.cancel,
     )
-    assert wheel._heap is alias
-    assert len(wheel) == 0
+    assert sim._queue._heap is alias
+    assert sim._queue.compactions >= 1
+    assert len(alias) - sim._queue._dead == 0
 
 
 def test_queue_compaction_keeps_heap_list_identity():
@@ -141,7 +120,8 @@ def test_queue_compaction_keeps_heap_list_identity():
         queue.cancel,
     )
     assert queue._heap is alias
-    assert len(queue) == 0
+    assert queue.compactions >= 1
+    assert len(alias) - queue._dead == 0
 
 
 def test_timers_scheduled_after_mid_run_compaction_still_fire():
@@ -157,9 +137,9 @@ def test_timers_scheduled_after_mid_run_compaction_still_fire():
             sim.timers.cancel,
         )
         sim.timers.schedule(1.0, fired.append, "after-wheel-compaction")
-        handles = [sim.schedule(60.0, lambda: None) for _ in range(200)]
-        for handle in handles:
-            handle.cancel()
+        events = [sim.schedule(60.0, lambda: None) for _ in range(200)]
+        for event in events:
+            sim.cancel(event)
         sim.post(2.0, fired.append, "after-queue-compaction")
 
     sim.schedule(1.0, churn)
@@ -229,13 +209,13 @@ def test_fresh_wheel_belongs_to_its_simulator():
 # ------------------------------------------------------------- batched posting
 def _queue_state(sim):
     queue = sim._queue
-    return list(queue._heap), queue._next_seq, queue._live, queue.hwm
+    return list(queue._heap), queue._next_seq, queue.hwm
 
 
 def test_post_each_matches_sequential_posts():
-    """One post_each call leaves the heap, sequence counter, live count and
-    high-water mark exactly as one post per pair would, and the callbacks
-    fire in the same order."""
+    """One post_each call leaves the heap, sequence counter and high-water
+    mark exactly as one post per pair would, and the callbacks fire in the
+    same order."""
     delays = [3e-5, 1e-5, 9e-5, 1e-5, 0.0]
     fired = []
     callbacks = [lambda tag, i=i: fired.append((i, tag)) for i in range(len(delays))]
@@ -255,7 +235,7 @@ def test_post_each_matches_sequential_posts():
 
     batched, sequential = build(True), build(False)
     assert _queue_state(batched) == _queue_state(sequential)
-    assert _queue_state(batched)[1:] == (6, 6, 6)
+    assert _queue_state(batched)[1:] == (6, 6)
     batched.run()
     batched_order = list(fired)
     fired.clear()
