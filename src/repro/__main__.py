@@ -9,24 +9,23 @@ Subcommands
   skips cells the file already contains.  Observability (never changes the
   results): ``--trace-dir out/`` streams one NDJSON trace per cell plus a
   ``telemetry.ndjson`` journal, ``--progress`` prints live cells/s and ETA
-  to stderr.  Fault tolerance: ``--cell-timeout``/``--retries`` bound and
-  retry individual cells, ``--max-cell-failures N`` quarantines up to N
-  poisoned cells instead of aborting (their gaps stay explicit; exit 3),
-  and Ctrl-C flushes completed cells to ``--resume`` and prints the exact
-  resume command.
+  to stderr.  Fault tolerance: ``--cell-timeout`` bounds individual cells,
+  ``--max-cell-failures N`` quarantines up to N failed cells instead of
+  aborting (their gaps stay explicit; exit 3), and Ctrl-C flushes completed
+  cells to ``--resume`` and prints the exact resume command.  A failed or
+  interrupted cell runs again when the sweep is resumed from its
+  ``--resume`` checkpoint.
 * ``run``     — execute a single scenario and print its RunResult as JSON;
   ``--trace t.ndjson`` streams the full event trace there.
 * ``trace``   — analyse captured NDJSON traces:
-  ``python -m repro trace summarize out/`` (record/kind histograms),
-  ``trace kinds`` (message kinds only), ``trace timeline`` (record listing);
-  all accept ``--since/--until`` (inclusive) and ``--category`` filters.
-* ``profile`` — cProfile one scenario and print the hottest functions
-  (``python -m repro profile --system frodo3 --users 1000``), the
-  entry point of the profile-first optimisation workflow in EXPERIMENTS.md.
+  ``python -m repro trace summarize out/`` (record, event and message-kind
+  histograms, all kinds and update-related ones), ``trace timeline``
+  (record listing); both accept ``--since/--until`` (inclusive) and
+  ``--category`` filters.
 * ``systems`` — list the deployable systems of the protocol registry.
 * ``scenarios`` — list the disruption-scenario families of the scenario
-  registry (selectable on ``sweep``/``run``/``profile`` via
-  ``--scenario churn@rate=0.1``; default ``table4`` is the paper's model).
+  registry (selectable on ``sweep``/``run`` via ``--scenario
+  churn@rate=0.1``; default ``table4`` is the paper's model).
 
 Rates are given in percent (``--rates 0,10,20`` sweeps lambda = 0, 0.1, 0.2).
 The sweep's ``--users`` accepts a comma-separated list of topology sizes
@@ -36,15 +35,13 @@ produces byte-identical JSON.  ``--out -`` writes to stdout.
 
 Throughput is measured outside the package: ``python3 benchmark/run.py``
 times fixed workloads in host-calibrated reference seconds (see
-``benchmark/README.md``).
+``benchmark/README.md``).  To profile one cell, run ``run`` under the
+standard library's profiler (EXPERIMENTS.md, "Profiling workflow").
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
-import pstats
 import shlex
 import sys
 from typing import List, Optional, Sequence
@@ -67,14 +64,7 @@ from repro.experiments.scenario import (
 from repro.experiments.scenarios import SCENARIOS, UnknownScenarioError, parse_scenario
 from repro.experiments.tokens import format_option_value, split_token_list
 from repro.experiments.sweep import SweepSpec, sweep
-from repro.obs.analyze import (
-    format_kinds,
-    format_summary,
-    format_timeline,
-    iter_records,
-    kind_counts,
-    summarize,
-)
+from repro.obs.analyze import format_summary, format_timeline, iter_records, summarize
 from repro.obs.progress import SweepProgress
 from repro.protocols.registry import SYSTEMS, UnknownSystemError
 
@@ -220,20 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per cell attempt; an over-budget cell fails (and may retry)",
-    )
-    sweep_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="times to re-run a failed cell before quarantining it (default: 0)",
-    )
-    sweep_parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="base delay between attempts of one cell, doubled per retry (default: 0.1)",
+        help="wall-clock budget per cell; an over-budget cell fails",
     )
     sweep_parser.add_argument(
         "--max-cell-failures",
@@ -261,27 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="stream the full event trace to PATH as NDJSON (results are unchanged)",
-    )
-
-    profile_parser = subparsers.add_parser(
-        "profile", help="cProfile one scenario and print the hottest functions"
-    )
-    profile_parser.add_argument("--system", required=True, help="system to deploy")
-    profile_parser.add_argument(
-        "--rate", type=_parse_percent, default=0.0, help="failure rate in percent (default: 0)"
-    )
-    _add_scenario_arguments(profile_parser)
-    profile_parser.add_argument(
-        "--top", type=_positive_int, default=25, help="functions to print (default: 25)"
-    )
-    profile_parser.add_argument(
-        "--sort",
-        choices=("cumulative", "tottime", "calls"),
-        default="cumulative",
-        help="pstats sort order (default: cumulative)",
-    )
-    profile_parser.add_argument(
-        "--out", default="-", help="report output path, or - for stdout (default: -)"
     )
 
     trace_parser = subparsers.add_parser(
@@ -316,16 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="record counts, time span, and per-category/event/kind histograms"
     )
     _add_trace_arguments(summarize_parser)
-
-    kinds_parser = trace_sub.add_parser(
-        "kinds", help="message-kind histogram from the net/send records"
-    )
-    _add_trace_arguments(kinds_parser)
-    kinds_parser.add_argument(
-        "--update-related",
-        action="store_true",
-        help="count only sends flagged as update-related",
-    )
 
     timeline_parser = trace_sub.add_parser(
         "timeline", help="print the filtered records, one per line"
@@ -380,10 +326,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         scenario_options=scenario_options,
     )
     policy = ResiliencePolicy(
-        cell_timeout=args.cell_timeout,
-        max_retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        max_cell_failures=args.max_cell_failures,
+        cell_timeout=args.cell_timeout, max_cell_failures=args.max_cell_failures
     )
     result = sweep(
         spec,
@@ -401,32 +344,28 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if result.failures:
         keys = ", ".join(failure.key for failure in result.failures)
         print(
-            f"warning: {len(result.failures)} cell(s) quarantined after exhausting "
-            f"retries ({keys}); the output has explicit gaps for them",
+            f"warning: {len(result.failures)} cell(s) quarantined ({keys}); "
+            f"the output has explicit gaps for them",
             file=sys.stderr,
         )
         return 3
     return 0
 
 
-def _scenario_spec(args: argparse.Namespace, trace_path: Optional[str] = None) -> ScenarioSpec:
-    """The one-cell spec of ``run`` and ``profile``, from their shared arguments."""
+def _command_run(args: argparse.Namespace) -> int:
     scenario_name, scenario_options = parse_scenario(args.scenario)
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         system=SYSTEMS.resolve(args.system).token,
         failure_rate=args.rate,
         seed=args.seed,
         n_users=args.users,
         change_time=args.change_time,
         deadline=args.deadline,
-        trace_path=trace_path,
+        trace_path=args.trace,
         scenario=scenario_name,
         scenario_options=scenario_options,
     )
-
-
-def _command_run(args: argparse.Namespace) -> int:
-    result = ExperimentRunner().run(_scenario_spec(args, trace_path=args.trace))
+    result = ExperimentRunner().run(spec)
     write_text(to_json(result.to_dict()), args.out)
     return 0
 
@@ -436,34 +375,11 @@ def _command_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "summarize":
         summary = summarize(args.paths, since=since, until=until, category=category)
         sys.stdout.write(format_summary(summary))
-    elif args.trace_command == "kinds":
-        pairs = iter_records(args.paths, since=since, until=until, category=category)
-        update_related = True if args.update_related else None
-        counts = kind_counts((record for _path, record in pairs), update_related=update_related)
-        sys.stdout.write(format_kinds(counts))
     else:  # timeline
         pairs = iter_records(
             args.paths, since=since, until=until, category=category, event=args.event
         )
         sys.stdout.write(format_timeline(pairs, limit=args.limit, show_source=args.show_source))
-    return 0
-
-
-def _command_profile(args: argparse.Namespace) -> int:
-    spec = _scenario_spec(args)
-    runner = ExperimentRunner()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = runner.run(spec)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    header = (
-        f"# profile {spec.describe()}: "
-        f"{result.details['executed_events']} events executed\n"
-    )
-    write_text(header + buffer.getvalue(), args.out)
     return 0
 
 
@@ -505,8 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_sweep(args)
         if args.command == "run":
             return _command_run(args)
-        if args.command == "profile":
-            return _command_profile(args)
         if args.command == "trace":
             return _command_trace(args)
         if args.command == "scenarios":

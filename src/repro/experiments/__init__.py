@@ -45,7 +45,6 @@ from repro.experiments.resilience import (
     CellExecutionError,
     CellFailure,
     CellTimeoutError,
-    ExecutionStats,
     FailureBudgetExceededError,
     InjectedFaultError,
     PoolRecoveryError,
@@ -93,7 +92,6 @@ __all__ = [
     "CellExecutionError",
     "CellFailure",
     "CellTimeoutError",
-    "ExecutionStats",
     "FailureBudgetExceededError",
     "InjectedFaultError",
     "PoolRecoveryError",

@@ -23,8 +23,7 @@ caller, so parallel sweeps produce byte-identical output to serial ones:
 Both executors run cells through the resilience layer
 (:mod:`repro.experiments.resilience`): a
 :class:`~repro.experiments.resilience.ResiliencePolicy` adds per-cell
-timeouts and deterministic retries, the ``on_error`` callback receives each
-finally-failed cell as a typed
+timeouts, the ``on_error`` callback receives each failed cell as a typed
 :class:`~repro.experiments.resilience.CellFailure` record (the sweep decides
 whether it fits the failure budget), and the parallel executor survives
 worker death: a ``BrokenProcessPool`` rebuilds the pool and resubmits only
@@ -47,7 +46,6 @@ from repro.core.metrics import RunResult
 from repro.experiments.resilience import (
     CellExecutionError,
     CellFailure,
-    ExecutionStats,
     PoolRecoveryError,
     ResiliencePolicy,
     run_cell_guarded,
@@ -65,22 +63,25 @@ from repro.experiments.scenario import ScenarioSpec
 CellCallback = Callable[[int, RunResult, float], None]
 
 #: Failure callback: ``(index_into_submitted_scenarios, CellFailure)`` for a
-#: cell that exhausted its retries.  It may raise to abort the sweep.
+#: cell that failed.  It may raise to abort the sweep.
 CellErrorCallback = Callable[[int, CellFailure], None]
 
 #: Chunks submitted per worker: enough that a slow chunk cannot leave workers
 #: idle for long, few enough that dispatch overhead stays amortised.
 _CHUNKS_PER_WORKER = 4
 
+#: How often one ``run_scenarios`` call rebuilds a broken process pool
+#: (resubmitting the unfinished chunks) before it raises
+#: :class:`~repro.experiments.resilience.PoolRecoveryError`.
+MAX_POOL_REBUILDS = 2
+
 
 class SerialExecutor:
     """Runs cells one after another in the calling process."""
 
     jobs = 1
-
-    def __init__(self) -> None:
-        #: Stats of the most recent :meth:`run_scenarios` call (observability).
-        self.last_stats = ExecutionStats()
+    #: A serial sweep has no pool to rebuild.
+    pool_rebuilds = 0
 
     def run_scenarios(
         self,
@@ -93,22 +94,17 @@ class SerialExecutor:
     ) -> None:
         """Execute ``scenarios`` in order on ``runner``.
 
-        Each finished cell goes to ``on_result``, each cell that failed
-        after ``policy`` retries to ``on_error``.
+        Each finished cell goes to ``on_result``, each failed one to
+        ``on_error``.
         """
-        stats = ExecutionStats()
-        self.last_stats = stats
         for index, scenario in enumerate(scenarios):
             started = time.perf_counter()
             try:
-                result, attempts = run_cell_guarded(runner, scenario, keys[index], policy)
+                result = run_cell_guarded(runner, scenario, keys[index], policy)
             except CellExecutionError as exc:
-                stats.record(exc.key, exc.attempts, failed=True)
                 on_error(index, exc.failure())
                 continue
-            wall = time.perf_counter() - started
-            stats.record(keys[index], attempts)
-            on_result(index, result, wall)
+            on_result(index, result, time.perf_counter() - started)
 
 
 # ----------------------------------------------------------------- worker side
@@ -120,11 +116,11 @@ def _run_chunk(
     """Task body: run a chunk of cells in a worker, stream plain dicts.
 
     A successful cell yields ``{"run": RunResult.to_dict(), "wall_seconds":
-    float, "attempts": int}``: the ``to_dict`` form keeps the result pickle
-    small and JSON-shaped (the same representation the sweep checkpoint uses)
-    and the parent rebuilds full :class:`RunResult` objects via ``from_dict``
-    — a lossless round trip by contract.  A cell that exhausted its retries
-    yields ``{"error": CellFailure.to_dict(), "wall_seconds": float}``
+    float}``: the ``to_dict`` form keeps the result pickle small and
+    JSON-shaped (the same representation the sweep checkpoint uses) and the
+    parent rebuilds full :class:`RunResult` objects via ``from_dict`` — a
+    lossless round trip by contract.  A failed cell yields ``{"error":
+    CellFailure.to_dict(), "wall_seconds": float}``
     instead — the worker never dies on a poisoned cell, only on being killed.
     ``wall_seconds`` is measured here, in the worker, so per-cell timing
     survives chunked submission.
@@ -134,7 +130,7 @@ def _run_chunk(
     for scenario, key in zip(scenarios, keys):
         started = time.perf_counter()
         try:
-            result, attempts = run_cell_guarded(runner, scenario, key, policy)
+            result = run_cell_guarded(runner, scenario, key, policy)
         except CellExecutionError as exc:
             payloads.append(
                 {
@@ -143,13 +139,7 @@ def _run_chunk(
                 }
             )
             continue
-        payloads.append(
-            {
-                "run": result.to_dict(),
-                "wall_seconds": time.perf_counter() - started,
-                "attempts": attempts,
-            }
-        )
+        payloads.append({"run": result.to_dict(), "wall_seconds": time.perf_counter() - started})
     return payloads
 
 
@@ -160,8 +150,8 @@ class ParallelExecutor:
         if jobs < 2:
             raise ValueError(f"ParallelExecutor needs jobs >= 2, got {jobs}")
         self.jobs = jobs
-        #: Stats of the most recent :meth:`run_scenarios` call (observability).
-        self.last_stats = ExecutionStats()
+        #: Pools the most recent :meth:`run_scenarios` call had to rebuild.
+        self.pool_rebuilds = 0
 
     def run_scenarios(
         self,
@@ -178,7 +168,7 @@ class ParallelExecutor:
         their own, so a subclass would be silently replaced.  Survives worker
         death: when the pool breaks (a worker was killed), it is rebuilt and
         only the chunks that never finished are resubmitted, up to
-        ``policy.max_pool_rebuilds`` times.  Because every cell derives its
+        :data:`MAX_POOL_REBUILDS` times.  Because every cell derives its
         randomness from its own seed, a resubmitted chunk reproduces exactly
         what the dead worker would have produced.
         """
@@ -187,8 +177,7 @@ class ParallelExecutor:
                 f"parallel workers run cells on a plain ExperimentRunner and cannot "
                 f"use {type(runner).__name__}; run it with jobs=1"
             )
-        stats = ExecutionStats()
-        self.last_stats = stats
+        self.pool_rebuilds = 0
         # Chunked submission: one future per chunk (not per cell) amortises
         # pool dispatch and result-pickling overhead over many cells.
         chunk_size = max(1, -(-len(scenarios) // (self.jobs * _CHUNKS_PER_WORKER)))
@@ -202,14 +191,10 @@ class ParallelExecutor:
                 index = start + offset
                 error = payload.get("error")
                 if error is not None:
-                    failure = CellFailure.from_dict(error)
-                    stats.record(failure.key, failure.attempts, failed=True)
-                    on_error(index, failure)
+                    on_error(index, CellFailure.from_dict(error))
                     continue
-                stats.record(keys[index], payload["attempts"])
                 on_result(index, RunResult.from_dict(payload["run"]), payload["wall_seconds"])
 
-        rebuilds = 0
         while pending:
             broken = False
             with concurrent.futures.ProcessPoolExecutor(
@@ -246,12 +231,11 @@ class ParallelExecutor:
                             consume(start, payloads)
                     raise
             if broken:
-                stats.pool_rebuilds += 1
-                rebuilds += 1
-                if rebuilds > policy.max_pool_rebuilds:
+                self.pool_rebuilds += 1
+                if self.pool_rebuilds > MAX_POOL_REBUILDS:
                     raise PoolRecoveryError(
-                        f"worker pool broke {rebuilds} time(s), exceeding the "
-                        f"rebuild cap of {policy.max_pool_rebuilds}; "
+                        f"worker pool broke {self.pool_rebuilds} time(s), exceeding the "
+                        f"rebuild cap of {MAX_POOL_REBUILDS}; "
                         f"{len(pending)} chunk(s) never finished — a worker "
                         f"is dying repeatedly (OOM kill? native crash?)"
                     )

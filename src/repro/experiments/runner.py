@@ -30,7 +30,7 @@ from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.net.failures import DisruptionPlan, FailureInjector
 from repro.net.network import Network
-from repro.obs.sinks import NDJSONSink
+from repro.obs.sinks import MemorySink, NDJSONSink
 from repro.obs.telemetry import collect_run_telemetry
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.registry import SYSTEMS
@@ -79,8 +79,8 @@ class ExperimentRunner:
                 # Only non-default scenarios tag the header: table4 trace
                 # files stay byte-identical to pre-scenario captures.
                 meta["scenario"] = spec.scenario_token
-            return Tracer(enabled=True, sink=NDJSONSink(spec.trace_path, meta=meta))
-        return Tracer(enabled=spec.trace)
+            return Tracer(NDJSONSink(spec.trace_path, meta=meta))
+        return Tracer(MemorySink() if spec.trace else None)
 
     def setup(self, spec: ScenarioSpec) -> RunContext:
         """Construct the stack for ``spec`` without running it."""

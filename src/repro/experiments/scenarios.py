@@ -49,7 +49,6 @@ from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.net.failures import (
     DisruptionPlan,
-    FailureModelConfig,
     InterfaceOutage,
     LinkCut,
     LossWindow,
@@ -210,10 +209,7 @@ def parse_scenario(text: str) -> Tuple[str, Dict[str, Any]]:
 
 # --------------------------------------------------------------------------- shared pieces
 def _baseline_outages(
-    spec: ScenarioSpec,
-    deployment: ProtocolDeployment,
-    rng: RngRegistry,
-    fit_to_deadline: bool = False,
+    spec: ScenarioSpec, deployment: ProtocolDeployment, rng: RngRegistry
 ) -> Tuple[InterfaceOutage, ...]:
     """The paper's per-node outage plan, drawn from the ``failures`` stream.
 
@@ -221,13 +217,8 @@ def _baseline_outages(
     family built on top of it shares its outages with ``table4`` at equal
     seeds (paired comparisons across scenarios).
     """
-    config = FailureModelConfig(
-        sim_duration=spec.deadline,
-        latest_onset=spec.deadline,
-        fit_to_deadline=fit_to_deadline,
-    )
     plan = build_interface_failure_plan(
-        deployment.node_ids(), spec.failure_rate, rng.stream("failures"), config=config
+        deployment.node_ids(), spec.failure_rate, rng.stream("failures"), spec.deadline
     )
     return tuple(plan)
 

@@ -68,8 +68,9 @@ from repro.protocols.registry import SYSTEMS
 #: ({"key": ..., "cell_error": CellFailure.to_dict()}) alongside finished
 #: cells; loaders that only know ``run`` records would silently drop them,
 #: so the version gates them out.  Errored cells stay *pending* on resume —
-#: they are retried, which is what lets an interrupted chaotic sweep
-#: converge to the undisturbed output.
+#: they run again, which is what lets an interrupted chaotic sweep converge
+#: to the undisturbed output.  Records written while the harness still
+#: retried cells in process carry a retry count, which the reader ignores.
 CHECKPOINT_VERSION = 5
 
 
@@ -347,7 +348,7 @@ def load_checkpoint(
     fresh sweep that will start checkpointing there).  A torn final line
     (interrupted append) is dropped.  ``cell_error`` quarantine records are
     collected into ``errors_out`` (when given) but never mark a cell
-    completed — errored cells are retried on resume.  Raises
+    completed — errored cells run again on resume.  Raises
     :class:`CheckpointMismatchError` when the journal belongs to a different
     grid and :class:`ValueError` when it is not a checkpoint journal at all.
     """
@@ -395,6 +396,11 @@ def load_checkpoint(
 #: Format tag of the sweep telemetry journal header line.
 TELEMETRY_FORMAT = "repro-telemetry"
 
+#: Version of the telemetry journal.  Version 2: cells are no longer retried
+#: in process, so cell lines lost their retry count and the header's
+#: ``resilience`` summary is ``{pool_rebuilds, quarantined}``.
+TELEMETRY_JOURNAL_VERSION = 2
+
 
 def _write_telemetry_journal(
     path: str,
@@ -402,7 +408,6 @@ def _write_telemetry_journal(
     cells: Sequence[SweepCell],
     completed: Dict[str, RunResult],
     walls: Dict[str, float],
-    attempts: Dict[str, int],
     errors: Dict[str, str],
     resilience: Optional[Dict[str, Any]],
 ) -> None:
@@ -411,14 +416,17 @@ def _write_telemetry_journal(
     One NDJSON line per cell, in grid order: the cell coordinates, the wall
     time measured by the executor (``null`` for cells resumed from a
     checkpoint — they were not executed this time), the deterministic
-    :mod:`~repro.obs.telemetry` counters carried in the run's details, the
-    attempts the cell took this execution (``null`` when resumed), and the
-    error type of a quarantined cell (``null`` otherwise — quarantined
+    :mod:`~repro.obs.telemetry` counters carried in the run's details, and
+    the error type of a quarantined cell (``null`` otherwise — quarantined
     cells keep their line so gaps are explicit, with ``telemetry: null``).
-    A sweep that had to retry, quarantine, or rebuild pools additionally
+    A sweep that had to quarantine cells or rebuild pools additionally
     carries a ``resilience`` summary in the header.
     """
-    header: Dict[str, Any] = {"format": TELEMETRY_FORMAT, "version": 1, "grid": spec.grid_dict()}
+    header: Dict[str, Any] = {
+        "format": TELEMETRY_FORMAT,
+        "version": TELEMETRY_JOURNAL_VERSION,
+        "grid": spec.grid_dict(),
+    }
     if resilience is not None:
         header["resilience"] = resilience
 
@@ -433,7 +441,6 @@ def _write_telemetry_journal(
                 "run_index": cell.run_index,
                 "wall_seconds": walls.get(cell.key),
                 "telemetry": run.details.get("telemetry") if run is not None else None,
-                "attempts": attempts.get(cell.key),
                 "error": errors.get(cell.key),
             }
             yield journal.line(record)
@@ -477,13 +484,14 @@ def sweep(
       methods will do).
 
     ``policy`` adds fault tolerance (:mod:`repro.experiments.resilience`):
-    per-cell timeouts, deterministic retries, and a failure budget — up to
-    ``policy.max_cell_failures`` cells may fail, each quarantined as a typed
-    ``cell_error`` journal record and reported in ``SweepResult.failures``
-    with its runs/summaries left as explicit gaps; one failure more raises
+    per-cell timeouts and a failure budget — up to ``policy.max_cell_failures``
+    cells may fail, each quarantined as a typed ``cell_error`` journal record
+    and reported in ``SweepResult.failures`` with its runs/summaries left as
+    explicit gaps; one failure more raises
     :class:`~repro.experiments.resilience.FailureBudgetExceededError`.  With
     the default policy the first failing cell aborts the sweep (after
-    writing its quarantine record when checkpointing).
+    writing its quarantine record when checkpointing).  A failed cell runs
+    again only when the sweep is resumed from its checkpoint.
     """
     if runner is None:
         runner = ExperimentRunner()
@@ -573,19 +581,21 @@ def sweep(
     if progress is not None:
         progress.finish()
     if trace_dir is not None:
-        stats = executor.last_stats
-        noteworthy = stats.retried_cells or stats.failed_cells or stats.pool_rebuilds or failures
-        from repro.obs.telemetry import collect_sweep_resilience
-
+        # Host-dependent, like the walls: what went wrong on this execution.
+        resilience = None
+        if executor.pool_rebuilds or failures:
+            resilience = {
+                "pool_rebuilds": executor.pool_rebuilds,
+                "quarantined": sorted(failure.key for failure in failures),
+            }
         _write_telemetry_journal(
             os.path.join(trace_dir, TELEMETRY_JOURNAL),
             spec,
             cells,
             completed,
             walls,
-            stats.attempts,
             {failure.key: failure.error for failure in failures},
-            collect_sweep_resilience(stats, failures) if noteworthy else None,
+            resilience,
         )
 
     # Ordered aggregation: grid order, independent of execution/completion

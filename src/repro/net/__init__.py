@@ -21,7 +21,6 @@ from repro.net.tcp import TcpTransport, TcpConfig, RemoteException
 from repro.net.multicast import MulticastService
 from repro.net.failures import (
     InterfaceOutage,
-    FailureModelConfig,
     build_interface_failure_plan,
     FailureInjector,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "RemoteException",
     "MulticastService",
     "InterfaceOutage",
-    "FailureModelConfig",
     "build_interface_failure_plan",
     "FailureInjector",
 ]

@@ -35,7 +35,7 @@ honestly — see :meth:`FailureInjector.failure_telemetry`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.addressing import Address
@@ -182,60 +182,37 @@ class DisruptionPlan:
         )
 
 
-@dataclass
-class FailureModelConfig:
-    """Parameters of the interface-failure model."""
-
-    #: Total run length used to size outages, in seconds.
-    sim_duration: float = 5400.0
-    #: Failures never start before this time (discovery phase is failure-free).
-    earliest_onset: float = 100.0
-    #: Failures may start as late as this time.
-    latest_onset: float = 5400.0
-    #: Outage modes drawn uniformly per node.
-    modes: Sequence[str] = ("tx", "rx", "both")
-    #: Nodes excluded from failure injection (none by default).
-    immune_nodes: Sequence[Address] = field(default_factory=tuple)
-    #: When ``True``, onset times are drawn so the whole outage fits before
-    #: ``sim_duration``: realized downtime then equals nominal downtime
-    #: (lambda x duration) instead of silently undershooting it whenever the
-    #: window overruns the run.  The paper's Table 4 model keeps the
-    #: unrestricted draw, so this defaults to ``False``.
-    fit_to_deadline: bool = False
-
-    def onset_window(self, duration: float) -> Tuple[float, float]:
-        """The ``[low, high]`` interval outage onsets are drawn from."""
-        high = self.latest_onset
-        if self.fit_to_deadline:
-            high = min(high, self.sim_duration - duration)
-        return self.earliest_onset, max(self.earliest_onset, high)
+#: Outages never start before this time: the discovery phase is failure-free.
+EARLIEST_ONSET = 100.0
 
 
 def build_interface_failure_plan(
     node_ids: Iterable[Address],
     failure_rate: float,
     rng: random.Random,
-    config: Optional[FailureModelConfig] = None,
+    deadline: float,
 ) -> List[InterfaceOutage]:
     """Draw one outage per node according to the paper's failure model.
 
-    ``failure_rate`` is the paper's lambda (0 <= lambda <= 1): the proportion of the
-    run during which the chosen interface directions are down.  A rate of zero
-    yields an empty plan.
+    ``failure_rate`` is the paper's lambda (0 <= lambda <= 1): the proportion
+    of the run (``deadline`` seconds) during which the chosen interface
+    directions are down.  Each node's onset is drawn uniformly from
+    [:data:`EARLIEST_ONSET`, ``deadline``] and its mode uniformly from
+    :data:`FAILURE_MODES`, so a window drawn late overruns the run (the
+    injector accounts only its in-run part).  A rate of zero yields an empty
+    plan.
     """
     if not 0.0 <= failure_rate <= 1.0:
         raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate!r}")
-    cfg = config if config is not None else FailureModelConfig()
     plan: List[InterfaceOutage] = []
     if failure_rate == 0.0:
         return plan
-    duration = failure_rate * cfg.sim_duration
-    low, high = cfg.onset_window(duration)
+    duration = failure_rate * deadline
+    latest_onset = max(EARLIEST_ONSET, deadline)
+    modes = list(FAILURE_MODES)
     for node in node_ids:
-        if node in cfg.immune_nodes:
-            continue
-        start = rng.uniform(low, high)
-        mode = rng.choice(list(cfg.modes))
+        start = rng.uniform(EARLIEST_ONSET, latest_onset)
+        mode = rng.choice(modes)
         plan.append(InterfaceOutage(node=node, start=start, duration=duration, mode=mode))
     return plan
 
@@ -277,11 +254,12 @@ def merged_downtime(
 class FailureInjector(Process):
     """Applies a disruption plan to the endpoints (and nodes) of a network.
 
-    Backwards compatible with the original interface-outage injector: ``plan``
-    is the outage list.  Churn and loss events are optional extras; applying
-    churn needs ``node_resolver`` (node id -> :class:`~repro.sim.process.Process`
-    with an ``endpoint``) so departed nodes can be stopped and rejoining nodes
-    restarted.
+    ``plan`` is the outage list; churn, loss windows and link cuts are
+    optional extras.  ``deadline`` is the end of the run: events at or past
+    it are not scheduled, and realized downtime is clamped to it.
+    ``node_resolver`` maps a node id to its
+    :class:`~repro.sim.process.Process` (one with an ``endpoint``), or to
+    ``None``, so departed nodes can be stopped and rejoining nodes restarted.
 
     Every endpoint lookup is guarded: an outage (or restore) targeting a node
     that has departed the network is *skipped* — counted in
@@ -298,8 +276,8 @@ class FailureInjector(Process):
         churn: Sequence[NodeChurn] = (),
         loss_windows: Sequence[LossWindow] = (),
         link_cuts: Sequence[LinkCut] = (),
-        deadline: Optional[float] = None,
-        node_resolver: Optional[Callable[[Address], Optional[Process]]] = None,
+        deadline: float,
+        node_resolver: Callable[[Address], Optional[Process]],
     ) -> None:
         super().__init__(sim, "failure-injector")
         self.network = network
@@ -325,18 +303,16 @@ class FailureInjector(Process):
             start_delay = max(0.0, outage.start - self.now)
             self.after(start_delay, self._apply, outage)
         for event in self.churn:
-            if event.leave >= self.now and (deadline is None or event.leave < deadline):
+            if self.now <= event.leave < deadline:
                 self.after(event.leave - self.now, self._leave, event)
-            if event.rejoin is not None and (deadline is None or event.rejoin < deadline):
+            if event.rejoin is not None and event.rejoin < deadline:
                 self.after(max(0.0, event.rejoin - self.now), self._rejoin, event)
         for window in self.loss_windows:
-            if deadline is not None and window.start >= deadline:
-                continue
-            self.after(max(0.0, window.start - self.now), self._loss_start, window)
+            if window.start < deadline:
+                self.after(max(0.0, window.start - self.now), self._loss_start, window)
         for cut in self.link_cuts:
-            if deadline is not None and cut.start >= deadline:
-                continue
-            self.after(max(0.0, cut.start - self.now), self._cut, cut)
+            if cut.start < deadline:
+                self.after(max(0.0, cut.start - self.now), self._cut, cut)
 
     # ------------------------------------------------------------------ outages
     def _apply(self, outage: InterfaceOutage) -> None:
@@ -370,7 +346,7 @@ class FailureInjector(Process):
         if not self.network.has_endpoint(event.node):
             self._skip("leave", event.node)
             return
-        node = self.node_resolver(event.node) if self.node_resolver is not None else None
+        node = self.node_resolver(event.node)
         if node is not None:
             node.stop()
         self.network.leave(event.node)
@@ -378,7 +354,7 @@ class FailureInjector(Process):
         self.trace("node_left", node=event.node, rejoin=event.rejoin)
 
     def _rejoin(self, event: NodeChurn) -> None:
-        node = self.node_resolver(event.node) if self.node_resolver is not None else None
+        node = self.node_resolver(event.node)
         endpoint = getattr(node, "endpoint", None)
         if endpoint is None or self.network.has_endpoint(event.node):
             self._skip("rejoin", event.node)
@@ -430,24 +406,14 @@ class FailureInjector(Process):
         """
         realized = self.realized_downtime()
         deadline = self.deadline
-        horizon = deadline if deadline is not None else max(
-            (outage.end for outage in self.plan), default=0.0
-        )
-        last_end = 0.0
-        for outage in self.plan:
-            end = outage.end if deadline is None else outage.clamped(deadline)[1]
-            last_end = max(last_end, end)
-        clamp = (lambda t: t) if deadline is None else (lambda t: min(t, deadline))
-        last_loss_end = max((clamp(w.end) for w in self.loss_windows), default=0.0)
-        last_cut_end = max((clamp(c.end) for c in self.link_cuts), default=0.0)
+        last_end = max((outage.clamped(deadline)[1] for outage in self.plan), default=0.0)
+        last_loss_end = max((min(w.end, deadline) for w in self.loss_windows), default=0.0)
+        last_cut_end = max((min(c.end, deadline) for c in self.link_cuts), default=0.0)
         last_churn_end = max(
-            (
-                clamp(e.rejoin if e.rejoin is not None else horizon)
-                for e in self.churn
-            ),
+            (deadline if e.rejoin is None else min(e.rejoin, deadline) for e in self.churn),
             default=0.0,
         )
-        fractions = [seconds / horizon for seconds in realized.values()] if horizon else []
+        fractions = [seconds / deadline for seconds in realized.values()] if deadline else []
         # Summed left to right: from Python 3.12 on, sum() compensates float
         # rounding, which would change the mean's last digit and the bytes
         # pinned on 3.9-3.11.

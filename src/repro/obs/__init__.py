@@ -3,10 +3,10 @@
 The observability layer answers "what happened inside this run / this sweep"
 without perturbing the experiment itself:
 
-* :mod:`repro.obs.sinks` — pluggable destinations for
-  :class:`~repro.sim.tracing.Tracer` records: in-memory (the classic
-  behaviour), a streaming NDJSON file sink with a versioned record schema
-  (bounded memory at any N), and a null sink;
+* :mod:`repro.obs.sinks` — destinations for
+  :class:`~repro.sim.tracing.Tracer` records: a streaming NDJSON file sink
+  with a versioned record schema (bounded memory at any N), and an
+  in-memory list;
 * :mod:`repro.obs.telemetry` — assembly of the always-on engine / timer /
   network counters into the per-run ``RunTelemetry`` dict attached to every
   :class:`~repro.core.metrics.RunResult`;
@@ -28,8 +28,6 @@ from repro.obs.sinks import (
     TRACE_SCHEMA_VERSION,
     MemorySink,
     NDJSONSink,
-    NullSink,
-    TraceSink,
     trace_filename,
 )
 from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION, collect_run_telemetry
@@ -40,8 +38,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "MemorySink",
     "NDJSONSink",
-    "NullSink",
-    "TraceSink",
     "SweepProgress",
     "collect_run_telemetry",
     "trace_filename",

@@ -2,18 +2,18 @@
 
 Works over the files written by :class:`~repro.obs.sinks.NDJSONSink` — one
 per sweep cell under ``--trace-dir``, or a single file from
-``run --trace`` — and replaces ad-hoc in-memory ``Tracer`` spelunking:
+``run --trace`` — and is the one way to query a trace:
 
+* :func:`iter_records` — the records of one or more files, filtered by
+  time window, category and event;
 * :func:`summarize` — record counts, time span, per-category and
-  per-event histograms, and the message-kind histogram derived from the
-  network-layer ``net/send`` records (which agrees with
-  :meth:`~repro.net.stats.MessageStats.counts_by_kind` for the same run);
-* :func:`kind_counts` — just the message-kind histogram, optionally
-  restricted to update-related sends;
+  per-event histograms, and the message-kind histograms (all sends and
+  update-related ones) derived from the network-layer ``net/send`` records,
+  which agree with :meth:`~repro.net.stats.MessageStats.counts_by_kind`
+  for the same run;
 * :func:`format_timeline` — the filtered records as a readable listing.
 
-All filters share the tracer's boundary semantics: ``since`` and ``until``
-are both inclusive.
+In every filter ``since`` and ``until`` are both inclusive.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def iter_records(
 ) -> Iterator[Tuple[str, TraceRecord]]:
     """Yield ``(source file, record)`` pairs matching the filters.
 
-    ``since``/``until`` are inclusive on both ends, matching
-    :meth:`repro.sim.tracing.Tracer.filter`.
+    ``since`` and ``until`` are both inclusive: a record at exactly either
+    bound matches.
     """
     for path in expand_trace_paths(paths):
         for record in read_trace(path)[1]:
@@ -79,26 +79,6 @@ def iter_records(
             if event is not None and record.event != event:
                 continue
             yield path, record
-
-
-def kind_counts(
-    records: Iterable[TraceRecord],
-    update_related: Optional[bool] = None,
-) -> Dict[str, int]:
-    """Message-kind histogram (``protocol.kind``) from ``net/send`` records.
-
-    Counts logical sends — multicast announcements once, like
-    :meth:`~repro.net.stats.MessageStats.counts_by_kind` — so for one run's
-    trace the histogram agrees with the in-memory statistics.
-    """
-    counter: Counter = Counter()
-    for record in records:
-        if record.category != "net" or record.event != "send":
-            continue
-        if update_related is not None and bool(record.get("update_related")) != update_related:
-            continue
-        counter[f"{record.get('protocol')}.{record.get('kind')}"] += 1
-    return dict(counter)
 
 
 def summarize(
@@ -177,17 +157,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_kinds(counts: Dict[str, int]) -> str:
-    """One ``count  protocol.kind`` line per kind, most frequent first."""
-    if not counts:
-        return "(no net/send records)\n"
-    lines = [
-        f"{count:>8}  {name}"
-        for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def format_timeline(
     records: Iterable[Tuple[str, TraceRecord]],
     limit: Optional[int] = None,
@@ -217,10 +186,8 @@ __all__ = [
     "TELEMETRY_JOURNAL",
     "TRACE_FORMAT",
     "expand_trace_paths",
-    "format_kinds",
     "format_summary",
     "format_timeline",
     "iter_records",
-    "kind_counts",
     "summarize",
 ]

@@ -1,15 +1,16 @@
 """Trace sinks: pluggable destinations for structured trace records.
 
-A :class:`~repro.sim.tracing.Tracer` forwards every record it accepts to one
-sink:
+A :class:`~repro.sim.tracing.Tracer` forwards every record to its sink:
 
-* :class:`MemorySink` — appends to an in-process list (the classic
-  behaviour; supports the tracer's query helpers);
 * :class:`NDJSONSink` — streams records to a newline-delimited JSON file as
   they happen, so a full per-cell trace of an N=1000 run costs bounded
   memory instead of millions of live record objects;
-* :class:`NullSink` — discards everything (tracing structurally on, output
-  off).
+* :class:`MemorySink` — appends to an in-process list
+  (``ScenarioSpec.trace`` and tests read :attr:`MemorySink.records`).
+
+Captured NDJSON traces are queried by :mod:`repro.obs.analyze`.  A sink's
+``emit`` is called once per record: it must be cheap and must never raise
+into the simulation.
 
 NDJSON file format (schema version :data:`TRACE_SCHEMA_VERSION`)
 ----------------------------------------------------------------
@@ -46,29 +47,8 @@ TRACE_FORMAT = "repro-trace"
 TRACE_SCHEMA_VERSION = 1
 
 
-class TraceSink:
-    """Destination interface for trace records.
-
-    Concrete sinks implement :meth:`emit`; :meth:`close` and :meth:`clear`
-    have safe defaults.  The tracer calls :meth:`emit` once per accepted
-    record — implementations must be cheap and must never raise into the
-    simulation.
-    """
-
-    def emit(self, record: TraceRecord) -> None:
-        """Accept one record."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush and release any resources (idempotent)."""
-
-    def clear(self) -> None:
-        """Drop buffered records, where the sink supports it."""
-        raise RuntimeError(f"{type(self).__name__} cannot drop already-emitted records")
-
-
-class MemorySink(TraceSink):
-    """Keeps every record in an in-process list (the default sink)."""
+class MemorySink:
+    """Keeps every record in an in-process list."""
 
     __slots__ = ("records",)
 
@@ -78,31 +58,19 @@ class MemorySink(TraceSink):
     def emit(self, record: TraceRecord) -> None:
         self.records.append(record)
 
-    def clear(self) -> None:
-        self.records.clear()
+    def close(self) -> None:
+        """Nothing to flush."""
 
 
-class NullSink(TraceSink):
-    """Discards every record."""
-
-    __slots__ = ()
-
-    def emit(self, record: TraceRecord) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-
-class NDJSONSink(TraceSink):
+class NDJSONSink:
     """Streams records to an NDJSON file (one JSON object per line).
 
     The file (and any missing parent directories) is created lazily on the
     first record, so a run that traces nothing leaves no file behind.
 
-    An unwritable path degrades the sink to :class:`NullSink` behaviour —
-    one stderr warning, then every record is discarded — because a trace
-    must never make a run fail (the sink-interface contract above).
+    An unwritable path degrades the sink to discarding records — one stderr
+    warning, then every record is dropped — because a trace must never make
+    a run fail.
     """
 
     def __init__(self, path: str, meta: Optional[Dict[str, Any]] = None):

@@ -156,21 +156,3 @@ def collect_run_telemetry(
         telemetry["failures"] = injector.failure_telemetry()
     return telemetry
 
-
-def collect_sweep_resilience(stats: Any, failures: Any) -> Dict[str, Any]:
-    """Sweep-level resilience summary for the telemetry journal header.
-
-    ``stats`` is the executor's :class:`~repro.experiments.resilience.
-    ExecutionStats` (duck-typed to avoid an import cycle), ``failures`` the
-    sweep's quarantined :class:`~repro.experiments.resilience.CellFailure`
-    records.  Unlike RunTelemetry this is *not* seed-deterministic — pool
-    rebuilds and retries depend on what actually went wrong on the host —
-    which is exactly why it lives in the journal header and never in
-    results.
-    """
-    return {
-        "retried_cells": stats.retried_cells,
-        "failed_cells": stats.failed_cells,
-        "pool_rebuilds": stats.pool_rebuilds,
-        "quarantined": sorted(failure.key for failure in failures),
-    }

@@ -45,7 +45,7 @@ class Simulator:
         Initial value of the simulation clock (seconds).
     tracer:
         Optional :class:`~repro.sim.tracing.Tracer` used by models to record
-        structured events.  A fresh tracer is created when omitted.
+        structured events.  When omitted, the run traces nothing.
     """
 
     __slots__ = (

@@ -97,23 +97,16 @@ class OneShotTimer:
 
 
 class PeriodicTimer:
-    """A repeating timer with optional initial offset and per-tick jitter."""
+    """A repeating timer with an optional initial offset."""
 
-    __slots__ = ("_wheel", "interval", "_callback", "_jitter", "_event", "_running")
+    __slots__ = ("_wheel", "interval", "_callback", "_event", "_running")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        interval: float,
-        callback: Callable[[], Any],
-        jitter: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", interval: float, callback: Callable[[], Any]) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self._wheel = sim.timers
         self.interval = interval
         self._callback = callback
-        self._jitter = jitter
         self._event: Optional[Event] = None
         self._running = False
 
@@ -143,7 +136,4 @@ class PeriodicTimer:
         self._callback()
         if not self._running:
             return
-        delay = self.interval
-        if self._jitter is not None:
-            delay = max(0.0, delay + self._jitter())
-        self._event = self._wheel.schedule(delay, self._tick)
+        self._event = self._wheel.schedule(self.interval, self._tick)

@@ -5,20 +5,20 @@ user became consistent, ...) as :class:`TraceRecord` entries.  The analysis
 layer uses the trace for debugging and for the per-run message accounting
 described in the paper's Update Efficiency metric.
 
-Records flow through a pluggable sink (:mod:`repro.obs.sinks`): the default
-in-memory sink keeps the classic query-able record list, the NDJSON sink
-streams records to disk with bounded memory (full traces at N=1000), and the
-null sink discards them.  The tracer itself only decides *whether* a record
-is made; the sink decides *where* it goes.
+Records flow to a sink (:mod:`repro.obs.sinks`): the NDJSON sink streams
+records to disk with bounded memory (full traces at N=1000), and the
+in-memory sink keeps them in a list.  A tracer without a sink is off.
+Captured traces are queried offline by :mod:`repro.obs.analyze`
+(``python -m repro trace``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 if TYPE_CHECKING:  # imported for annotations only (obs.sinks imports this module)
-    from repro.obs.sinks import TraceSink
+    from repro.obs.sinks import MemorySink, NDJSONSink
 
 
 @dataclass(frozen=True)
@@ -42,93 +42,23 @@ class TraceRecord:
 class Tracer:
     """Gate and router for :class:`TraceRecord` entries.
 
-    Tracing can be disabled entirely (``enabled=False``) for large parameter
-    sweeps where only the aggregate counters matter; the protocol models
-    always go through :meth:`record` so a disabled tracer is nearly free
-    (one attribute load and one branch, no record allocation).
-
-    ``sink`` selects the destination (default: an in-memory
-    :class:`~repro.obs.sinks.MemorySink`).  The query helpers
-    (:meth:`filter`, :meth:`count`, :meth:`categories`, :attr:`records`)
-    operate on the in-memory record list and therefore see nothing when a
-    streaming or null sink is installed — use ``python -m repro trace`` to
-    query streamed captures.
+    A tracer with a ``sink`` forwards every record to it.  Without one the
+    tracer is off, for the parameter sweeps where only the aggregate
+    counters matter; callers test :attr:`enabled` before building a record,
+    so an off tracer costs one attribute load and one branch.
     """
 
-    def __init__(self, enabled: bool = True, sink: Optional["TraceSink"] = None) -> None:
-        if sink is None:
-            # Function-level import: obs.sinks imports TraceRecord from this
-            # module, so a top-level import would be circular.
-            from repro.obs.sinks import MemorySink
-
-            sink = MemorySink()
-        self.enabled = enabled
+    def __init__(self, sink: Optional[Union["MemorySink", "NDJSONSink"]] = None) -> None:
         self.sink = sink
-        self._emit = sink.emit
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """All in-memory records in insertion (time) order.
-
-        Empty for non-memory sinks: streamed records live in the sink's
-        file, not in the process.
-        """
-        return getattr(self.sink, "records", [])
+        self.enabled = sink is not None
 
     def record(self, time: float, category: str, event: str, **fields: Any) -> None:
-        """Append a record (no-op when tracing is disabled)."""
-        if not self.enabled:
-            return
-        self._emit(TraceRecord(time=time, category=category, event=event, fields=fields))
-
-    def clear(self) -> None:
-        """Drop all records (memory/null sinks only; streaming sinks raise)."""
-        self.sink.clear()
+        """Hand one record to the sink (no-op when the tracer is off)."""
+        sink = self.sink
+        if sink is not None:
+            sink.emit(TraceRecord(time=time, category=category, event=event, fields=fields))
 
     def close(self) -> None:
         """Flush and close the sink (idempotent; part of per-run teardown)."""
-        self.sink.close()
-
-    # ------------------------------------------------------------------ queries
-    def filter(
-        self,
-        category: Optional[str] = None,
-        event: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-    ) -> List[TraceRecord]:
-        """Return records matching all of the given criteria.
-
-        Boundary semantics: ``since`` and ``until`` are both *inclusive* —
-        a record at exactly ``since`` or exactly ``until`` matches.  The
-        offline filters of :mod:`repro.obs.analyze` follow the same rule.
-        """
-        out = []
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if event is not None and rec.event != event:
-                continue
-            if since is not None and rec.time < since:
-                continue
-            if until is not None and rec.time > until:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
-
-    def count(self, **kwargs: Any) -> int:
-        """Number of records matching :meth:`filter` criteria."""
-        return len(self.filter(**kwargs))
-
-    def categories(self) -> Iterable[str]:
-        """Distinct categories present in the trace."""
-        return sorted({rec.category for rec in self.records})
+        if self.sink is not None:
+            self.sink.close()

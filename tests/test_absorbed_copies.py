@@ -82,7 +82,9 @@ def run_cell(spec, absorb=True, script=None):
             endpoint.refresh.clear()
     probes = script(context) if script is not None else []
     result = runner.execute(context)
-    trace = [(r.time, r.category, r.event, r.fields) for r in context.sim.tracer]
+    sink = context.sim.tracer.sink  # a MemorySink for ``trace=True`` specs, else None
+    records = sink.records if sink is not None else []
+    trace = [(r.time, r.category, r.event, r.fields) for r in records]
     return result, trace, probes
 
 

@@ -130,8 +130,8 @@ def test_out_of_range_options_are_spec_errors_before_any_cell(token, tmp_path, c
 @pytest.mark.parametrize(
     "argv",
     [
-        ["profile", "--system", "frodo3", "--top", "0"],
-        ["profile", "--system", "frodo3", "--top", "-1"],
+        ["sweep", "--system", "frodo3", "--users", "0"],
+        ["sweep", "--system", "frodo3", "--users", "-1"],
         ["trace", "timeline", "t.ndjson", "--limit", "0"],
         ["trace", "timeline", "t.ndjson", "--limit", "-1"],
     ],

@@ -9,7 +9,7 @@ from repro.__main__ import main
 from repro.core.metrics import RunResult
 from repro.experiments import ExperimentRunner, ScenarioSpec, SweepSpec, run_seed, sweep
 from repro.experiments.report import sweep_to_dict, to_json
-from repro.net.failures import FailureModelConfig, build_interface_failure_plan
+from repro.net.failures import EARLIEST_ONSET, build_interface_failure_plan
 from repro.sim.rng import RngRegistry
 
 
@@ -68,16 +68,15 @@ def test_run_seeds_are_stable_and_distinct():
 
 def test_failure_plan_matches_model():
     rng = RngRegistry(5).stream("failures")
-    config = FailureModelConfig(sim_duration=5400.0, latest_onset=5400.0)
-    plan = build_interface_failure_plan(["a", "b", "c"], 0.2, rng, config=config)
+    plan = build_interface_failure_plan(["a", "b", "c"], 0.2, rng, 5400.0)
     assert len(plan) == 3
     for outage in plan:
         assert outage.duration == pytest.approx(0.2 * 5400.0)
-        assert 100.0 <= outage.start <= 5400.0
+        assert EARLIEST_ONSET == 100.0 <= outage.start <= 5400.0
         assert outage.mode in ("tx", "rx", "both")
-    assert build_interface_failure_plan(["a"], 0.0, rng, config=config) == []
+    assert build_interface_failure_plan(["a"], 0.0, rng, 5400.0) == []
     with pytest.raises(ValueError):
-        build_interface_failure_plan(["a"], 1.5, rng, config=config)
+        build_interface_failure_plan(["a"], 1.5, rng, 5400.0)
 
 
 def test_nonzero_failure_rate_degrades_efficiency():
@@ -122,28 +121,6 @@ def test_cli_listings_match_the_pinned_bytes(capsys):
     path = os.path.join(os.path.dirname(__file__), "data", "cli_listings.txt")
     with open(path, encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
-
-
-def test_cli_profile_subcommand(tmp_path):
-    out = tmp_path / "profile.txt"
-    argv = [
-        "profile",
-        "--system",
-        "frodo3",
-        "--users",
-        "20",
-        "--rate",
-        "20",
-        "--top",
-        "5",
-        "--out",
-        str(out),
-    ]
-    assert main(argv) == 0
-    text = out.read_text()
-    assert text.startswith("# profile frodo3")
-    assert "events executed" in text
-    assert "cumulative" in text
 
 
 def test_cli_unknown_system_is_a_clean_error(capsys):

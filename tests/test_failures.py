@@ -14,7 +14,6 @@ import pytest
 from repro.net.failures import (
     DisruptionPlan,
     FailureInjector,
-    FailureModelConfig,
     InterfaceOutage,
     LossWindow,
     NodeChurn,
@@ -24,6 +23,7 @@ from repro.net.failures import (
 from repro.net.interfaces import Endpoint, NetworkInterface
 from repro.net.messages import Message
 from repro.net.network import Network
+from repro.obs.sinks import MemorySink
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
@@ -31,7 +31,7 @@ from repro.sim.tracing import Tracer
 
 
 def make_network(n_nodes=3, seed=1234, trace=False):
-    sim = Simulator(tracer=Tracer(enabled=trace))
+    sim = Simulator(tracer=Tracer(MemorySink() if trace else None))
     network = Network(sim, RngRegistry(seed))
     inboxes = {}
     for index in range(n_nodes):
@@ -44,6 +44,16 @@ def make_network(n_nodes=3, seed=1234, trace=False):
 
 def msg(sender, receiver, kind="ping"):
     return Message(sender=sender, receiver=receiver, protocol="test", kind=kind)
+
+
+def outage_injector(sim, network, plan, deadline=1000.0):
+    """An injector of ``plan`` alone, on a network with no churn target."""
+    return FailureInjector(sim, network, plan, deadline=deadline, node_resolver={}.get)
+
+
+def traced(sim, event):
+    """The in-memory trace records of ``event``."""
+    return [record for record in sim.tracer.sink.records if record.event == event]
 
 
 # --------------------------------------------------------------------------- depth counters
@@ -72,7 +82,7 @@ def test_overlapping_outages_through_injector_drop_messages_in_the_overlap_tail(
         InterfaceOutage(node="node-1", start=10.0, duration=20.0, mode="rx"),
         InterfaceOutage(node="node-1", start=20.0, duration=25.0, mode="rx"),
     ]
-    injector = FailureInjector(sim, network, plan)
+    injector = outage_injector(sim, network, plan)
     injector.start()
     sim.schedule_at(35.0, network.transmit_unicast, msg("node-0", "node-1"))  # overlap tail
     sim.schedule_at(50.0, network.transmit_unicast, msg("node-0", "node-1"))  # all restored
@@ -146,37 +156,17 @@ def test_merged_downtime_merges_overlaps_and_clamps():
 
 # --------------------------------------------------------------------------- the failure model
 def test_fitted_plan_realizes_the_nominal_failure_fraction():
-    """Satellite: with ``fit_to_deadline`` the whole outage fits inside the
-    run, so mean realized downtime equals nominal lambda exactly.  Without it,
-    windows drawn near the deadline overrun and realized downtime
-    undershoots."""
-    rng = random.Random(7)
+    """The paper's draw places onsets up to the deadline, so windows drawn
+    near it overrun the run and mean realized downtime undershoots nominal
+    lambda."""
     deadline = 5400.0
     rate = 0.4
     nodes = [f"n{i}" for i in range(200)]
-
-    fitted = build_interface_failure_plan(
-        nodes,
-        rate,
-        rng,
-        FailureModelConfig(sim_duration=deadline, latest_onset=deadline, fit_to_deadline=True),
-    )
-    realized = merged_downtime(fitted, deadline=deadline)
-    fractions = [realized[node] / deadline for node in nodes]
-    assert min(fractions) == pytest.approx(rate)
-    assert max(fractions) == pytest.approx(rate)
-    assert all(outage.end <= deadline + 1e-9 for outage in fitted)
-
-    unfitted = build_interface_failure_plan(
-        nodes,
-        rate,
-        random.Random(7),
-        FailureModelConfig(sim_duration=deadline, latest_onset=deadline),
-    )
-    realized_unfitted = merged_downtime(unfitted, deadline=deadline)
-    mean = sum(realized_unfitted[node] / deadline for node in nodes) / len(nodes)
+    plan = build_interface_failure_plan(nodes, rate, random.Random(7), deadline)
+    realized = merged_downtime(plan, deadline=deadline)
+    mean = sum(realized[node] / deadline for node in nodes) / len(nodes)
     assert mean < rate  # the paper's draw silently undershoots nominal lambda
-    assert any(outage.end > deadline for outage in unfitted)
+    assert any(outage.end > deadline for outage in plan)
 
 
 def test_injector_telemetry_reports_clamped_realized_downtime():
@@ -185,7 +175,7 @@ def test_injector_telemetry_reports_clamped_realized_downtime():
         InterfaceOutage(node="node-0", start=50.0, duration=100.0, mode="tx"),
         InterfaceOutage(node="node-1", start=150.0, duration=100.0, mode="both"),
     ]
-    injector = FailureInjector(sim, network, plan, deadline=200.0)
+    injector = outage_injector(sim, network, plan, deadline=200.0)
     injector.start()
     sim.run(until=200.0)
     telemetry = injector.failure_telemetry()
@@ -208,7 +198,7 @@ def test_realized_fraction_mean_is_summed_left_to_right():
         InterfaceOutage(node=f"node-{index}", start=100.0, duration=1080.0, mode="both")
         for index in range(6)
     ]
-    injector = FailureInjector(sim, network, plan, deadline=5400.0)
+    injector = outage_injector(sim, network, plan, deadline=5400.0)
     injector.start()
     sim.run(until=5400.0)
     telemetry = injector.failure_telemetry()
@@ -220,12 +210,12 @@ def test_realized_fraction_mean_is_summed_left_to_right():
 def test_outage_on_departed_node_is_skipped_not_raised():
     sim, network, _ = make_network(2, trace=True)
     plan = [InterfaceOutage(node="node-1", start=20.0, duration=30.0, mode="both")]
-    injector = FailureInjector(sim, network, plan)
+    injector = outage_injector(sim, network, plan)
     injector.start()
     sim.schedule_at(10.0, network.leave, "node-1")
     sim.run(until=100.0)  # the old unguarded _apply raised KeyError here
     assert injector.skipped_ops == 1
-    skipped = sim.tracer.filter(event="failure_skipped")
+    skipped = traced(sim, "failure_skipped")
     assert len(skipped) == 1
     assert skipped[0].fields["operation"] == "apply"
     assert skipped[0].fields["node"] == "node-1"
@@ -234,12 +224,12 @@ def test_outage_on_departed_node_is_skipped_not_raised():
 def test_restore_on_node_departed_mid_outage_is_skipped():
     sim, network, _ = make_network(2, trace=True)
     plan = [InterfaceOutage(node="node-1", start=20.0, duration=30.0, mode="rx")]
-    injector = FailureInjector(sim, network, plan)
+    injector = outage_injector(sim, network, plan)
     injector.start()
     sim.schedule_at(30.0, network.leave, "node-1")  # departs while failed
     sim.run(until=100.0)
     assert injector.skipped_ops == 1
-    skipped = sim.tracer.filter(event="failure_skipped")
+    skipped = traced(sim, "failure_skipped")
     assert skipped[0].fields["operation"] == "restore"
 
 
@@ -258,7 +248,7 @@ class _ToyNode(Process):
 
 
 def test_churn_leave_and_rejoin_restarts_node_with_fresh_interface():
-    sim = Simulator(tracer=Tracer(enabled=True))
+    sim = Simulator(tracer=Tracer(MemorySink()))
     network = Network(sim, RngRegistry(5))
     node = _ToyNode(sim, network, "peer")
     nodes = {"peer": node}
@@ -296,6 +286,8 @@ def test_churn_without_rejoin_leaves_node_out():
     assert not network.has_endpoint("peer")
     assert node.stopped
     assert injector.departed == ["peer"] and injector.rejoined == []
+    # A departure without a rejoin lasts to the end of the run.
+    assert injector.failure_telemetry()["last_churn_end"] == 100.0
 
 
 def test_departed_sender_transmissions_fail_silently():
@@ -324,6 +316,7 @@ def test_loss_window_drops_deliveries_with_given_probability():
         [],
         loss_windows=[LossWindow(start=0.0, duration=10.0, drop_probability=0.5)],
         deadline=100.0,
+        node_resolver={}.get,
     )
     injector.start()
     for index in range(200):
@@ -343,6 +336,7 @@ def test_loss_window_closes_and_later_sends_all_arrive():
         [],
         loss_windows=[LossWindow(start=0.0, duration=10.0, drop_probability=1.0)],
         deadline=100.0,
+        node_resolver={}.get,
     )
     injector.start()
     sim.schedule_at(5.0, network.transmit_unicast, msg("node-0", "node-1"))  # inside: dropped

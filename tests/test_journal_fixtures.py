@@ -5,8 +5,8 @@ one writer (:mod:`repro.obs.journal`).  The ``tests/data/journal_*``
 fixtures were captured from the harness before that writer existed; each
 test regenerates its artifact through the CLI and requires byte equality.
 
-Regenerate a fixture only when a format changes on purpose, and bump that
-format's version with it.
+Regenerate a fixture only when a format changes on purpose, and bump a
+format's version when its reader can no longer load older files.
 """
 
 import hashlib
@@ -90,6 +90,26 @@ def test_committed_v5_journal_resumes_to_the_pinned_bytes(tmp_path):
     assert ck.read_bytes() == _fixture("journal_checkpoint_resumed.jsonl", "rb")
     assert main([*argv, "--out", str(fresh)]) == 0
     assert resumed.read_bytes() == fresh.read_bytes()
+
+
+def test_journal_with_attempts_counts_resumes_to_the_pinned_bytes(tmp_path):
+    """Checkpoints written while cells were still retried in process carry an
+    ``attempts`` count in every ``cell_error`` record, under the same version
+    5.  Such a journal still resumes, and ends byte-identical to the pinned
+    resumed journal."""
+    lines = _fixture("journal_checkpoint_quarantined.jsonl").splitlines(keepends=True)
+    older = []
+    for line in lines:
+        record = json.loads(line)
+        if "cell_error" in record:
+            record["cell_error"]["attempts"] = 1
+            line = json.dumps(record, sort_keys=True) + "\n"
+        older.append(line)
+    assert older != lines and sum('"attempts": 1' in line for line in older) == 1
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text("".join(older))
+    assert main(["sweep", *GRID, "--resume", str(ck), "--out", str(tmp_path / "o.json")]) == 0
+    assert ck.read_bytes() == _fixture("journal_checkpoint_resumed.jsonl", "rb")
 
 
 def test_telemetry_journal_and_trace_bytes_match_the_pinned_captures(tmp_path, monkeypatch):

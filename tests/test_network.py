@@ -15,6 +15,7 @@ from repro.net.multicast import MulticastService
 from repro.net.network import Network
 from repro.net.tcp import TcpTransport
 from repro.net.udp import UdpTransport
+from repro.obs.sinks import MemorySink
 from repro.protocols.jini import messages as jini_messages
 from repro.protocols.jini.config import JiniConfig
 from repro.protocols.jini.user import ClientRegistrarState, JiniClient
@@ -396,7 +397,7 @@ def test_node_accepts_the_kinds_of_its_own_class_handlers():
     assert PingPongNode.accepted_kinds() == {"ping", "pong"}
     assert PingNode.accepted_kinds() == {"ping"}
 
-    sim = Simulator(tracer=Tracer(enabled=True))
+    sim = Simulator(tracer=Tracer(MemorySink()))
     network = Network(sim, RngRegistry(7))
     sender = PingPongNode(sim, network, "sender", NodeRole.USER, Transports())
     node = PingNode(sim, network, "node", NodeRole.USER, Transports())
@@ -409,7 +410,7 @@ def test_node_accepts_the_kinds_of_its_own_class_handlers():
     assert network.ignored == 2
     assert node.endpoint.interface.counters.received == 2
     # Ignored copies never reach on_unhandled, so they leave no trace record.
-    assert not [r for r in sim.tracer.records if r.event == "unhandled_message"]
+    assert not [r for r in sim.tracer.sink.records if r.event == "unhandled_message"]
 
 
 class CallerPingNode(PingNode):

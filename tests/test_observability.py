@@ -20,23 +20,12 @@ from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.report import summary_to_dict
 from repro.experiments.sweep import SweepSpec, sweep
 from repro.net.messages import MessageLayer
-from repro.obs.analyze import (
-    TELEMETRY_JOURNAL,
-    expand_trace_paths,
-    kind_counts,
-    summarize,
-)
+from repro.obs.analyze import TELEMETRY_JOURNAL, expand_trace_paths, iter_records, summarize
 from repro.obs.progress import SweepProgress, _format_eta
 from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
 from repro.protocols.registry import SYSTEMS
-from repro.obs.sinks import (
-    MemorySink,
-    NDJSONSink,
-    NullSink,
-    TraceSink,
-    read_trace,
-    trace_filename,
-)
+from repro.obs.sinks import MemorySink, NDJSONSink, read_trace, trace_filename
+from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 from repro.sim.tracing import TraceRecord, Tracer
 
@@ -46,43 +35,53 @@ SPEC_B = ScenarioSpec(system="upnp", failure_rate=0.1, seed=3, change_time=500.0
 
 
 # --------------------------------------------------------------------------- tracer semantics
-def test_tracer_filter_boundaries_inclusive():
-    tracer = Tracer()
+def test_tracer_filter_boundaries_inclusive(tmp_path):
+    path = str(tmp_path / "t.ndjson")
+    tracer = Tracer(NDJSONSink(path))
     for t in (1.0, 2.0, 3.0):
         tracer.record(t, "cat", "ev")
-    assert [r.time for r in tracer.filter(since=2.0)] == [2.0, 3.0]
-    assert [r.time for r in tracer.filter(until=2.0)] == [1.0, 2.0]
-    assert [r.time for r in tracer.filter(since=2.0, until=2.0)] == [2.0]
-    assert tracer.count(since=1.0, until=3.0) == 3
+    tracer.close()
+
+    def times(**bounds):
+        return [record.time for _path, record in iter_records([path], **bounds)]
+
+    assert times(since=2.0) == [2.0, 3.0]
+    assert times(until=2.0) == [1.0, 2.0]
+    assert times(since=2.0, until=2.0) == [2.0]
+    assert len(times(since=1.0, until=3.0)) == 3
 
 
-def test_disabled_tracer_is_a_noop(tmp_path):
-    path = str(tmp_path / "t.ndjson")
-    tracer = Tracer(enabled=False, sink=NDJSONSink(path))
+def test_disabled_tracer_is_a_noop():
+    tracer = Tracer()  # no sink: off
+    assert not tracer.enabled
     tracer.record(1.0, "cat", "ev", k=1)
     tracer.close()
-    assert len(tracer) == 0
-    # The lazy sink never opened: a run that traces nothing leaves no file.
-    assert not os.path.exists(path)
+    assert tracer.sink is None
+    # A simulator given no tracer traces nothing, as every sweep cell does.
+    sim = Simulator()
+    sim.trace("cat", "ev")
+    assert not sim.tracer.enabled and sim.tracer.sink is None
 
 
-def test_sink_interface_and_memory_null_sinks():
+def test_sink_interface_and_memory_null_sinks(tmp_path):
+    """Both sinks take ``emit`` and ``close``; a tracer without a sink is the
+    null sink: it builds no record at all."""
     record = TraceRecord(time=1.0, category="c", event="e")
-    with pytest.raises(NotImplementedError):
-        TraceSink().emit(record)
-    with pytest.raises(RuntimeError):
-        TraceSink().clear()
-
     memory = MemorySink()
     memory.emit(record)
+    memory.close()
     assert memory.records == [record]
-    memory.clear()
-    assert memory.records == []
 
-    null = NullSink()
-    null.emit(record)
-    null.clear()  # supported: there is nothing to drop
-    null.close()
+    path = str(tmp_path / "t.ndjson")
+    streamed = NDJSONSink(path)
+    streamed.emit(record)
+    streamed.close()
+    assert list(read_trace(path)[1]) == [record]
+
+    tracer = Tracer(memory)
+    assert tracer.enabled
+    tracer.record(2.0, "c", "e", k=1)
+    assert memory.records[-1] == TraceRecord(time=2.0, category="c", event="e", fields={"k": 1})
 
 
 # --------------------------------------------------------------------------- NDJSON sink
@@ -92,9 +91,6 @@ def test_ndjson_sink_round_trip(tmp_path):
     tracer = Tracer(sink=sink)
     tracer.record(0.5, "net", "send", kind="ping", n=1)
     tracer.record(2.5, "node", "lease_expired", obj=object())  # non-JSON-native field
-    assert tracer.records == []  # streamed, not accumulated
-    with pytest.raises(RuntimeError):
-        tracer.clear()  # a streaming sink cannot drop emitted records
     tracer.close()
     tracer.close()  # idempotent
 
@@ -177,13 +173,11 @@ def test_trace_capture_agrees_with_message_stats(tmp_path, system, scenario):
     context = runner.setup(spec)
     runner.execute(context)
 
-    stats_counts = context.network.stats.counts_by_kind()
-    trace_counts = kind_counts(read_trace(path)[1])
-    assert trace_counts == stats_counts
-    assert summarize([path])["message_kinds"] == stats_counts
-
-    update_only = kind_counts(read_trace(path)[1], update_related=True)
-    assert update_only == context.network.stats.counts_by_kind(update_related=True)
+    summary = summarize([path])
+    assert summary["message_kinds"] == context.network.stats.counts_by_kind()
+    assert summary["update_message_kinds"] == context.network.stats.counts_by_kind(
+        update_related=True
+    )
 
 
 # --------------------------------------------------------------------------- counters
@@ -356,7 +350,7 @@ def test_sweep_trace_dir_writes_cell_traces_and_telemetry_journal(tmp_path):
     journal = (trace_dir / TELEMETRY_JOURNAL).read_text().splitlines()
     header = json.loads(journal[0])
     assert header["format"] == "repro-telemetry"
-    assert header["version"] == 1
+    assert header["version"] == 2
     assert header["grid"] == SWEEP_SPEC.grid_dict()
     records = [json.loads(line) for line in journal[1:]]
     assert [r["key"] for r in records] == [cell.key for cell in cells]  # grid order
@@ -403,10 +397,8 @@ def test_cli_run_trace_and_trace_subcommands(tmp_path, capsys):
     summary_text = capsys.readouterr().out
     assert "records:" in summary_text
     assert "message kinds (net/send):" in summary_text
-
-    assert main(["trace", "kinds", trace, "--update-related"]) == 0
-    kinds_text = capsys.readouterr().out
-    assert "frodo." in kinds_text
+    update_kinds = summary_text.split("update-related message kinds:\n")[1]
+    assert update_kinds.startswith("  frodo.")
 
     assert main(["trace", "timeline", trace, "--category", "net", "--limit", "2"]) == 0
     timeline_text = capsys.readouterr().out

@@ -21,7 +21,6 @@ from repro.net.network import Network
 from repro.net.tcp import RemoteException, TcpConfig, TcpTransport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import Tracer
 
 SEED = 2024
 ADDRESSES = ("node-a", "node-b", "node-c")
@@ -240,7 +239,7 @@ class Side:
 
 
 def make_side(reference: bool, accepts: Optional[frozenset] = NODE_ACCEPTS) -> Side:
-    sim = Simulator(tracer=Tracer(enabled=False))
+    sim = Simulator()
     network = Network(sim, RngRegistry(SEED))
     config = TcpConfig()
     if reference:
