@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.experiments.executors import make_executor
 from repro.experiments.resilience import PoolRecoveryError, ResiliencePolicy
@@ -61,12 +61,12 @@ from repro.experiments.scenario import (
     DEFAULT_SIM_DURATION,
     ScenarioSpec,
 )
-from repro.experiments.scenarios import SCENARIOS, UnknownScenarioError, parse_scenario
-from repro.experiments.tokens import format_option_value, split_token_list
+from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.sweep import SweepSpec, sweep
 from repro.obs.analyze import format_summary, format_timeline, iter_records, summarize
 from repro.obs.progress import SweepProgress
-from repro.protocols.registry import SYSTEMS, UnknownSystemError
+from repro.protocols.registry import SYSTEMS
+from repro.tokens import UnknownNameError, canonical_token, parse_token, split_token_list
 
 
 def _parse_percent(token: str) -> float:
@@ -312,7 +312,7 @@ def _split_systems(values: Sequence[str]) -> List[str]:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    scenario_name, scenario_options = parse_scenario(args.scenario)
+    scenario_name, scenario_options = parse_token(args.scenario, "scenario")
     spec = SweepSpec(
         systems=tuple(_split_systems(args.systems)),
         failure_rates=tuple(args.rates),
@@ -353,7 +353,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    scenario_name, scenario_options = parse_scenario(args.scenario)
+    scenario_name, scenario_options = parse_token(args.scenario, "scenario")
     spec = ScenarioSpec(
         system=SYSTEMS.resolve(args.system).token,
         failure_rate=args.rate,
@@ -383,33 +383,26 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _default_options(entry: Any) -> str:
+    """The option part of the canonical token of an entry's defaults."""
+    return canonical_token(entry.name, entry.defaults).partition("@")[2]
+
+
 def _command_systems() -> int:
-    for entry in sorted(SYSTEMS, key=lambda e: e.name):
-        form = entry.m_prime_form or str(entry.m_prime_at(5))
-        line = f"{entry.name:<10} m'={form}"
-        if entry.frozen and entry.alias_of:
+    for entry in SYSTEMS:
+        line = f"{entry.name:<10} m'={entry.m_prime_form}"
+        if entry.alias_of:
             line += f"  [= {entry.alias_of}]"
-        elif entry.params:
-            options = ",".join(
-                f"{key}={format_option_value(value)}"
-                for key, value in sorted(entry.params.items())
-            )
-            line += f"  [{options}]"
-        if entry.description:
-            line += f"  {entry.description}"
-        print(line)
+        elif entry.defaults:
+            line += f"  [{_default_options(entry)}]"
+        print(f"{line}  {entry.description}")
     return 0
 
 
 def _command_scenarios() -> int:
-    for family in sorted(SCENARIOS, key=lambda f: f.name):
-        options = ",".join(
-            f"{key}={value}" for key, value in sorted(family.defaults.items())
-        )
-        line = f"{family.name:<12} [{options or 'no options'}]"
-        if family.description:
-            line += f"  {family.description}"
-        print(line)
+    for family in SCENARIOS:
+        options = _default_options(family) or "no options"
+        print(f"{family.name:<12} [{options}]  {family.description}")
     return 0
 
 
@@ -444,13 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
         return 130
-    except (
-        UnknownSystemError,
-        UnknownScenarioError,
-        PoolRecoveryError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (UnknownNameError, PoolRecoveryError, ValueError, OSError) as exc:
         # Bad grids (e.g. --runs 0), unwritable --out paths, exhausted
         # failure budgets, and unrecoverable worker pools surface as clean
         # CLI errors, not tracebacks.

@@ -100,8 +100,8 @@ class DiscoveryNode(Process):
         in the class's :attr:`update_related_kinds` is the one tagging rule,
         with no per-send override.
         """
-        # Positional: every protocol send builds one (layer and size keep
-        # their defaults).
+        # Positional: every protocol send builds one (the layer keeps its
+        # default).
         return Message(
             self.node_id,
             receiver,
@@ -110,7 +110,6 @@ class DiscoveryNode(Process):
             None if payload is None else dict(payload),
             kind in self.update_related_kinds,
             MessageLayer.DISCOVERY,
-            256,
             next(self.network.msg_ids),
         )
 

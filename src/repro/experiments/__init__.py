@@ -31,14 +31,7 @@ from repro.experiments.scenario import (
     cell_key,
     run_seed,
 )
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    ScenarioFamily,
-    ScenarioRegistry,
-    UnknownScenarioError,
-    parse_scenario,
-    scenario_token,
-)
+from repro.experiments.scenarios import SCENARIOS, ScenarioFamily
 from repro.experiments.runner import ExperimentRunner, RunContext, run_scenario
 from repro.experiments.resilience import (
     DEFAULT_POLICY,
@@ -81,10 +74,6 @@ __all__ = [
     "run_seed",
     "SCENARIOS",
     "ScenarioFamily",
-    "ScenarioRegistry",
-    "UnknownScenarioError",
-    "parse_scenario",
-    "scenario_token",
     "ExperimentRunner",
     "RunContext",
     "run_scenario",

@@ -25,6 +25,7 @@ first time.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import threading
@@ -83,8 +84,8 @@ class ResiliencePolicy:
 
     def validate(self) -> "ResiliencePolicy":
         """Raise :class:`ValueError` on an inconsistent policy."""
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout!r}")
+        if self.cell_timeout is not None and not 0 < self.cell_timeout < math.inf:
+            raise ValueError(f"cell_timeout must be positive and finite, got {self.cell_timeout!r}")
         if self.max_cell_failures < 0:
             raise ValueError(
                 f"max_cell_failures must be >= 0, got {self.max_cell_failures!r}"

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.core.consistency import ConsistencyTracker
 from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
+from repro.experiments.scenarios import SCENARIOS
 from repro.net.failures import DisruptionPlan, FailureInjector
 from repro.net.network import Network
 from repro.obs.sinks import MemorySink, NDJSONSink
@@ -94,9 +95,8 @@ class ExperimentRunner:
         # The spec's scenario family turns the built deployment into this
         # run's disruption plan (the default ``table4`` family reproduces
         # the paper's one-outage-per-node draw byte-for-byte).
-        from repro.experiments.scenarios import SCENARIOS
-
-        plan = SCENARIOS.get(spec.scenario).build(spec, deployment, rng)
+        family, options, _ = SCENARIOS.resolve(spec.scenario_token)
+        plan = family.build(spec, deployment, rng, options)
         nodes = {node.node_id: node for node in deployment.all_nodes}
         injector = FailureInjector(
             sim,
@@ -181,8 +181,9 @@ class ExperimentRunner:
                 "the deployment's trigger_service_change hook is broken"
             )
         stats = context.deployment.collect_run_stats(change_time)
+        system, options, _ = SYSTEMS.resolve(spec.system)
         details = {
-            "m_prime": SYSTEMS.resolve(spec.system).m_prime(spec.n_users),
+            "m_prime": system.m_prime_at(spec.n_users, options),
             "n_outages": len(context.injector.plan),
             "executed_events": context.sim.executed_events,
             "changed_version": changed_version,

@@ -1,7 +1,7 @@
 """Scenario specification (Section 5 of the paper).
 
 A :class:`ScenarioSpec` fully determines one simulation run: which system to
-deploy (a :mod:`repro.protocols.registry` name), how many Users, the
+deploy (a :mod:`repro.protocols.registry` token), how many Users, the
 interface-failure rate lambda, the master seed all random streams derive
 from, the time of the service change and the measurement deadline.  Two runs
 with equal specs produce identical results, event for event.
@@ -9,10 +9,13 @@ with equal specs produce identical results, event for event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.protocols.registry import SYSTEMS
 from repro.sim.rng import derive_seed
+from repro.tokens import canonical_token
 
 #: Run length used throughout Section 5 of the paper, in seconds.
 DEFAULT_SIM_DURATION = 5400.0
@@ -29,7 +32,7 @@ DEFAULT_CHANGE_TIME = 2000.0
 class ScenarioSpec:
     """Everything that defines one experiment run."""
 
-    #: Registry name of the deployed system ("frodo3", "frodo2", ...).
+    #: System token of the deployed system ("frodo3", "jini@k=8", ...).
     system: str
     #: The paper's lambda: fraction of the run each node's interface is down.
     failure_rate: float = 0.0
@@ -55,27 +58,39 @@ class ScenarioSpec:
     scenario_options: Dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> "ScenarioSpec":
-        """Raise :class:`ValueError` on inconsistent parameters."""
+        """Raise :class:`ValueError` on inconsistent parameters.
+
+        Resolves the system and the scenario selection and runs each one's
+        range check on its merged options: the system row's ``check`` and
+        the scenario family's ``validator``, which may read the spec.
+        """
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
-        if self.change_time <= 0:
-            raise ValueError("change_time must be positive")
-        if self.deadline <= self.change_time:
-            raise ValueError("deadline must be after the change time")
-        # Imported lazily: the scenario registry builds on this module.
+        # Written so that NaN fails too, and an infinite deadline, which
+        # would never end the run.
+        if not 0 < self.change_time < math.inf:
+            raise ValueError(f"change_time must be positive and finite, got {self.change_time!r}")
+        if not self.change_time < self.deadline < math.inf:
+            raise ValueError(
+                f"deadline must be finite and after the change time, got {self.deadline!r}"
+            )
+        system, options, _ = SYSTEMS.resolve(self.system)
+        if system.check is not None:
+            system.check(options)
+        # Imported lazily: the scenario families build on this module.
         from repro.experiments.scenarios import SCENARIOS
 
-        SCENARIOS.get(self.scenario).validate(self)
+        family, options, _ = SCENARIOS.resolve(self.scenario_token)
+        if family.validator is not None:
+            family.validator(self, options)
         return self
 
     @property
     def scenario_token(self) -> str:
         """Canonical ``name@k=v,...`` form of the scenario selection."""
-        from repro.experiments.scenarios import scenario_token
-
-        return scenario_token(self.scenario, self.scenario_options)
+        return canonical_token(self.scenario, self.scenario_options)
 
     def describe(self) -> str:
         """Short human-readable summary used in logs."""
@@ -116,7 +131,7 @@ def cell_key(
     reach the spec, so equal selections always produce equal keys.
 
     ``scenario`` is the canonical scenario token
-    (:func:`~repro.experiments.scenarios.scenario_token`).  The default
+    (:attr:`ScenarioSpec.scenario_token`).  The default
     ``table4`` scenario keeps the bare v2 shape — existing trace file names
     and journal keys for the paper's model are unchanged — while every other
     scenario appends ``!<token>``, so a churn journal can never silently

@@ -10,9 +10,10 @@ outage/churn/loss/extra-change events), and the
 :class:`~repro.experiments.runner.ExperimentRunner` applies whatever plan
 the spec's family produces.
 
-Families register by name in the module-level :data:`SCENARIOS` registry
-(mirroring :mod:`repro.protocols.registry`) and are selectable from the CLI
-as ``--scenario name@key=value,...``.
+Families are the rows of :data:`SCENARIOS`, a :class:`~repro.tokens.Registry`
+like the system table :data:`repro.protocols.registry.SYSTEMS`, and are
+selectable from the CLI as ``--scenario name@key=value,...``: the registry
+looks the name up and types the options against the family's defaults.
 
 Determinism rules
 -----------------
@@ -28,8 +29,9 @@ Determinism rules
 
 Option checks and conformance invariants
 ----------------------------------------
-Each family may carry a ``validator(spec, options)`` hook that raises
-:class:`ValueError` when its merged options cannot run under the spec;
+Each family may carry a ``validator(spec, options)`` hook, its range
+check, that raises :class:`ValueError` when its merged options cannot run
+under the spec;
 :meth:`ScenarioSpec.validate <repro.experiments.scenario.ScenarioSpec.validate>`
 runs it, so a bad option is a spec error before any cell runs.  Each family
 also carries a ``checker(spec, result, options)`` hook returning a list of
@@ -43,7 +45,7 @@ deadline, every measured User must have regained consistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
@@ -55,9 +57,9 @@ from repro.net.failures import (
     NodeChurn,
     build_interface_failure_plan,
 )
-from repro.experiments.tokens import canonical_token, parse_token, validate_options
 from repro.protocols.base import ProtocolDeployment
 from repro.sim.rng import RngRegistry
+from repro.tokens import Registry
 
 #: Builder signature: spec + built deployment + the run's RNG registry +
 #: merged options -> the run's disruption plan.
@@ -86,24 +88,9 @@ RECOVERY_BOUND = 3000.0
 EARLIEST_DISRUPTION = 200.0
 
 
-class UnknownScenarioError(KeyError):
-    """Raised when a scenario name is not registered."""
-
-    def __init__(self, name: str, known: List[str]) -> None:
-        super().__init__(name)
-        self.name = name
-        self.known = known
-
-    def __str__(self) -> str:
-        return (
-            f"unknown scenario {self.name!r}; "
-            f"registered scenarios: {', '.join(self.known) or '(none)'}"
-        )
-
-
 @dataclass(frozen=True)
 class ScenarioFamily:
-    """One registered scenario family: plan builder + options + invariants."""
+    """One row of :data:`SCENARIOS`: plan builder + options + invariants."""
 
     name: str
     builder: PlanBuilder
@@ -115,23 +102,21 @@ class ScenarioFamily:
     checker: Optional[ConformanceCheck] = None
     #: Range check of the merged options against the spec.
     validator: Optional[OptionsCheck] = None
-
-    def validate_options(self, options: Mapping[str, Any]) -> Dict[str, Any]:
-        """Merge ``options`` over the defaults, rejecting unknown names and
-        mistyped values (:func:`~repro.experiments.tokens.validate_options`)."""
-        return validate_options("scenario", self.name, self.defaults, options)
-
-    def validate(self, spec: ScenarioSpec) -> None:
-        """Raise :class:`ValueError` when ``spec``'s options cannot run."""
-        options = self.validate_options(spec.scenario_options)
-        if self.validator is not None:
-            self.validator(spec, options)
+    #: The token this row is an alias of ("" = none; see
+    #: :class:`~repro.tokens.Registry`).
+    alias_of: str = ""
 
     def build(
-        self, spec: ScenarioSpec, deployment: ProtocolDeployment, rng: RngRegistry
+        self,
+        spec: ScenarioSpec,
+        deployment: ProtocolDeployment,
+        rng: RngRegistry,
+        options: Dict[str, Any],
     ) -> DisruptionPlan:
-        """The disruption plan of one run (deterministic in the spec's seed)."""
-        options = self.validate_options(spec.scenario_options)
+        """The disruption plan of one run (deterministic in the spec's seed).
+
+        ``options`` are the spec's options resolved over the defaults.
+        """
         return self.builder(spec, deployment, rng, options)
 
     def check(self, spec: ScenarioSpec, result: RunResult) -> List[str]:
@@ -142,69 +127,6 @@ class ScenarioFamily:
             options = {**self.defaults, **spec.scenario_options}
             problems.extend(self.checker(spec, result, options))
         return problems
-
-
-class ScenarioRegistry:
-    """Name -> scenario-family mapping (mirrors the deployment registry)."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, ScenarioFamily] = {}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[ScenarioFamily]:
-        return iter(self._entries.values())
-
-    def register(self, family: ScenarioFamily) -> ScenarioFamily:
-        """Register ``family`` under its name; a duplicate name raises."""
-        if not family.name:
-            raise ValueError("scenario name must be non-empty")
-        if family.name in self._entries:
-            raise ValueError(f"scenario {family.name!r} already registered")
-        self._entries[family.name] = family
-        return family
-
-    def get(self, name: str) -> ScenarioFamily:
-        """Look up a family; raises :class:`UnknownScenarioError` with the known names."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownScenarioError(name, self.names()) from None
-
-    def names(self) -> List[str]:
-        """All registered scenario names, sorted."""
-        return sorted(self._entries.keys())
-
-
-#: The default registry every standard scenario family registers into.
-SCENARIOS = ScenarioRegistry()
-
-
-# --------------------------------------------------------------------------- CLI tokens
-def scenario_token(name: str, options: Mapping[str, Any]) -> str:
-    """Canonical ``name@key=value,...`` token of a scenario selection.
-
-    Options are sorted by name and values formatted canonically (floats via
-    ``repr``), so equal selections always produce equal tokens — the property
-    cell keys and checkpoint identities rely on.  A selection without
-    options is just the bare name.  (The grammar is shared with ``--system``
-    tokens; see :mod:`repro.experiments.tokens`.)
-    """
-    return canonical_token(name, options)
-
-
-def parse_scenario(text: str) -> Tuple[str, Dict[str, Any]]:
-    """Parse a CLI scenario token: ``churn@rate=0.1,gap=600`` -> name + options.
-
-    Values parse as ``true``/``false``, int, float, or fall back to string.
-    The name is *not* resolved against the registry here — callers validate
-    via :meth:`ScenarioRegistry.get` so the error carries the known names.
-    """
-    return parse_token(text, label="scenario")
 
 
 # --------------------------------------------------------------------------- shared pieces
@@ -781,8 +703,10 @@ def _check_partition(spec: ScenarioSpec, result: RunResult, options: Dict[str, A
     return problems
 
 
-def _register_standard_scenarios() -> None:
-    SCENARIOS.register(
+#: The scenario families, one row each.
+SCENARIOS = Registry(
+    "scenario",
+    (
         ScenarioFamily(
             name="table4",
             builder=_build_table4,
@@ -792,9 +716,7 @@ def _register_standard_scenarios() -> None:
                 "change (byte-identical to the pre-scenario harness)"
             ),
             checker=_check_table4,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="overlap",
             builder=_build_overlap,
@@ -805,9 +727,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_overlap,
             validator=_validate_overlap,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="churn",
             builder=_build_churn,
@@ -818,9 +738,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_churn,
             validator=_validate_churn,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="correlated",
             builder=_build_correlated,
@@ -831,9 +749,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_correlated,
             validator=_validate_correlated,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="cascade",
             builder=_build_cascade,
@@ -844,9 +760,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_cascade,
             validator=_validate_cascade,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="lossy",
             builder=_build_lossy,
@@ -857,9 +771,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_lossy,
             validator=_validate_lossy,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="partition",
             builder=_build_partition,
@@ -873,9 +785,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_partition,
             validator=_validate_partition,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="restart",
             builder=_build_restart,
@@ -887,9 +797,7 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_restart,
             validator=_validate_restart,
-        )
-    )
-    SCENARIOS.register(
+        ),
         ScenarioFamily(
             name="multichange",
             builder=_build_multichange,
@@ -900,8 +808,6 @@ def _register_standard_scenarios() -> None:
             ),
             checker=_check_multichange,
             validator=_validate_multichange,
-        )
-    )
-
-
-_register_standard_scenarios()
+        ),
+    ),
+)

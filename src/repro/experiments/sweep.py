@@ -50,6 +50,7 @@ from repro.obs.analyze import TELEMETRY_JOURNAL
 from repro.obs.progress import SweepProgress
 from repro.obs.sinks import trace_filename
 from repro.protocols.registry import SYSTEMS
+from repro.tokens import canonical_token
 
 #: Format version of the checkpoint file (bumped on incompatible changes).
 #: Version 2: cell keys carry the topology size (the ``users`` axis) and the
@@ -134,9 +135,7 @@ class SweepSpec:
     @property
     def scenario_token(self) -> str:
         """Canonical ``name@k=v,...`` token of the sweep's scenario selection."""
-        from repro.experiments.scenarios import scenario_token
-
-        return scenario_token(self.scenario_name, self.scenario_options)
+        return canonical_token(self.scenario_name, self.scenario_options)
 
     @property
     def users_grid(self) -> Tuple[int, ...]:
@@ -151,7 +150,8 @@ class SweepSpec:
         Every axis is checked in full: each failure rate must lie in [0, 1],
         and no rate, topology size or system may appear twice (systems
         compare by canonical token), because a repeated coordinate would
-        run one cell key twice.
+        run one cell key twice.  Each system's first cell spec is validated,
+        which runs the system's and the scenario's range checks.
         """
         if not self.systems:
             raise ValueError("sweep needs at least one system")
@@ -169,12 +169,13 @@ class SweepSpec:
         for n in self.users_grid:
             if n < 1:
                 raise ValueError(f"users grid sizes must be >= 1, got {n!r}")
-        # Raises UnknownSystemError / ValueError with the known names;
+        # Raises UnknownNameError / ValueError with the known names;
         # accepts bare names and parameterised tokens alike.
         tokens = [SYSTEMS.resolve(system).token for system in self.systems]
         if len(set(tokens)) != len(tokens):
             raise ValueError(f"duplicate systems {tuple(tokens)!r}")
-        self.scenario(self.systems[0], self.failure_rates[0], 0).validate()
+        for system in self.systems:
+            self.scenario(system, self.failure_rates[0], 0).validate()
         return self
 
     def scenario(
@@ -311,9 +312,7 @@ def _checkpoint_header(spec: SweepSpec) -> Dict[str, Any]:
         "builder_options": "[]",
         # Each system's closed-form m' at the reference N (5): a journal
         # refuses resume once a system's closed form changed.
-        "registry": [
-            [entry.name, entry.m_prime_at(5)] for entry in sorted(SYSTEMS, key=lambda e: e.name)
-        ],
+        "registry": [[entry.name, entry.m_prime_at(5)] for entry in SYSTEMS],
     }
 
 

@@ -15,9 +15,9 @@ from repro.net.addressing import Address, MULTICAST_GROUP
 from repro.net.messages import Message, MessageLayer
 from repro.net.interfaces import NetworkInterface, Endpoint
 from repro.net.stats import MessageStats
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.net.udp import UdpTransport
-from repro.net.tcp import TcpTransport, TcpConfig, RemoteException
+from repro.net.tcp import TcpTransport, RemoteException
 from repro.net.multicast import MulticastService
 from repro.net.failures import (
     InterfaceOutage,
@@ -34,10 +34,8 @@ __all__ = [
     "Endpoint",
     "MessageStats",
     "Network",
-    "NetworkConfig",
     "UdpTransport",
     "TcpTransport",
-    "TcpConfig",
     "RemoteException",
     "MulticastService",
     "InterfaceOutage",

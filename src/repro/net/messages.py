@@ -67,8 +67,6 @@ class Message:
         the service-change time.
     layer:
         Discovery-layer vs transport-layer message (see module docstring).
-    size_bytes:
-        Nominal size; only used for reporting, not for timing.
     msg_id:
         Unique id; pass one drawn from ``network.msg_ids`` for run-scoped
         determinism (the fallback counter is process-wide).
@@ -82,7 +80,6 @@ class Message:
         "payload",
         "update_related",
         "layer",
-        "size_bytes",
         "msg_id",
     )
 
@@ -95,7 +92,6 @@ class Message:
         payload: Optional[Mapping[str, Any]] = None,
         update_related: bool = False,
         layer: MessageLayer = MessageLayer.DISCOVERY,
-        size_bytes: int = 256,
         msg_id: Optional[int] = None,
     ) -> None:
         self.sender = sender
@@ -105,7 +101,6 @@ class Message:
         self.payload = EMPTY_PAYLOAD if payload is None else payload
         self.update_related = update_related
         self.layer = layer
-        self.size_bytes = size_bytes
         self.msg_id = next(_MSG_COUNTER) if msg_id is None else msg_id
 
     @property

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heappush
 from math import inf
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -29,8 +28,14 @@ from repro.net.stats import MessageStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
-#: Nominal size of a TCP control segment (SYN, SYN-ACK, ACK), in bytes.
-SEGMENT_BYTES = 40
+#: Lower bound of the uniform transmission delay, in seconds (10
+#: microseconds, Table 3).
+MIN_DELAY = 10e-6
+#: Upper bound of the uniform transmission delay, in seconds (100
+#: microseconds, Table 3).
+MAX_DELAY = 100e-6
+#: Spacing between redundant copies of a multicast transmission, in seconds.
+MULTICAST_COPY_SPACING = 0.1
 
 
 class FanoutPlan(NamedTuple):
@@ -52,18 +57,6 @@ class FanoutPlan(NamedTuple):
     #: Per accepting endpoint, its refresh map for the kind and its
     #: interface, or ``None``; ``None`` when no endpoint has such a map.
     refresh: Optional[Tuple[Optional[Tuple[Dict[Address, Any], NetworkInterface]], ...]]
-
-
-@dataclass
-class NetworkConfig:
-    """Physical-layer parameters (Table 3)."""
-
-    #: Lower bound of the uniform transmission delay, in seconds (10 microseconds).
-    min_delay: float = 10e-6
-    #: Upper bound of the uniform transmission delay, in seconds (100 microseconds).
-    max_delay: float = 100e-6
-    #: Spacing between redundant copies of a multicast transmission, in seconds.
-    multicast_copy_spacing: float = 0.1
 
 
 class Network:
@@ -93,14 +86,8 @@ class Network:
     on the calendar under its own key.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: RngRegistry,
-        config: Optional[NetworkConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, rng: RngRegistry) -> None:
         self.sim = sim
-        self.config = config if config is not None else NetworkConfig()
         self.stats = MessageStats()
         self._endpoints: Dict[Address, Endpoint] = {}
         #: Run-scoped message-id source: every message of a run draws from
@@ -273,7 +260,7 @@ class Network:
     # ------------------------------------------------------------------ helpers
     def transmission_delay(self) -> float:
         """Draw one transmission delay from the uniform 10-100 microsecond range."""
-        return self._uniform(self.config.min_delay, self.config.max_delay)
+        return self._uniform(MIN_DELAY, MAX_DELAY)
 
     # ------------------------------------------------------------------ primitives
     def record_send(
@@ -403,9 +390,7 @@ class Network:
             self.link_losses += 1
             return True
 
-        config = self.config
-        min_delay = config.min_delay
-        delay = min_delay + (config.max_delay - min_delay) * self._rand()
+        delay = MIN_DELAY + (MAX_DELAY - MIN_DELAY) * self._rand()
         if on_delivered is None:
             # Hot path: no closure, no Event allocation.
             accepts = receiver_ep.accepts
@@ -419,7 +404,6 @@ class Network:
                         None,
                         update_related,
                         layer,
-                        SEGMENT_BYTES,
                         msg_id,
                     )
                 self.sim.post(delay, receiver_ep.deliver, message)
@@ -443,7 +427,7 @@ class Network:
 
         ``copies`` (at least 1) models the redundant transmissions used by
         UPnP and Jini announcements (Table 3); copies are spaced by
-        :attr:`NetworkConfig.multicast_copy_spacing` seconds.  The first copy
+        :data:`MULTICAST_COPY_SPACING` seconds.  The first copy
         is emitted immediately and the return value reports whether it left
         the transmitter; later copies are evaluated against the interface
         state at their own emission times.  Copies for endpoints that do not
@@ -467,7 +451,7 @@ class Network:
         state = {"recorded": False}
         first_copy_sent = self._emit_multicast_copy(message, sender_ep, state, copies)
         for copy_index in range(1, copies):
-            offset = copy_index * self.config.multicast_copy_spacing
+            offset = copy_index * MULTICAST_COPY_SPACING
             self.sim.post(offset, self._emit_multicast_copy, message, sender_ep, state, copies)
         return first_copy_sent
 
@@ -488,7 +472,7 @@ class Network:
         if not state["recorded"]:
             # One logical multicast send is recorded once, with its copy count,
             # so that Table 2 style accounting counts announcements once while
-            # the redundant copies remain visible via ``count_copies=True``.
+            # the redundant copies remain visible in ``total_copies``.
             state["recorded"] = True
             self.record_send(
                 message.sender,
@@ -503,9 +487,8 @@ class Network:
             )
         sender_ep.interface.counters.sent += 1
         rand = self._rand
-        config = self.config
-        min_delay = config.min_delay
-        delay_span = config.max_delay - min_delay
+        min_delay = MIN_DELAY
+        delay_span = MAX_DELAY - MIN_DELAY
         sender = message.sender
         kind = message.kind
         loss_p = self._loss_p

@@ -74,13 +74,11 @@ class MessageStats:
 
     def __init__(self) -> None:
         self._sent: List[SentMessage] = []
-        # Incremental aggregates, updated once per record.  Each entry
-        # is a [count, copies] pair so count_copies toggles cost nothing.
+        # Incremental aggregates, updated once per record.
         self._copies_total = 0
         self._multicast_total = 0
-        self._by_layer: Dict[MessageLayer, List[int]] = {}
-        self._update_discovery = [0, 0]  # update-related, discovery layer only
-        self._update_any = [0, 0]  # update-related, transport included
+        self._by_layer: Dict[MessageLayer, int] = {}
+        self._update_discovery = 0  # update-related, discovery layer only
 
     def __len__(self) -> int:
         return len(self._sent)
@@ -102,7 +100,7 @@ class MessageStats:
 
     def counts_by_layer(self) -> Dict[str, int]:
         """Logical send counts per accounting layer (O(1); telemetry)."""
-        return {layer.value: pair[0] for layer, pair in sorted(self._by_layer.items())}
+        return {layer.value: count for layer, count in sorted(self._by_layer.items())}
 
     def record(
         self,
@@ -129,69 +127,52 @@ class MessageStats:
         self._copies_total += copies
         if multicast:
             self._multicast_total += 1
-        pair = self._by_layer.get(layer)
-        if pair is None:
-            pair = self._by_layer[layer] = [0, 0]
-        pair[0] += 1
-        pair[1] += copies
-        if update_related:
-            self._update_any[0] += 1
-            self._update_any[1] += copies
-            if layer == MessageLayer.DISCOVERY:
-                self._update_discovery[0] += 1
-                self._update_discovery[1] += copies
+        by_layer = self._by_layer
+        by_layer[layer] = by_layer.get(layer, 0) + 1
+        if update_related and layer == MessageLayer.DISCOVERY:
+            self._update_discovery += 1
 
     # ------------------------------------------------------------------ queries
     def total_sent(
-        self,
-        layer: Optional[MessageLayer] = None,
-        since: Optional[float] = None,
-        count_copies: bool = False,
+        self, layer: Optional[MessageLayer] = None, since: Optional[float] = None
     ) -> int:
         """Total transmissions, optionally restricted by layer and start time.
 
-        Unwindowed queries (``since is None``) are answered from the
-        incremental counters in O(1); a ``since`` bound falls back to the
-        list scan.
+        A logical multicast counts once (:attr:`total_copies` counts its
+        copies).  Unwindowed queries (``since is None``) are answered from
+        the incremental counters in O(1); a ``since`` bound falls back to
+        the list scan.
         """
         if since is None:
-            index = 1 if count_copies else 0
             if layer is None:
-                return self._copies_total if count_copies else len(self._sent)
-            pair = self._by_layer.get(layer)
-            return 0 if pair is None else pair[index]
+                return len(self._sent)
+            return self._by_layer.get(layer, 0)
         total = 0
         for rec in self._sent:
             if layer is not None and rec.layer != layer:
                 continue
             if rec.time < since:
                 continue
-            total += rec.copies if count_copies else 1
+            total += 1
         return total
 
-    def update_messages(
-        self,
-        since: Optional[float] = None,
-        include_transport: bool = False,
-        count_copies: bool = False,
-    ) -> int:
-        """Number of update-related messages (*y* in the efficiency metrics).
+    def update_messages(self, since: Optional[float] = None) -> int:
+        """Number of update-related discovery-layer messages (*y* in the efficiency metrics).
 
         O(1) when unwindowed (``since is None``); the change-time-windowed
         form used by the metrics scans the list.
         """
         if since is None:
-            pair = self._update_any if include_transport else self._update_discovery
-            return pair[1] if count_copies else pair[0]
+            return self._update_discovery
         total = 0
         for rec in self._sent:
             if not rec.update_related:
                 continue
-            if not include_transport and rec.layer != MessageLayer.DISCOVERY:
+            if rec.layer != MessageLayer.DISCOVERY:
                 continue
             if rec.time < since:
                 continue
-            total += rec.copies if count_copies else 1
+            total += 1
         return total
 
     def counts_by_kind(
@@ -219,12 +200,3 @@ class MessageStats:
     def transport_overhead(self, since: Optional[float] = None) -> int:
         """Number of transport-layer messages (TCP segments and acknowledgements)."""
         return self.total_sent(layer=MessageLayer.TRANSPORT, since=since)
-
-    def clear(self) -> None:
-        """Reset all counters."""
-        self._sent.clear()
-        self._copies_total = 0
-        self._multicast_total = 0
-        self._by_layer.clear()
-        self._update_discovery = [0, 0]
-        self._update_any = [0, 0]

@@ -35,11 +35,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.net.messages import Message, MessageLayer
-from repro.net.network import Network
+from repro.net.network import MAX_DELAY, MIN_DELAY, Network
 
 #: Bound once: looking an enum member up on its class is slow, and every
 #: segment needs it.
 _TRANSPORT = MessageLayer.TRANSPORT
+
+#: Delays between connection set-up attempts, in seconds.
+CONNECTION_RETRY_DELAYS: Tuple[float, ...] = (6.0, 24.0, 24.0, 24.0)
+#: Multiplicative growth of the data-retransmission time-out per retry; the
+#: first time-out is one round-trip time.
+DATA_BACKOFF_FACTOR = 1.25
+#: Safety bound on data retransmissions (the paper retransmits until success).
+MAX_DATA_RETRIES = 500
 
 
 @dataclass(frozen=True)
@@ -49,20 +57,6 @@ class RemoteException:
     message: Message
     reason: str
     time: float
-
-
-@dataclass
-class TcpConfig:
-    """Parameters of the TCP failure response (Table 3)."""
-
-    #: Delays between connection set-up attempts, in seconds.
-    connection_retry_delays: Tuple[float, ...] = (6.0, 24.0, 24.0, 24.0)
-    #: Multiplicative growth of the data-retransmission time-out per retry.
-    data_backoff_factor: float = 1.25
-    #: First data retransmission time-out; ``None`` means "use the round-trip time".
-    initial_rto: Optional[float] = None
-    #: Safety bound on data retransmissions (the paper retransmits until success).
-    max_data_retries: int = 500
 
 
 class _TcpExchange:
@@ -77,7 +71,6 @@ class _TcpExchange:
     __slots__ = (
         "network",
         "sim",
-        "config",
         "message",
         "on_delivered",
         "on_rex",
@@ -89,14 +82,12 @@ class _TcpExchange:
     def __init__(
         self,
         network: Network,
-        config: TcpConfig,
         message: Message,
         on_delivered: Optional[Callable[[Message], None]],
         on_rex: Optional[Callable[[RemoteException], None]],
     ) -> None:
         self.network = network
         self.sim = network.sim
-        self.config = config
         self.message = message
         self.on_delivered = on_delivered
         self.on_rex = on_rex
@@ -132,17 +123,14 @@ class _TcpExchange:
         ):
             unicast(dst, src, protocol, "tcp_synack", _TRANSPORT, False, next(msg_ids), None, None)
             connected = endpoints[src].interface.rx_up
-        config = network.config
-        min_delay = config.min_delay
-        rtt = 2.0 * (min_delay + (config.max_delay - min_delay) * network._rand())
+        rtt = 2.0 * (MIN_DELAY + (MAX_DELAY - MIN_DELAY) * network._rand())
         if connected:
             self.sim.post(rtt, self._start_data_transfer)
             return
-        retries = self.config.connection_retry_delays
-        if self.setup_attempt > len(retries):
+        if self.setup_attempt > len(CONNECTION_RETRY_DELAYS):
             self._fail("connection_setup_failed")
             return
-        delay = retries[self.setup_attempt - 1]
+        delay = CONNECTION_RETRY_DELAYS[self.setup_attempt - 1]
         self.sim.post(delay, self._attempt_connection)
 
     # --------------------------------------------------------------- data phase
@@ -188,9 +176,7 @@ class _TcpExchange:
                 1,
                 next(msg_ids),
             )
-        config = network.config
-        min_delay = config.min_delay
-        delay = min_delay + (config.max_delay - min_delay) * network._rand()
+        delay = MIN_DELAY + (MAX_DELAY - MIN_DELAY) * network._rand()
         cuts = network._cut_links
         endpoints = network._endpoints
         src_ep = endpoints.get(src)
@@ -209,17 +195,15 @@ class _TcpExchange:
             record(dst, src, protocol, "tcp_ack", _TRANSPORT, False, False, 1, next(msg_ids))
             self.sim.post(delay, self._deliver)
             return
-        if self.data_attempt >= self.config.max_data_retries:
+        if self.data_attempt >= MAX_DATA_RETRIES:
             self._fail("data_transfer_aborted")
             return
         rto = self._current_rto()
         self.sim.post(rto, self._attempt_data)
 
     def _current_rto(self) -> float:
-        base = self.config.initial_rto
-        if base is None:
-            base = 2.0 * self.network.transmission_delay()
-        return base * (self.config.data_backoff_factor ** max(0, self.data_attempt - 1))
+        base = 2.0 * self.network.transmission_delay()
+        return base * (DATA_BACKOFF_FACTOR ** max(0, self.data_attempt - 1))
 
     def _deliver(self) -> None:
         if self.finished:
@@ -254,9 +238,8 @@ class _TcpExchange:
 class TcpTransport:
     """Reliable unicast transport with the Table 3 failure response."""
 
-    def __init__(self, network: Network, config: Optional[TcpConfig] = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.config = config if config is not None else TcpConfig()
 
     def send(
         self,
@@ -270,4 +253,4 @@ class TcpTransport:
         discovery layer gets the message; ``on_rex`` is invoked when TCP gives
         up (connection set-up failed after the retry schedule).
         """
-        _TcpExchange(self.network, self.config, message, on_delivered, on_rex)._attempt_connection()
+        _TcpExchange(self.network, message, on_delivered, on_rex)._attempt_connection()

@@ -37,9 +37,9 @@ MODES: Tuple[str, ...] = ("push", "pull", "gossip")
 #: The user-assignment policies.
 ASSIGNS: Tuple[str, ...] = ("multi", "partition")
 
-#: Typed parameter defaults of the ``jini`` system family (the registry
-#: entry's ``params``, the one place they are defined); the defaults select
-#: the single-registry replicated model.
+#: Typed option defaults of the ``jini`` system family (the ``defaults`` of
+#: its :data:`~repro.protocols.registry.SYSTEMS` row, the one place they are
+#: defined); they select the single-registry replicated model.
 JINI_PARAM_DEFAULTS: Dict[str, object] = {
     "k": 1,
     "mode": "push",
@@ -54,8 +54,8 @@ JINI_PARAM_DEFAULTS: Dict[str, object] = {
 def check_jini_params(params: Mapping[str, Any]) -> None:
     """Raise :class:`ValueError` when a merged ``jini`` selection is out of range.
 
-    The registry runs this when it resolves a ``jini`` token, so a bad
-    value is a spec error before any cell runs.
+    Spec validation runs this on the options the registry resolved from a
+    ``jini`` token, so a bad value is a spec error before any cell runs.
     """
     if params["k"] < 1:
         raise ValueError("k must be >= 1")
@@ -138,8 +138,8 @@ def build_jini(
     freshness horizon and ``gossip_interval`` the anti-entropy period.
     ``report=False`` suppresses the ``federation`` details block (the
     ``jini1``/``jini2`` aliases pin it off to keep their per-run output
-    unchanged).  The registry checked the values
-    (:func:`check_jini_params`) and supplies the defaults
+    unchanged).  Spec validation checked the values
+    (:func:`check_jini_params`), and the registry supplies the defaults
     (:data:`JINI_PARAM_DEFAULTS`).  The construction order (registries,
     provider, clients) is part of the byte-identity contract of those
     aliases.

@@ -23,6 +23,7 @@ The tier-1 test runs one cell per system under three scenario families;
 rate at two seeds each.
 """
 
+import contextlib
 import dataclasses
 import sys
 
@@ -31,6 +32,8 @@ import pytest
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.scenarios import SCENARIOS
+from repro.net import network as network_module
+from repro.net import tcp as tcp_module
 from repro.net.failures import InterfaceOutage, NodeChurn
 
 #: Push, pull, gossip, multi-homed and partitioned Jini deployments.
@@ -140,12 +143,28 @@ def base_spec(**fields):
     return ScenarioSpec(system="jini1", failure_rate=0.0, seed=3, trace=True, **fields)
 
 
+@contextlib.contextmanager
+def pinned_delays():
+    """Pin every delay draw, the network's and TCP's, to :data:`DELAY`.
+
+    The draws are ``MIN_DELAY + (MAX_DELAY - MIN_DELAY) * random()``, so
+    equal bounds pin them while each draw still consumes the stream.
+    """
+    modules = (network_module, tcp_module)
+    saved = [(module.MIN_DELAY, module.MAX_DELAY) for module in modules]
+    for module in modules:
+        module.MIN_DELAY = module.MAX_DELAY = DELAY
+    try:
+        yield
+    finally:
+        for module, (low, high) in zip(modules, saved):
+            module.MIN_DELAY, module.MAX_DELAY = low, high
+
+
 def scripted(hazard):
-    """A script pinning every delay to :data:`DELAY`, then applying ``hazard``."""
+    """A script applying ``hazard`` to a cell whose delays are pinned."""
 
     def script(context):
-        config = context.network.config
-        config.min_delay = config.max_delay = DELAY
         clients = {node.node_id: node for node in context.deployment.users}
         log = []
 
@@ -168,8 +187,9 @@ def scripted(hazard):
 def run_scripted(hazard, spec=None):
     """The scripted cell both ways; asserts they agree and returns the absorbing run."""
     spec = spec if spec is not None else base_spec()
-    result, trace, probes = run_cell(spec, script=scripted(hazard))
-    reference, ref_trace, ref_probes = run_cell(spec, absorb=False, script=scripted(hazard))
+    with pinned_delays():
+        result, trace, probes = run_cell(spec, script=scripted(hazard))
+        reference, ref_trace, ref_probes = run_cell(spec, absorb=False, script=scripted(hazard))
     assert assert_only_work_moved(result, reference) > 0
     assert trace == ref_trace
     assert probes == ref_probes

@@ -105,6 +105,10 @@ OUT_OF_RANGE = {
     "lossy@p=1.5": "lossy@p must be in [0, 1]",
     "partition@mode=bogus": "partition@mode must be one of",
     "restart@at=9000": "restart@at must fall inside the run",
+    # NaN passes every range comparison; infinite times never end.
+    "jini@gossip_interval=nan": "system option jini@gossip_interval must be finite, got nan",
+    "lossy@span=nan": "scenario option lossy@span must be finite, got nan",
+    "cascade@lag=inf": "scenario option cascade@lag must be finite, got inf",
 }
 
 

@@ -65,7 +65,8 @@ def test_registry_m_prime_matches_deployment(system, n_users):
     result = ExperimentRunner().run(
         ScenarioSpec(system=system, failure_rate=0.0, seed=99, n_users=n_users)
     )
-    assert result.details["m_prime"] == SYSTEMS.resolve(system).m_prime(n_users)
+    entry, options, _ = SYSTEMS.resolve(system)
+    assert result.details["m_prime"] == entry.m_prime_at(n_users, options)
     assert result.details["m_prime"] == M_PRIME_AT_N[system](n_users)
     assert result.update_message_count == result.details["m_prime"]
 

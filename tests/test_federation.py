@@ -108,7 +108,8 @@ def test_zero_failure_y_equals_m_prime_for_every_k(k):
     result, _ = zero_failure_run(system)
     expected = (N_USERS + 2) * k
     assert result.details["m_prime"] == expected
-    assert SYSTEMS.resolve(system).m_prime(N_USERS) == expected
+    entry, options, _ = SYSTEMS.resolve(system)
+    assert entry.m_prime_at(N_USERS, options) == expected
     assert result.update_message_count == expected
     # No inter-registry traffic in push mode: the Manager replicates itself.
     assert not any(

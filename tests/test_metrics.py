@@ -118,13 +118,13 @@ def _multicast(kind="msearch", protocol="upnp", update_related=True):
 def test_redundant_multicast_counts_once_logically():
     # Rule 4 (EXPERIMENTS.md): a logical multicast transmitted as 6 redundant
     # copies (UPnP/Jini, Table 3) counts once towards y; the copies remain
-    # visible through count_copies=True.
+    # visible through total_copies.
     stats = MessageStats()
     _record(stats, 10.0, _multicast(), copies=6)
     assert stats.update_messages() == 1
-    assert stats.update_messages(count_copies=True) == 6
+    assert [rec.copies for rec in stats.sent] == [6]
     assert stats.total_sent(layer=MessageLayer.DISCOVERY) == 1
-    assert stats.total_sent(count_copies=True) == 6
+    assert stats.total_copies == 6
 
 
 def test_unicast_messages_count_per_attempt():
@@ -144,7 +144,7 @@ def test_unicast_messages_count_per_attempt():
             ),
         )
     assert stats.update_messages() == 3
-    assert stats.update_messages(count_copies=True) == 3
+    assert stats.total_copies == 3
 
 
 def test_transport_layer_excluded_from_update_count():
@@ -171,7 +171,7 @@ def test_transport_layer_excluded_from_update_count():
         ),
     )
     assert stats.update_messages() == 1
-    assert stats.update_messages(include_transport=True) == 2
+    assert sum(rec.update_related for rec in stats.sent) == 2
     assert stats.transport_overhead() == 1
 
 

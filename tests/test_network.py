@@ -12,7 +12,7 @@ from repro.net.addressing import MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
 from repro.net.multicast import MulticastService
-from repro.net.network import Network
+from repro.net.network import MAX_DELAY, MIN_DELAY, MULTICAST_COPY_SPACING, Network
 from repro.net.tcp import TcpTransport
 from repro.net.udp import UdpTransport
 from repro.obs.sinks import MemorySink
@@ -49,12 +49,12 @@ def test_unicast_delay_within_table3_bounds():
     sim.run()
     assert len(inboxes["node-1"]) == 50
     # Every delivery event happened between 10 and 100 microseconds after t=0.
-    assert network.config.min_delay == pytest.approx(10e-6)
-    assert network.config.max_delay == pytest.approx(100e-6)
-    assert sim.now <= network.config.max_delay
+    assert MIN_DELAY == pytest.approx(10e-6)
+    assert MAX_DELAY == pytest.approx(100e-6)
+    assert sim.now <= MAX_DELAY
     for _ in range(200):
         delay = network.transmission_delay()
-        assert network.config.min_delay <= delay <= network.config.max_delay
+        assert MIN_DELAY <= delay <= MAX_DELAY
 
 
 def test_unicast_dropped_when_sender_tx_down():
@@ -119,7 +119,7 @@ def test_multicast_recorded_once_by_first_copy_that_leaves():
     interface = network.endpoint("node-0").interface
     interface.fail(tx=True)
     # Restore the transmitter between the first and second redundant copy.
-    sim.schedule(network.config.multicast_copy_spacing / 2, interface.restore, True)
+    sim.schedule(MULTICAST_COPY_SPACING / 2, interface.restore, True)
     sent = network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=3)
     sim.run()
     assert sent is False  # the first copy was blocked ...
@@ -134,11 +134,10 @@ def test_multicast_redundant_copies_recorded_once():
     sim.run()
     # Three copies arrive, spaced by the copy interval ...
     assert len(inboxes["node-1"]) == 3
-    spacing = network.config.multicast_copy_spacing
-    assert sim.now == pytest.approx(2 * spacing, abs=network.config.max_delay)
+    assert sim.now == pytest.approx(2 * MULTICAST_COPY_SPACING, abs=MAX_DELAY)
     # ... but the logical announcement is recorded once, with its copy count.
     assert network.stats.total_sent() == 1
-    assert network.stats.total_sent(count_copies=True) == 3
+    assert network.stats.total_copies == 3
 
 
 def test_multicast_requires_group_address():
@@ -154,7 +153,7 @@ def test_multicast_rejects_fewer_than_one_copy(copies):
         network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
     # Nothing was recorded, posted, emitted or counted.
     assert len(network.stats) == 0
-    assert network.stats.total_sent(count_copies=True) == 0
+    assert network.stats.total_copies == 0
     assert sim._queue._heap == []
     assert network.endpoint("node-0").interface.counters.sent == 0
     sim.run()
@@ -215,13 +214,12 @@ def test_non_accepting_endpoint_leaves_other_delivery_times_unchanged():
 
     # ... which are the ("network", "delay") draws in endpoint order, one per
     # receiver and copy, whether the receiver accepts the kind or not.
-    config = network.config
     rand = RngRegistry(1234).stream("network", "delay").random
     expected = {"node-1": [], "node-3": []}
     for copy_index in range(copies):
-        emitted = 0.0 + copy_index * config.multicast_copy_spacing
+        emitted = 0.0 + copy_index * MULTICAST_COPY_SPACING
         for address in ("node-1", "node-2", "node-3"):
-            delay = config.min_delay + (config.max_delay - config.min_delay) * rand()
+            delay = MIN_DELAY + (MAX_DELAY - MIN_DELAY) * rand()
             if address in expected:
                 expected[address].append(emitted + delay)
     assert logs["node-1"] == expected["node-1"]
@@ -265,7 +263,7 @@ def test_getrandbits_skips_exactly_like_random_calls():
     assert skipped.random() == [drawn.random() for _ in range(8)][-1]
 
 
-def reference_fanout(order, sender, copies, delay_stream, start, config):
+def reference_fanout(order, sender, copies, delay_stream, start):
     """Delivery times of a ``ping`` multicast from the per-endpoint draw loop.
 
     ``order`` lists ``(address, accepts)`` in join order.  Every receiver
@@ -273,11 +271,11 @@ def reference_fanout(order, sender, copies, delay_stream, start, config):
     """
     times = {address: [] for address, _ in order}
     for copy_index in range(copies):
-        emitted = start + copy_index * config.multicast_copy_spacing
+        emitted = start + copy_index * MULTICAST_COPY_SPACING
         for address, accepts in order:
             if address == sender:
                 continue
-            delay = config.min_delay + (config.max_delay - config.min_delay) * delay_stream.random()
+            delay = MIN_DELAY + (MAX_DELAY - MIN_DELAY) * delay_stream.random()
             if accepts is None or "ping" in accepts:
                 times[address].append(emitted + delay)
     return times
@@ -307,9 +305,7 @@ class FanoutHarness:
         for log in self.logs.values():
             log.clear()
         order = [(address, self.accepts[address]) for address in self.network.addresses()]
-        expected = reference_fanout(
-            order, sender, copies, self.reference, self.sim.now, self.network.config
-        )
+        expected = reference_fanout(order, sender, copies, self.reference, self.sim.now)
         ignored_before = self.network.ignored
         self.network.transmit_multicast(msg(sender, MULTICAST_GROUP), copies=copies)
         self.sim.run()
@@ -551,9 +547,8 @@ def test_known_registrar_announcement_refreshes_in_place(monkeypatch):
     assert sim.executed_events - fired == 2
     assert counters.received - received == 2
     # The record holds the second copy until a reader settles it.
-    spacing = network.config.multicast_copy_spacing
     copy_time = state.copy_time
-    assert 50.0 + spacing < copy_time <= 50.0 + spacing + network.config.max_delay
+    assert 50.0 + MULTICAST_COPY_SPACING < copy_time <= 50.0 + MULTICAST_COPY_SPACING + MAX_DELAY
     assert state.last_heard < copy_time
     assert network.settle(state) is False
     assert state.last_heard == copy_time

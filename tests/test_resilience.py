@@ -75,6 +75,9 @@ def test_policy_validation_rejects_bad_values():
     for bad in (
         ResiliencePolicy(cell_timeout=0.0),
         ResiliencePolicy(cell_timeout=-1.0),
+        # NaN passes ``<= 0``, and neither value can arm the alarm.
+        ResiliencePolicy(cell_timeout=float("nan")),
+        ResiliencePolicy(cell_timeout=float("inf")),
         ResiliencePolicy(max_cell_failures=-1),
     ):
         with pytest.raises(ValueError):

@@ -19,21 +19,17 @@ from repro.experiments import (
     SCENARIOS,
     CheckpointMismatchError,
     ScenarioFamily,
-    ScenarioRegistry,
     ScenarioSpec,
     SweepSpec,
-    UnknownScenarioError,
     cell_key,
     load_checkpoint,
-    parse_scenario,
     save_checkpoint,
-    scenario_token,
     sweep,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweep import CHECKPOINT_VERSION
-from repro.net.failures import DisruptionPlan
 from repro.protocols.registry import SYSTEMS
+from repro.tokens import UnknownNameError
 from repro.__main__ import main
 
 FIXTURE_DIR = "tests/data"
@@ -59,72 +55,66 @@ def test_standard_families_are_registered():
     assert all(isinstance(family, ScenarioFamily) for family in SCENARIOS)
 
 
-def test_unknown_scenario_error_names_the_alternatives():
-    with pytest.raises(UnknownScenarioError) as excinfo:
-        SCENARIOS.get("bogus")
-    message = str(excinfo.value)
-    assert "bogus" in message and "table4" in message and "churn" in message
-
-
-def test_register_rejects_duplicates():
-    registry = ScenarioRegistry()
-    family = ScenarioFamily(name="x", builder=lambda *a: DisruptionPlan())
-    registry.register(family)
-    with pytest.raises(ValueError, match="already registered"):
-        registry.register(family)
-    assert registry.names() == ["x"]
-
-
-def test_validate_options_rejects_unknown_and_mistyped():
-    churn = SCENARIOS.get("churn")
-    assert churn.validate_options({}) == {"rate": 0.1, "gap": 600.0}
-    assert churn.validate_options({"rate": 0.3})["rate"] == 0.3
-    with pytest.raises(ValueError, match="does not accept"):
-        churn.validate_options({"rte": 0.3})
-    with pytest.raises(ValueError, match="must be a number"):
-        churn.validate_options({"rate": "fast"})
-    with pytest.raises(ValueError, match="must be a number"):
-        churn.validate_options({"rate": True})
-
-
 # --------------------------------------------------------------------------- CLI tokens
 def test_parse_scenario_round_trips_through_token():
-    name, options = parse_scenario("churn@rate=0.1,gap=600")
-    assert name == "churn"
-    assert options == {"rate": 0.1, "gap": 600}
-    token = scenario_token(name, options)
-    assert parse_scenario(token) == (name, options)
+    family, options, token = SCENARIOS.resolve("churn@rate=0.1,gap=600")
+    assert family is SCENARIOS.get("churn")
+    assert options == {"rate": 0.1, "gap": 600.0}
+    assert token == "churn@gap=600,rate=0.1"
+    assert SCENARIOS.resolve(token) == (family, options, token)
 
 
 def test_scenario_token_is_canonical():
-    assert scenario_token("table4", {}) == "table4"
+    def token(name, options):
+        return ScenarioSpec(system="frodo3", scenario=name, scenario_options=options).scenario_token
+
+    assert token("table4", {}) == "table4"
     # Sorted keys: option order never changes the token (or the cell key).
-    assert scenario_token("churn", {"gap": 600.0, "rate": 0.1}) == scenario_token(
+    assert token("churn", {"gap": 600.0, "rate": 0.1}) == token(
         "churn", {"rate": 0.1, "gap": 600.0}
     )
-    assert scenario_token("lossy", {"p": 0.2}) == "lossy@p=0.2"
-    assert scenario_token("x", {"flag": True}) == "x@flag=true"
+    assert token("lossy", {"p": 0.2}) == "lossy@p=0.2"
+    assert token("x", {"flag": True}) == "x@flag=true"
 
 
 def test_parse_scenario_error_cases():
     with pytest.raises(ValueError, match="no name"):
-        parse_scenario("")
+        SCENARIOS.resolve("")
     with pytest.raises(ValueError, match="dangling"):
-        parse_scenario("churn@")
+        SCENARIOS.resolve("churn@")
     with pytest.raises(ValueError, match="key=value"):
-        parse_scenario("churn@rate")
+        SCENARIOS.resolve("churn@rate")
     with pytest.raises(ValueError, match="duplicate"):
-        parse_scenario("churn@rate=0.1,rate=0.2")
+        SCENARIOS.resolve("churn@rate=0.1,rate=0.2")
 
 
 def test_spec_validation_resolves_the_scenario():
     ScenarioSpec(system="frodo3", scenario="churn").validate()
-    with pytest.raises(UnknownScenarioError):
+    with pytest.raises(UnknownNameError):
         ScenarioSpec(system="frodo3", scenario="bogus").validate()
     with pytest.raises(ValueError, match="does not accept"):
         ScenarioSpec(
             system="frodo3", scenario="churn", scenario_options={"x": 1}
         ).validate()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("change_time", float("nan")),
+        ("change_time", float("inf")),
+        ("deadline", float("nan")),
+        ("deadline", float("inf")),
+    ],
+)
+def test_spec_validation_refuses_non_finite_times(field, value):
+    # NaN passes every range comparison, and an infinite deadline never ends
+    # the run: both are spec errors before any cell runs.
+    message = f"{field} must be .*finite.*, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(system="frodo3", **{field: value}).validate()
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(systems=("frodo3",), runs_per_cell=1, **{field: value}).validate()
 
 
 def test_spec_validation_checks_option_ranges_against_the_run():

@@ -18,7 +18,13 @@ import pytest
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message, MessageLayer
 from repro.net.network import Network
-from repro.net.tcp import RemoteException, TcpConfig, TcpTransport
+from repro.net.tcp import (
+    CONNECTION_RETRY_DELAYS,
+    DATA_BACKOFF_FACTOR,
+    MAX_DATA_RETRIES,
+    RemoteException,
+    TcpTransport,
+)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -54,10 +60,9 @@ def _record(network, message):
 class ReferenceExchange:
     """State machine for one application message sent over TCP (segment messages)."""
 
-    def __init__(self, network, config, message, on_delivered, on_rex):
+    def __init__(self, network, message, on_delivered, on_rex):
         self.network = network
         self.sim = network.sim
-        self.config = config
         self.message = message
         self.on_delivered = on_delivered
         self.on_rex = on_rex
@@ -77,11 +82,10 @@ class ReferenceExchange:
         if handshake_ok:
             self.sim.post(rtt, self._start_data_transfer)
             return
-        retries = self.config.connection_retry_delays
-        if self.setup_attempt > len(retries):
+        if self.setup_attempt > len(CONNECTION_RETRY_DELAYS):
             self._fail("connection_setup_failed")
             return
-        delay = retries[self.setup_attempt - 1]
+        delay = CONNECTION_RETRY_DELAYS[self.setup_attempt - 1]
         self.sim.post(delay, self._attempt_connection)
 
     def _record_handshake_segments(self):
@@ -93,7 +97,6 @@ class ReferenceExchange:
             protocol=self.message.protocol,
             kind="tcp_syn",
             layer=MessageLayer.TRANSPORT,
-            size_bytes=40,
             msg_id=next(self.network.msg_ids),
         )
         sent = self.network.transmit_unicast(syn)
@@ -110,7 +113,6 @@ class ReferenceExchange:
             protocol=self.message.protocol,
             kind="tcp_synack",
             layer=MessageLayer.TRANSPORT,
-            size_bytes=40,
             msg_id=next(self.network.msg_ids),
         )
         self.network.transmit_unicast(synack)
@@ -134,7 +136,6 @@ class ReferenceExchange:
                 protocol=self.message.protocol,
                 kind="tcp_data_retransmit",
                 layer=MessageLayer.TRANSPORT,
-                size_bytes=self.message.size_bytes,
                 msg_id=next(self.network.msg_ids),
             )
             _record(self.network, retrans)
@@ -154,23 +155,20 @@ class ReferenceExchange:
                 protocol=self.message.protocol,
                 kind="tcp_ack",
                 layer=MessageLayer.TRANSPORT,
-                size_bytes=40,
                 msg_id=next(self.network.msg_ids),
             )
             _record(self.network, ack)
             self.sim.post(delay, self._deliver)
             return
-        if self.data_attempt >= self.config.max_data_retries:
+        if self.data_attempt >= MAX_DATA_RETRIES:
             self._fail("data_transfer_aborted")
             return
         rto = self._current_rto()
         self.sim.post(rto, self._attempt_data)
 
     def _current_rto(self):
-        base = self.config.initial_rto
-        if base is None:
-            base = 2.0 * self.network.transmission_delay()
-        return base * (self.config.data_backoff_factor ** max(0, self.data_attempt - 1))
+        base = 2.0 * self.network.transmission_delay()
+        return base * (DATA_BACKOFF_FACTOR ** max(0, self.data_attempt - 1))
 
     def _deliver(self):
         if self.finished:
@@ -196,8 +194,8 @@ class ReferenceExchange:
             self.on_rex(RemoteException(self.message, reason, self.sim.now))
 
 
-def reference_send(network, config, message, on_delivered, on_rex):
-    ReferenceExchange(network, config, message, on_delivered, on_rex).start()
+def reference_send(network, message, on_delivered, on_rex):
+    ReferenceExchange(network, message, on_delivered, on_rex).start()
 
 
 # --------------------------------------------------------------------------- harness
@@ -222,7 +220,6 @@ class Side:
             None,
             update_related,
             MessageLayer.DISCOVERY,
-            256,
             next(self.network.msg_ids),
         )
 
@@ -241,11 +238,10 @@ class Side:
 def make_side(reference: bool, accepts: Optional[frozenset] = NODE_ACCEPTS) -> Side:
     sim = Simulator()
     network = Network(sim, RngRegistry(SEED))
-    config = TcpConfig()
     if reference:
-        send = partial(reference_send, network, config)
+        send = partial(reference_send, network)
     else:
-        send = TcpTransport(network, config).send
+        send = TcpTransport(network).send
     side = Side(sim, network, send)
     for address in ADDRESSES:
         inbox: list = []
@@ -277,7 +273,7 @@ def snapshot(side: Side) -> dict:
         "counters": [vars(endpoint.interface.counters) for endpoint in side.endpoints],
         "inboxes": {
             address: [
-                (m.sender, m.receiver, m.protocol, m.kind, m.layer, m.size_bytes, m.msg_id)
+                (m.sender, m.receiver, m.protocol, m.kind, m.layer, m.msg_id)
                 for m in inbox
             ]
             for address, inbox in side.inboxes.items()
@@ -418,5 +414,5 @@ def test_handshake_segments_reach_an_endpoint_that_accepts_every_kind():
     real = run(clean, accepts=None)
     assert real == run(clean, reference=True, accepts=None)
     syn = real["inboxes"]["node-b"][0]
-    assert syn[3] == "tcp_syn" and syn[4] == MessageLayer.TRANSPORT and syn[5] == 40
+    assert syn[3] == "tcp_syn" and syn[4] == MessageLayer.TRANSPORT
     assert real["ignored"] == 0

@@ -1,16 +1,17 @@
 """Tests for the shared ``name@key=value,...`` token grammar.
 
 One grammar backs both the ``--scenario`` and ``--system`` front ends
-(:mod:`repro.experiments.tokens`); these tests pin its parsing, canonical
-formatting, error wording, and the comma-disambiguation of token lists.
+(:mod:`repro.tokens`); these tests pin its parsing, canonical formatting,
+error wording, and the comma-disambiguation of token lists.
 """
 
 import pytest
 
 from repro.__main__ import main
 from repro.experiments.scenario import ScenarioSpec
-from repro.experiments.scenarios import SCENARIOS, parse_scenario, scenario_token
-from repro.experiments.tokens import (
+from repro.experiments.scenarios import SCENARIOS
+from repro.protocols.registry import SYSTEMS
+from repro.tokens import (
     canonical_token,
     format_option_value,
     parse_option_value,
@@ -18,7 +19,6 @@ from repro.experiments.tokens import (
     split_token_list,
     validate_options,
 )
-from repro.protocols.registry import SYSTEMS, parse_system, system_token
 
 
 # --------------------------------------------------------------------------- values
@@ -88,17 +88,17 @@ def test_parse_token_rejects_malformed_input(text, fragment):
 
 def test_error_wording_carries_the_front_end_label():
     with pytest.raises(ValueError, match="scenario token '@' has no name"):
-        parse_scenario("@")
+        SCENARIOS.resolve("@")
     with pytest.raises(ValueError, match="system token '@' has no name"):
-        parse_system("@")
+        SYSTEMS.resolve("@")
 
 
 def test_front_ends_share_the_grammar():
-    # Identical parsing and canonicalisation through both wrappers.
-    assert parse_scenario("churn@rate=0.2") == ("churn", {"rate": 0.2})
-    assert parse_system("jini@k=2") == ("jini", {"k": 2})
-    assert scenario_token("churn", {"rate": 0.2}) == "churn@rate=0.2"
-    assert system_token("jini", {"k": 2}) == "jini@k=2"
+    # Identical parsing and canonicalisation through both registries.
+    assert SCENARIOS.resolve("churn@ rate=0.2 ").token == "churn@rate=0.2"
+    assert SYSTEMS.resolve("jini@ k=2 ").token == "jini@k=2"
+    assert SCENARIOS.resolve("churn@rate=0.2").options["rate"] == 0.2
+    assert SYSTEMS.resolve("jini@k=2").options["k"] == 2
 
 
 # --------------------------------------------------------------------------- option typing
@@ -125,7 +125,7 @@ def test_options_take_their_defaults_type_and_ints_widen_to_float():
     ["overlap@n=2.5", "lossy@windows=2.5", "multichange@changes=2.5", "correlated@groups=1.5"],
 )
 def test_integer_scenario_options_reject_fractions(token, capsys):
-    name, options = parse_scenario(token)
+    name, options = parse_token(token)
     with pytest.raises(ValueError, match="must be an integer"):
         ScenarioSpec(system="frodo3", scenario=name, scenario_options=options).validate()
     argv = ["run", "--system", "frodo3", "--rate", "20", "--scenario", token]
@@ -134,8 +134,8 @@ def test_integer_scenario_options_reject_fractions(token, capsys):
 
 
 def test_front_ends_share_the_option_validator():
-    assert SCENARIOS.get("churn").validate_options({"gap": 600}) == {"rate": 0.1, "gap": 600.0}
-    assert SYSTEMS.resolve("jini@ttl=300").params["ttl"] == 300.0
+    assert SCENARIOS.resolve("churn@gap=600").options == {"rate": 0.1, "gap": 600.0}
+    assert SYSTEMS.resolve("jini@ttl=300").options["ttl"] == 300.0
     assert SYSTEMS.resolve("jini@ttl=300").token == "jini@ttl=300"  # tokens stay unmerged
 
 
