@@ -20,8 +20,8 @@ Subcommands
 * ``trace``   — analyse captured NDJSON traces:
   ``python -m repro trace summarize out/`` (record, event and message-kind
   histograms, all kinds and update-related ones), ``trace timeline``
-  (record listing); both accept ``--since/--until`` (inclusive) and
-  ``--category`` filters.
+  (record listing); both accept ``--since/--until`` (inclusive, finite,
+  ``since <= until``) and ``--category`` filters.
 * ``systems`` — list the deployable systems of the protocol registry.
 * ``scenarios`` — list the disruption-scenario families of the scenario
   registry (selectable on ``sweep``/``run`` via ``--scenario
@@ -42,6 +42,7 @@ standard library's profiler (EXPERIMENTS.md, "Profiling workflow").
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 from typing import Any, List, Optional, Sequence
@@ -90,6 +91,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    return value
+
+
+def _finite_time(text: str) -> float:
+    """Parse a simulation time that must be a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} must be a finite time")
     return value
 
 
@@ -254,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--since",
-            type=float,
+            type=_finite_time,
             default=None,
             help="keep records at or after this simulation time (inclusive)",
         )
         sub.add_argument(
             "--until",
-            type=float,
+            type=_finite_time,
             default=None,
             help="keep records at or before this simulation time (inclusive)",
         )
@@ -408,7 +417,10 @@ def _command_scenarios() -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "trace" and None not in (args.since, args.until) and args.since > args.until:
+        parser.error(f"--since {args.since:g} is after --until {args.until:g}: the window is empty")
     try:
         if args.command == "sweep":
             return _command_sweep(args)

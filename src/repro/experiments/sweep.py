@@ -546,7 +546,8 @@ def sweep(
     def on_result(pending_index: int, result: RunResult, wall_seconds: float) -> None:
         key = pending[pending_index].key
         completed[key] = result
-        journal_cell({"key": key, "run": result.to_dict()})
+        if checkpoint is not None:  # to_dict() deep-copies: only a checkpoint reads it
+            journal_cell({"key": key, "run": result.to_dict()})
         walls[key] = wall_seconds
         if progress is not None:
             progress.cell_done(key, wall_seconds)

@@ -35,7 +35,9 @@ honestly — see :meth:`FailureInjector.failure_telemetry`).
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.addressing import Address
@@ -265,6 +267,18 @@ class FailureInjector(Process):
     that has departed the network is *skipped* — counted in
     :attr:`skipped_ops` and traced as ``failure_skipped`` — instead of
     raising ``KeyError`` mid-run.
+
+    Applying an outage also records when each direction it fails is known
+    to come back up (:attr:`~repro.net.interfaces.NetworkInterface.tx_until`
+    / ``rx_until``), as the exact float the calendar holds for that event.
+    The direction stays down until the restore that takes its fail depth to
+    zero: the depth-th earliest of the node's pending restores for that
+    direction.  In the usual case that is the latest of the overlapping
+    outages' restores; a rejoin's reset can leave restores of outages
+    applied before it pending, and those come first.  The node's next churn
+    leave or rejoin caps it, since a leave takes the node off the network
+    and a rejoin resets its interface.  Later outages only keep the
+    direction down longer.
     """
 
     def __init__(
@@ -293,6 +307,10 @@ class FailureInjector(Process):
         self.departed: List[Address] = []
         #: Nodes that rejoined the network through churn (in event order).
         self.rejoined: List[Address] = []
+        # node -> calendar times of its restores not yet fired, per direction
+        # (tx, rx), sorted; and node -> calendar times of its armed churn.
+        self._pending: Dict[Address, Tuple[List[float], List[float]]] = {}
+        self._churn_at: Dict[Address, List[float]] = {}
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -303,10 +321,15 @@ class FailureInjector(Process):
             start_delay = max(0.0, outage.start - self.now)
             self.after(start_delay, self._apply, outage)
         for event in self.churn:
+            churn_at = self._churn_at.setdefault(event.node, [])
             if self.now <= event.leave < deadline:
-                self.after(event.leave - self.now, self._leave, event)
+                delay = event.leave - self.now
+                self.after(delay, self._leave, event)
+                insort(churn_at, self.now + delay)
             if event.rejoin is not None and event.rejoin < deadline:
-                self.after(max(0.0, event.rejoin - self.now), self._rejoin, event)
+                delay = max(0.0, event.rejoin - self.now)
+                self.after(delay, self._rejoin, event)
+                insort(churn_at, self.now + delay)
         for window in self.loss_windows:
             if window.start < deadline:
                 self.after(max(0.0, window.start - self.now), self._loss_start, window)
@@ -319,8 +342,8 @@ class FailureInjector(Process):
         if not self.network.has_endpoint(outage.node):
             self._skip("apply", outage.node, mode=outage.mode)
             return
-        endpoint = self.network.endpoint(outage.node)
-        endpoint.interface.fail(tx=outage.fails_tx, rx=outage.fails_rx)
+        interface = self.network.endpoint(outage.node).interface
+        interface.fail(tx=outage.fails_tx, rx=outage.fails_rx)
         self.trace(
             "interface_failed",
             node=outage.node,
@@ -328,8 +351,24 @@ class FailureInjector(Process):
             until=outage.end,
         )
         self.after(outage.duration, self._restore, outage)
+        restore_at = self.now + outage.duration  # the restore's calendar time
+        tx_pending, rx_pending = self._pending.setdefault(outage.node, ([], []))
+        cap = next((t for t in self._churn_at.get(outage.node, ()) if t >= self.now), inf)
+        if outage.fails_tx:
+            insort(tx_pending, restore_at)
+            interface.tx_until = min(tx_pending[interface.tx_fail_depth - 1], cap)
+        if outage.fails_rx:
+            insort(rx_pending, restore_at)
+            interface.rx_until = min(rx_pending[interface.rx_fail_depth - 1], cap)
+            self.network.rx_until = max(self.network.rx_until, interface.rx_until)
 
     def _restore(self, outage: InterfaceOutage) -> None:
+        # This event's time is the one _apply recorded for it.
+        tx_pending, rx_pending = self._pending[outage.node]
+        if outage.fails_tx:
+            tx_pending.remove(self.now)
+        if outage.fails_rx:
+            rx_pending.remove(self.now)
         if not self.network.has_endpoint(outage.node):
             self._skip("restore", outage.node, mode=outage.mode)
             return

@@ -9,6 +9,7 @@ run; while a direction is down, messages in that direction are lost silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import AbstractSet, Any, Callable, Dict, Optional
 
 from repro.net.addressing import Address
@@ -41,6 +42,13 @@ class NetworkInterface:
     absorbed while ``rx_up`` held back on the calendar.  Nothing is
     absorbed while the receiver is down, so :meth:`restore` and
     :meth:`reset` need no such call.
+
+    :attr:`tx_until` and :attr:`rx_until` are the *known restore* times of
+    the two directions: a direction is down at every instant before its
+    time (``-inf``: not known).  The failure injector, the only code that
+    fails an interface, sets them when it applies an outage (see
+    :class:`~repro.net.failures.FailureInjector`), and the network decides
+    a copy or delivery due strictly before them without an event.
     """
 
     def __init__(self, address: Address) -> None:
@@ -49,6 +57,8 @@ class NetworkInterface:
         self.rx_up = True
         self._tx_depth = 0
         self._rx_depth = 0
+        self.tx_until = -inf
+        self.rx_until = -inf
         self.counters = InterfaceCounters()
         self.on_rx_fail: Optional[Callable[[], None]] = None
 
@@ -79,7 +89,7 @@ class NetworkInterface:
             self.rx_up = self._rx_depth == 0
 
     def reset(self) -> None:
-        """Forget all outage state (both directions up, depths zero).
+        """Forget all outage state (both directions up, depths zero, no known restore).
 
         Used when a churned node rejoins the network: the rejoining node
         comes back with a fresh radio, regardless of outages that applied —
@@ -89,6 +99,8 @@ class NetworkInterface:
         self._rx_depth = 0
         self.tx_up = True
         self.rx_up = True
+        self.tx_until = -inf
+        self.rx_until = -inf
 
     @property
     def tx_fail_depth(self) -> int:
@@ -139,8 +151,7 @@ class Endpoint:
     kind are counted as ignored by the network instead of being simulated
     as delivery events.  ``accepts`` is fixed once the endpoint has joined a
     network: the network caches its fan-out plans until the next join or
-    leave, and keeps the endpoint's position in its join order in
-    :attr:`slot` for them.
+    leave.
 
     :attr:`refresh` maps a kind to the node's *refresh map* for it: sender
     address -> record, holding exactly the senders whose copy of that kind
@@ -165,8 +176,6 @@ class Endpoint:
         self.handlers = {} if handlers is None else handlers
         self.accepts = accepts
         self.refresh: Dict[str, Dict[Address, Any]] = {}
-        #: Position in the network's join order, set by the network.
-        self.slot = 0
 
     def deliver(self, message: Message) -> bool:
         """Deliver ``message`` to its kind's handler if the receiver is up.

@@ -16,7 +16,6 @@ directly, so its segments travel the same wire path without a
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from heapq import heappush
 from math import inf
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -39,33 +38,42 @@ MULTICAST_COPY_SPACING = 0.1
 
 
 class FanoutPlan(NamedTuple):
-    """How a multicast copy of one kind fans out (see :meth:`Network._plan`).
+    """How a multicast copy of one kind from one sender fans out (see :meth:`Network._plan`).
 
-    Counted as if every endpoint drew a delay, the sender included.
+    The receivers are every other endpoint, in join order; the sender draws
+    no delay.
     """
 
-    #: Join-order slots of the endpoints that accept the kind.
-    slots: Tuple[int, ...]
-    #: Delay draws to skip before each of them (endpoints that do not accept).
+    #: Delay draws to skip before each receiver that accepts the kind (one
+    #: per receiver that does not).
     skips: Tuple[int, ...]
     #: Their bound :meth:`Endpoint.deliver` methods.
     delivers: Tuple[Callable[[Message], bool], ...]
+    #: Their interfaces.
+    interfaces: Tuple[NetworkInterface, ...]
+    #: Their refresh maps for the kind (``None`` where they have none);
+    #: ``None`` when none of them has one.
+    refresh: Optional[Tuple[Optional[Dict[Address, Any]], ...]]
     #: Delay draws to skip after the last of them.
     tail: int
-    #: Endpoints that do not accept the kind.
+    #: Receivers that do not accept the kind.
     ignoring: int
-    #: Per accepting endpoint, its refresh map for the kind and its
-    #: interface, or ``None``; ``None`` when no endpoint has such a map.
-    refresh: Optional[Tuple[Optional[Tuple[Dict[Address, Any], NetworkInterface]], ...]]
+
+
+#: One kind's fan-out over every endpoint (see :meth:`Network._plan`): the
+#: endpoints that accept it, their plan as if every endpoint drew a delay,
+#: endpoint address -> accepting endpoints before it in join order, and the
+#: sender plans built so far.
+_Layout = Tuple[Tuple[Endpoint, ...], FanoutPlan, Dict[Address, int], Dict[int, FanoutPlan]]
 
 
 class Network:
     """Single broadcast-domain network connecting all simulated nodes.
 
-    Without loss windows or cut links, a multicast copy walks its kind's
-    fan-out plan: the ``deliver`` methods of the endpoints that accept the
-    kind, each paired with the delay draws to skip before it.  Plans are
-    cached per kind until the next :meth:`join`/:meth:`leave`; an
+    Without loss windows or cut links, a multicast copy walks the fan-out
+    plan of its kind and sender: the ``deliver`` methods of the receivers
+    that accept the kind, each paired with the delay draws to skip before
+    it.  Plans are cached until the next :meth:`join`/:meth:`leave`; an
     endpoint's :attr:`~repro.net.interfaces.Endpoint.accepts` is therefore
     fixed once it has joined.
 
@@ -84,6 +92,17 @@ class Network:
     leaves the map, the node stops or its receiver fails it calls
     :meth:`release`, which also puts a copy that would not have fired back
     on the calendar under its own key.
+
+    An event whose outcome the failure plan already fixes is *decided*
+    where it is emitted: it is counted in its fate and consumes its
+    sequence number, so every other event keeps its key, but it is not
+    posted.  That is a redundant multicast copy due strictly before its
+    sender's known transmitter restore (:attr:`decided_tx`), and a delivery
+    of a unicast or of a copy on the fan-out-plan path due strictly before
+    its receiver's known receiver restore (:attr:`decided_rx`; its delay is
+    still drawn), each due by the run's bound (see
+    :attr:`~repro.net.interfaces.NetworkInterface.tx_until`).  At a tie the
+    restore, armed first, fires first, so the copy or delivery is posted.
     """
 
     def __init__(self, sim: Simulator, rng: RngRegistry) -> None:
@@ -105,8 +124,8 @@ class Network:
         # ``getrandbits(64 * k)`` exactly 2k, so one call skips k delay draws
         # in C (pinned by a test, since it is a CPython implementation detail).
         self._skip_bits = delay_stream.getrandbits
-        # kind -> fan-out plan, built lazily and dropped on join/leave.
-        self._plans: Dict[str, FanoutPlan] = {}
+        # kind -> fan-out layout, built lazily and dropped on join/leave.
+        self._layouts: Dict[str, _Layout] = {}
         # Lossy-link state (scenario library).  ``_loss_p`` is the combined
         # drop probability of the active loss windows; the delivery paths pay
         # one falsy check while it is zero.  The dedicated ``network/loss``
@@ -132,6 +151,14 @@ class Network:
         #: Multicast copies received without an event: folded into their
         #: receiver's refresh record (telemetry; see the class docstring).
         self.absorbed = 0
+        #: Redundant multicast copies and deliveries decided at emission as
+        #: ``dropped_tx`` / ``dropped_rx`` (telemetry; see the class docstring).
+        self.decided_tx = 0
+        self.decided_rx = 0
+        #: The latest known receiver restore of any endpoint: from then on,
+        #: no delivery is decided, and a multicast copy without refresh maps
+        #: posts its deliveries in one call.
+        self.rx_until = -inf
 
     # ------------------------------------------------------------------ membership
     def join(self, endpoint: Endpoint) -> Endpoint:
@@ -140,48 +167,76 @@ class Network:
         if address in self._endpoints:
             raise ValueError(f"address already joined: {address!r}")
         self._endpoints[address] = endpoint
-        self._plans = {}
+        self._layouts = {}
         return endpoint
 
     def leave(self, address: Address) -> None:
         """Remove an endpoint from the network."""
         if self._endpoints.pop(address, None) is not None:
-            self._plans = {}
+            self._layouts = {}
 
-    def _plan(self, kind: str) -> FanoutPlan:
-        """Build and cache the fan-out plan of ``kind``.
+    def _plan(self, kind: str, sender_ep: Endpoint) -> FanoutPlan:
+        """The fan-out plan of ``kind`` from ``sender_ep``.
 
-        A copy takes its sender's slot out of the plan when it walks it.
-        Building a plan also numbers every endpoint's
-        :attr:`~repro.net.interfaces.Endpoint.slot` in join order, so the
-        slots are current while any plan is cached.
+        A sender's plan takes the sender's draw out of the kind's layout
+        (built by :meth:`_layout`): an accepting sender's entry goes and its
+        gap joins the next, and otherwise the gap around the sender shrinks
+        by one.  So every sender between the same two accepting endpoints
+        gets the same plan, which the layout keeps once built.
         """
-        slots: List[int] = []
-        skips: List[int] = []
-        delivers: List[Callable[[Message], bool]] = []
-        refresh: List[Optional[Tuple[Dict[Address, Any], NetworkInterface]]] = []
+        layout = self._layouts.get(kind)
+        if layout is None:
+            layout = self._layouts[kind] = self._layout(kind)
+        accepting, everyone, where, plans = layout
+        at = where[sender_ep.address]
+        own = at < len(accepting) and accepting[at] is sender_ep
+        key = -1 - at if own else at  # an accepting sender's plan is its own
+        plan = plans.get(key)
+        if plan is not None:
+            return plan
+        skips, delivers, interfaces, refresh, tail, ignoring = everyone
+        skips = list(skips)
+        if own:
+            carry = skips.pop(at)
+            delivers = delivers[:at] + delivers[at + 1 :]
+            interfaces = interfaces[:at] + interfaces[at + 1 :]
+            if refresh is not None:
+                refresh = refresh[:at] + refresh[at + 1 :]
+        else:
+            carry = -1
+            ignoring -= 1
+        if at < len(skips):
+            skips[at] += carry
+        else:
+            tail += carry
+        plan = plans[key] = FanoutPlan(tuple(skips), delivers, interfaces, refresh, tail, ignoring)
+        return plan
+
+    def _layout(self, kind: str) -> _Layout:
+        """The fan-out of ``kind`` over every endpoint, in join order."""
+        accepting: List[Endpoint] = []
+        gaps: List[int] = []
+        where: Dict[Address, int] = {}
         gap = 0
-        for slot, endpoint in enumerate(self._endpoints.values()):
-            endpoint.slot = slot
+        for address, endpoint in self._endpoints.items():
+            where[address] = len(accepting)
             accepts = endpoint.accepts
             if accepts is None or kind in accepts:
-                slots.append(slot)
-                skips.append(gap)
-                delivers.append(endpoint.deliver)
-                records = endpoint.refresh.get(kind)
-                refresh.append(None if records is None else (records, endpoint.interface))
+                accepting.append(endpoint)
+                gaps.append(gap)
                 gap = 0
             else:
                 gap += 1
-        plan = self._plans[kind] = FanoutPlan(
-            tuple(slots),
-            tuple(skips),
-            tuple(delivers),
+        maps = tuple(endpoint.refresh.get(kind) for endpoint in accepting)
+        everyone = FanoutPlan(
+            tuple(gaps),
+            tuple(endpoint.deliver for endpoint in accepting),
+            tuple(endpoint.interface for endpoint in accepting),
+            maps if any(records is not None for records in maps) else None,
             gap,
-            len(self._endpoints) - len(slots),
-            tuple(refresh) if any(refresh) else None,
+            len(self._endpoints) - len(accepting),
         )
-        return plan
+        return tuple(accepting), everyone, where, {}
 
     def endpoint(self, address: Address) -> Endpoint:
         """Return the endpoint registered under ``address``."""
@@ -395,6 +450,15 @@ class Network:
             # Hot path: no closure, no Event allocation.
             accepts = receiver_ep.accepts
             if accepts is None or kind in accepts:
+                sim = self.sim
+                time = sim._now + delay
+                rx = receiver_ep.interface
+                if time < rx.rx_until and time <= sim.bound:
+                    # Decided: the receiver is down until after it is due.
+                    rx.counters.dropped_rx += 1
+                    self.decided_rx += 1
+                    sim._queue._next_seq += 1
+                    return True
                 if message is None:
                     message = Message(
                         sender,
@@ -406,7 +470,7 @@ class Network:
                         layer,
                         msg_id,
                     )
-                self.sim.post(delay, receiver_ep.deliver, message)
+                sim.post(delay, receiver_ep.deliver, message)
             else:
                 self.ignored += 1
         else:
@@ -430,10 +494,12 @@ class Network:
         :data:`MULTICAST_COPY_SPACING` seconds.  The first copy
         is emitted immediately and the return value reports whether it left
         the transmitter; later copies are evaluated against the interface
-        state at their own emission times.  Copies for endpoints that do not
-        accept the message's kind are counted in :attr:`ignored` instead of
-        being delivered; every delivered copy keeps the delay it would draw
-        if all endpoints accepted.
+        state at their own emission times, or decided now when the
+        transmitter is known to be down then (see the class docstring).
+        Copies for endpoints that do not accept the message's kind are
+        counted in :attr:`ignored` instead of being delivered; every
+        delivered copy keeps the delay it would draw if all endpoints
+        accepted.
         """
         if message.receiver != MULTICAST_GROUP:
             raise ValueError("multicast message must be addressed to MULTICAST_GROUP")
@@ -450,9 +516,19 @@ class Network:
         # transmitter emits nothing on the wire and is not counted).
         state = {"recorded": False}
         first_copy_sent = self._emit_multicast_copy(message, sender_ep, state, copies)
+        sim = self.sim
+        now = sim._now
+        tx = sender_ep.interface
         for copy_index in range(1, copies):
             offset = copy_index * MULTICAST_COPY_SPACING
-            self.sim.post(offset, self._emit_multicast_copy, message, sender_ep, state, copies)
+            time = now + offset
+            if time < tx.tx_until and time <= sim.bound:
+                # Decided: the copy would find the transmitter down.
+                tx.counters.dropped_tx += 1
+                self.decided_tx += 1
+                sim._queue._next_seq += 1
+            else:
+                sim.post(offset, self._emit_multicast_copy, message, sender_ep, state, copies)
         return first_copy_sent
 
     def _emit_multicast_copy(
@@ -519,33 +595,13 @@ class Network:
             self.ignored += ignored
             return True
         # Without loss or cuts only delay draws are made, one per receiver
-        # in endpoint order (the sender draws none).  Walk the kind's plan:
-        # draw for each accepting receiver and skip the others' draws in C.
-        plan = self._plans.get(kind)
-        if plan is None:
-            plan = self._plan(kind)
-        slots, skips, delivers, tail, ignored, refresh = plan
-        slot = sender_ep.slot
-        at = bisect_left(slots, slot)
-        own = at < len(slots) and slots[at] == slot
-        if own:
-            # The sender accepts its own kind: it is not a receiver.
-            delivers = delivers[:at] + delivers[at + 1 :]
-            if refresh is not None:
-                refresh = refresh[:at] + refresh[at + 1 :]
-        else:
-            ignored -= 1  # the sender's slot is one of the skipped ones
+        # in endpoint order (the sender draws none).  Walk the plan of the
+        # kind and sender: draw for each accepting receiver and skip the
+        # others' draws in C.
+        skips, delivers, interfaces, refresh, tail, ignored = self._plan(kind, sender_ep)
         if not ignored:
             delays = [min_delay + delay_span * rand() for _ in delivers]
         else:
-            # Take the sender's slot out of the draws to skip: its own entry
-            # goes and its gap joins the next, or the gap around it shrinks.
-            skips = list(skips)
-            carry = skips.pop(at) if own else -1
-            if at < len(skips):
-                skips[at] += carry
-            else:
-                tail += carry
             skip_bits = self._skip_bits
             delays = []
             for skip in skips:
@@ -554,27 +610,34 @@ class Network:
                 delays.append(min_delay + delay_span * rand())
             if tail:
                 skip_bits(64 * tail)
-        self.ignored += ignored
+            self.ignored += ignored
         sim = self.sim
-        if refresh is None:
+        now = sim._now
+        if refresh is None and now >= self.rx_until:
             # One engine call posts them all, exactly as one post() each would.
             sim.post_each(delays, delivers, message)
             return True
-        # post_each inlined, absorbing the copies the class docstring names:
-        # each receiver takes its sequence number either way.
-        now = sim._now
+        # post_each inlined, absorbing and deciding the deliveries the class
+        # docstring names: each receiver takes its sequence number either way.
         bound = sim.bound
         queue = sim._queue
         heap = queue._heap
         seq = queue._next_seq
         args = (message,)
-        absorbed = 0
-        for delay, deliver, entry in zip(delays, delivers, refresh):
+        absorbed = decided = 0
+        for delay, deliver, interface, records in zip(
+            delays, delivers, interfaces, refresh or itertools.repeat(None)
+        ):
             time = now + delay
-            if entry is not None and time <= bound:
-                records, interface = entry
+            if time < interface.rx_until:
+                if time <= bound:
+                    interface.counters.dropped_rx += 1
+                    decided += 1
+                    seq += 1
+                    continue
+            elif records is not None and time <= bound and interface.rx_up:
                 record = records.get(sender)
-                if record is not None and interface.rx_up and record.copy_time < now:
+                if record is not None and record.copy_time < now:
                     if record.copy_time > record.last_heard:
                         record.last_heard = record.copy_time
                     record.copy_time = time
@@ -590,6 +653,7 @@ class Network:
         if len(heap) > queue.hwm:
             queue.hwm = len(heap)
         self.absorbed += absorbed
+        self.decided_rx += decided
         return True
 
     # ------------------------------------------------------------------ absorbed copies

@@ -20,7 +20,9 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     timers; the one sequence counter counts them all).
 ``engine.events_fired``
     Callbacks actually executed by the run loop.  Since version 5 the
-    multicast copies in ``net.absorbed`` are received without one.
+    multicast copies in ``net.absorbed`` are received without one, and
+    since version 7 the copies and deliveries in ``net.decided_tx`` and
+    ``net.decided_rx`` are dropped without one.
 ``engine.events_cancelled``
     Cancellations of calendar events, timers included (since version 6;
     before, it left out the ``timers.cancelled`` ones).
@@ -67,7 +69,19 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     its registrar record by the network (see
     :class:`~repro.net.network.Network`).  They count in ``net.delivered``
     and consume their sequence number, so ``events_fired + absorbed`` is
-    the count of version 4.
+    the count of version 4.  Since version 7 a Jini Manager absorbs its
+    copies of an announcement that changes nothing for it too (from a
+    Lookup Service at its current version, or from another registry than a
+    single-homed Manager's home).
+``net.decided_tx`` / ``net.decided_rx``
+    Events decided where they are emitted (version 7): redundant multicast
+    copies due while their sender's transmitter is known to be down, and
+    deliveries due while their receiver's receiver is known to be down —
+    before the outage's restore, the node's next churn event and the run's
+    bound.  They count in ``net.dropped_tx`` / ``net.dropped_rx`` and
+    consume their sequence number but post no event, so
+    ``events_fired + absorbed + decided_tx + decided_rx`` is the count of
+    version 4.
 ``net.link_losses``
     Deliveries dropped on the wire by scenario loss windows (zero outside
     lossy-link scenarios).
@@ -100,7 +114,7 @@ if TYPE_CHECKING:  # imported for annotations only
     from repro.sim.engine import Simulator
 
 #: Version of the RunTelemetry dict layout (bumped on incompatible changes).
-TELEMETRY_SCHEMA_VERSION = 6
+TELEMETRY_SCHEMA_VERSION = 7
 
 
 def collect_run_telemetry(
@@ -150,6 +164,8 @@ def collect_run_telemetry(
             "link_losses": network.link_losses,
             "ignored": network.ignored,
             "absorbed": network.absorbed,
+            "decided_tx": network.decided_tx,
+            "decided_rx": network.decided_rx,
         },
     }
     if injector is not None:

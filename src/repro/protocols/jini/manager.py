@@ -16,6 +16,13 @@ Recovery behaviour:
   again: announcements from a stale Lookup Service re-send the update, and
   version numbers on renewals let the Lookup Service request it (SRC2).
 
+An announcement from a Lookup Service that is registered and has
+acknowledged the current version changes nothing, and neither does one
+from a registry other than a single-homed provider's home.  The provider
+publishes those in its refresh map and the network absorbs their copies
+(see :class:`~repro.net.network.Network`).  Every change that takes a
+Lookup Service out of the map releases its held copy.
+
 In a push-mode federation the provider is *multi-homed* (``home`` is
 ``None``): it registers with every discovered registry and pushes its update
 to each of them itself — the paper's replicated model.  In pull/gossip mode
@@ -27,6 +34,7 @@ update from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, Optional
 
 from repro.core.consistency import ConsistencyTracker
@@ -55,6 +63,13 @@ class RegistrarState:
     #: node would never learn of the loss — the guard expires after
     #: ``response_timeout`` instead of blocking the Lookup Service forever.
     send_pending_since: Optional[float] = None
+    #: The network's absorbed-copy record (see
+    #: :meth:`Network.settle <repro.net.network.Network.settle>`); the
+    #: provider reads none of it.
+    last_heard: float = -inf
+    copy_time: float = -inf
+    copy_seq: int = 0
+    copy_message: Optional[Message] = None
 
 
 class JiniServiceProvider(DiscoveryNode):
@@ -82,6 +97,12 @@ class JiniServiceProvider(DiscoveryNode):
         #: ``None`` = multi-homed (push mode).
         self.home = home
         self.registrars: Dict[Address, RegistrarState] = {}
+        # The refresh map the network absorbs registrar announcements into:
+        # the registrars whose announcement _learn_registrar would ignore
+        # (for a single-homed provider, every other registry it has heard).
+        self._refresh_map: Dict[Address, RegistrarState] = {}
+        self.endpoint.refresh[m.REGISTRAR_ANNOUNCE] = self._refresh_map
+        self.endpoint.interface.on_rx_fail = self._release_copies
 
         self._discovery_timer = PeriodicTimer(sim, config.discovery_interval, self._discovery_tick)
         self._renew_timer = PeriodicTimer(sim, config.renewal_interval, self._renew_tick)
@@ -95,13 +116,30 @@ class JiniServiceProvider(DiscoveryNode):
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
         self.tracker.record_authoritative(self.sd, self.now)
+        for addr, state in self.registrars.items():
+            self._publish(addr, state)
         self._discovery_tick()
         self._discovery_timer.start()
         self._renew_timer.start()
 
     def on_stop(self) -> None:
+        self._release_copies()
+        self._refresh_map.clear()
         self._discovery_timer.stop()
         self._renew_timer.stop()
+
+    # ------------------------------------------------------------------ absorbed announcement copies
+    def _publish(self, addr: Address, state: RegistrarState) -> None:
+        """Keep ``addr`` in the refresh map exactly while its announcement is a no-op."""
+        if state.registered and state.acked_version >= self.sd.version:
+            self._refresh_map[addr] = state
+        elif self._refresh_map.pop(addr, None) is not None:
+            self.network.release(self.endpoint, state)
+
+    def _release_copies(self) -> None:
+        """Put every absorbed copy that has not fired yet back on the calendar."""
+        for state in self._refresh_map.values():
+            self.network.release(self.endpoint, state)
 
     # ------------------------------------------------------------------ Lookup Service discovery
     def _discovery_tick(self) -> None:
@@ -117,6 +155,8 @@ class JiniServiceProvider(DiscoveryNode):
 
     def _learn_registrar(self, addr: Address) -> None:
         if self.home is not None and addr != self.home:
+            # Nothing another registry announces concerns this provider.
+            self._refresh_map.setdefault(addr, RegistrarState())
             return
         state = self.registrars.get(addr)
         if state is None:
@@ -129,7 +169,11 @@ class JiniServiceProvider(DiscoveryNode):
             self._send_update_to(addr)
 
     def _drop_registrar(self, addr: Address) -> None:
-        if self.registrars.pop(addr, None) is not None:
+        state = self.registrars.pop(addr, None)
+        if state is not None:
+            # A copy still in flight now reaches _learn_registrar.
+            if self._refresh_map.pop(addr, None) is not None:
+                self.network.release(self.endpoint, state)
             self.trace("registrar_lost", registrar=addr)
 
     def _send_in_flight(self, state: RegistrarState) -> bool:
@@ -162,6 +206,7 @@ class JiniServiceProvider(DiscoveryNode):
         state.send_pending_since = None
         state.registered = True
         state.acked_version = max(state.acked_version, message.payload.get("version", 0))
+        self._publish(message.sender, state)
         if state.acked_version < self.sd.version:
             self._send_update_to(message.sender)
 
@@ -184,6 +229,7 @@ class JiniServiceProvider(DiscoveryNode):
         state = self.registrars.get(message.sender)
         if state is not None:
             state.acked_version = max(state.acked_version, message.payload.get("version", 0))
+            self._publish(message.sender, state)
 
     def handle_register_renew_error(self, message: Message) -> None:
         state = self.registrars.get(message.sender)
@@ -191,6 +237,7 @@ class JiniServiceProvider(DiscoveryNode):
             return
         state.registered = False
         state.send_pending_since = None
+        self._publish(message.sender, state)
         self._register_with(message.sender)
 
     # ------------------------------------------------------------------ the service change
@@ -199,6 +246,8 @@ class JiniServiceProvider(DiscoveryNode):
         self.sd = self.sd.with_update(self.now)
         self.tracker.record_authoritative(self.sd, self.now)
         self.trace("service_changed", version=self.sd.version)
+        self._release_copies()
+        self._refresh_map.clear()
         for addr, state in list(self.registrars.items()):
             if state.registered:
                 self._send_update_to(addr)
@@ -227,6 +276,7 @@ class JiniServiceProvider(DiscoveryNode):
             return
         state.send_pending_since = None
         state.acked_version = max(state.acked_version, message.payload.get("version", 0))
+        self._publish(message.sender, state)
         if state.acked_version < self.sd.version:
             # The service changed again while the previous update was in flight.
             self._send_update_to(message.sender)
@@ -235,4 +285,5 @@ class JiniServiceProvider(DiscoveryNode):
         """SRC2 from the Lookup Service: it noticed it missed an update."""
         state = self.registrars.setdefault(message.sender, RegistrarState())
         state.registered = True
+        self._publish(message.sender, state)
         self._send_update_to(message.sender)

@@ -78,8 +78,9 @@ def validate_options(
 
     A value must have its default's type, except that an int is accepted, and
     converted, where the default is a float; a float must be finite (every
-    range check compares, and NaN passes every comparison).  The merged dict
-    is for the builder; canonical tokens come from the unmerged ``options``.
+    range check compares, and NaN passes every comparison), and so must an
+    int converted to one.  The merged dict is for the builder; canonical
+    tokens come from the unmerged ``options``.
     """
     unknown = sorted(set(options) - set(defaults))
     if unknown:
@@ -91,7 +92,13 @@ def validate_options(
     for key, value in options.items():
         kind = type(defaults[key])
         if kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{label} option {name}@{key} must be finite, "
+                    f"got an integer too large for a float"
+                ) from None
         elif type(value) is not kind:
             expected = _TYPE_NAMES.get(kind, kind.__name__)
             raise ValueError(f"{label} option {name}@{key} must be {expected}, got {value!r}")

@@ -167,3 +167,34 @@ def test_sweep_out_still_written_when_resume_used(tmp_path):
     ]
     assert main(argv) == 0
     assert json.loads(out.read_text())["summaries"][0]["system"] == "frodo3"
+
+
+@pytest.mark.parametrize("command", ["summarize", "timeline"])
+@pytest.mark.parametrize(
+    "window,fragment",
+    [
+        (["--since", "nan"], "must be a finite time"),
+        (["--until", "inf"], "must be a finite time"),
+        (["--since=-inf"], "must be a finite time"),
+        (["--since", "5000", "--until", "100"], "--since 5000 is after --until 100"),
+    ],
+    ids=["nan", "inf", "-inf", "inverted"],
+)
+def test_bad_trace_windows_are_clean_errors(command, window, fragment, capsys):
+    # NaN passes no comparison, so it filtered nothing; an inverted window
+    # matched nothing.  Both are refused before any trace is read.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", command, "missing.ndjson", *window])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and fragment in err and "Traceback" not in err
+
+
+def test_integer_too_large_for_a_float_option_is_a_spec_error(tmp_path, capsys):
+    # The int-to-float widening used to raise OverflowError, a traceback.
+    token = "churn@gap=" + "9" * 400
+    message = "error: scenario option churn@gap must be finite, got an integer too large"
+    for command in ("run", "sweep"):
+        argv = [command, "--system", "frodo3", "--scenario", token]
+        code, err = _run([*argv, "--out", str(tmp_path / "o.json")], capsys)
+        assert code == 2 and err.startswith(message)

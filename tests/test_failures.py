@@ -8,6 +8,7 @@ skipped instead of raising mid-run.
 """
 
 import random
+from math import inf
 
 import pytest
 
@@ -270,6 +271,58 @@ def test_churn_leave_and_rejoin_restarts_node_with_fresh_interface():
     assert not node.stopped
     telemetry = injector.failure_telemetry()
     assert telemetry["last_churn_end"] == 400.0
+
+
+def test_known_restores_are_the_calendar_times_that_end_each_outage():
+    """Applying an outage records when each failed direction comes back, as
+    the float the calendar holds for that event: the later restore of two
+    overlapping outages, the next churn leave when it comes first, nothing
+    after a rejoin's reset, and, when a restore from before that reset is
+    still pending, that restore, since it takes the new outage's depth to
+    zero."""
+    sim = Simulator()
+    network = Network(sim, RngRegistry(5))
+    node = _ToyNode(sim, network, "peer")
+    node.start()
+    interface = node.endpoint.interface
+    plan = [
+        InterfaceOutage(node="peer", start=10.0, duration=20.0, mode="rx"),
+        InterfaceOutage(node="peer", start=15.0, duration=20.0, mode="both"),
+        InterfaceOutage(node="peer", start=100.0, duration=50.0, mode="tx"),
+        InterfaceOutage(node="peer", start=200.1, duration=0.2, mode="rx"),
+        InterfaceOutage(node="peer", start=300.0, duration=20.0, mode="rx"),
+        InterfaceOutage(node="peer", start=310.0, duration=90.0, mode="rx"),
+    ]
+    churn = [
+        NodeChurn(node="peer", leave=120.0, rejoin=130.0),
+        NodeChurn(node="peer", leave=305.0, rejoin=306.0),
+    ]
+    injector = FailureInjector(
+        sim, network, plan, churn=churn, deadline=1000.0, node_resolver={"peer": node}.get
+    )
+    injector.start()
+    seen = {}
+    for time in (12.0, 16.0, 31.0, 101.0, 131.0, 201.0, 301.0, 311.0, 321.0):
+        sim.schedule_at(
+            time, lambda t=time: seen.update({t: (interface.tx_until, interface.rx_until)})
+        )
+    sim.schedule_at(321.0, lambda: seen.update(rx_up=interface.rx_up))
+    sim.run(until=1000.0)
+    # The pending restore did bring the receiver back at 320 s.
+    assert seen.pop("rx_up")
+    assert seen == {
+        12.0: (-inf, 30.0),
+        16.0: (35.0, 35.0),  # the later of two overlapping restores
+        31.0: (35.0, 35.0),
+        101.0: (120.0, 35.0),  # the leave at 120 s comes before the restore
+        131.0: (-inf, -inf),  # the rejoin reset the interface
+        201.0: (-inf, 200.1 + 0.2),  # not 200.3
+        301.0: (-inf, 305.0),
+        311.0: (-inf, 320.0),  # the restore of the outage applied before the reset
+        321.0: (-inf, 320.0),
+    }
+    assert 200.1 + 0.2 != 200.3
+    assert network.rx_until == 320.0  # the latest known receiver restore
 
 
 def test_churn_without_rejoin_leaves_node_out():

@@ -11,6 +11,7 @@ from repro.discovery.service import ServiceQuery
 from repro.net.addressing import MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
+from repro.net import network as network_module
 from repro.net.multicast import MulticastService
 from repro.net.network import MAX_DELAY, MIN_DELAY, MULTICAST_COPY_SPACING, Network
 from repro.net.tcp import TcpTransport
@@ -576,3 +577,63 @@ def test_other_registrar_announcements_still_go_to_learn_registrar(monkeypatch, 
     announce(network, copies=1)
     sim.run()
     assert learned == ["lus"]
+
+
+# --------------------------------------------------------------------------- decided events
+def run_known_outage(monkeypatch, path, case, decide):
+    """One send into an outage whose restore is known; returns what it left.
+
+    ``path`` is ``"unicast"`` (a delivery into node-1's downed receiver),
+    ``"multicast"`` (the same through a one-copy multicast's fan-out) or
+    ``"tx"`` (copy 1 of a multicast from node-0's downed transmitter).  The
+    outage starts at 1 s; the send leaves at 2 s and the delivery or copy is
+    due at ``due``.  ``case`` puts the restore after ``due`` (``"before"``),
+    exactly at it (``"tie"``), or after it with the run's bound before it
+    (``"bound"``).  ``decide=False`` leaves the restore unknown.
+    """
+    monkeypatch.setattr(network_module, "MIN_DELAY", 50e-6)
+    monkeypatch.setattr(network_module, "MAX_DELAY", 50e-6)
+    sim, network, inboxes = make_network(3)
+    tx = path == "tx"
+    due = 2.0 + (MULTICAST_COPY_SPACING if tx else 50e-6)
+    restore_at = due if case == "tie" else due + 1.0
+    interface = network.endpoint("node-0" if tx else "node-1").interface
+
+    def fail():
+        interface.fail(tx=tx, rx=not tx)
+        if decide:
+            if tx:
+                interface.tx_until = restore_at
+            else:
+                interface.rx_until = network.rx_until = restore_at
+        sim.schedule_at(restore_at, lambda: interface.restore(tx=tx, rx=not tx))
+
+    sim.schedule_at(1.0, fail)
+    if path == "unicast":
+        sim.schedule_at(2.0, network.transmit_unicast, msg("node-0", "node-1"))
+    else:
+        copies = 2 if tx else 1
+        sim.schedule_at(2.0, network.transmit_multicast, msg("node-0", MULTICAST_GROUP), copies)
+    sim.run(until=due - 1e-6 if case == "bound" else 10.0)
+    counters = {
+        address: vars(network.endpoint(address).interface.counters) for address in inboxes
+    }
+    logs = {address: len(inbox) for address, inbox in inboxes.items()}
+    decided = network.decided_tx + network.decided_rx
+    return counters, logs, sim.executed_events, decided, sim._queue._next_seq
+
+
+@pytest.mark.parametrize("case,decided", [("before", 1), ("tie", 0), ("bound", 0)])
+@pytest.mark.parametrize("path", ["unicast", "multicast", "tx"])
+def test_only_events_due_strictly_before_a_known_restore_and_by_the_bound_are_decided(
+    monkeypatch, path, case, decided
+):
+    """A decided event counts in its fate and consumes its sequence number,
+    so everything but the fired count matches a run that posts it.  At a tie
+    the restore, armed first, fires first; past the bound nothing fires."""
+    got = run_known_outage(monkeypatch, path, case, decide=True)
+    want = run_known_outage(monkeypatch, path, case, decide=False)
+    counters, logs, executed, moved, seq = got
+    assert (counters, logs, seq) == (want[0], want[1], want[4])
+    assert want[3] == 0 and moved == decided
+    assert executed + moved == want[2]

@@ -222,14 +222,17 @@ def _reconcile_with_fixture(produced, fixture):
     (``net.absorbed``, version 5) are still scheduled and delivered, but no
     longer fired, so they join the fired side.  Timers share the event heap
     since version 6, so ``timers`` keeps only its two counts and
-    ``events_cancelled`` counts the timer cancellations too.
+    ``events_cancelled`` counts the timer cancellations too.  Decided copies
+    and deliveries (``net.decided_tx``/``net.decided_rx``, version 7) are
+    still scheduled and dropped, but no longer fired, so they join the
+    fired side too.
     """
     new_counts = _split_work_counts(produced)
     old_counts = _split_work_counts(fixture)
     assert produced == fixture
     assert len(new_counts) == len(old_counts) > 0
     for (new, new_fired), (old, old_fired) in zip(new_counts, old_counts):
-        assert new["version"] == 6 and old["version"] == 1
+        assert new["version"] == 7 and old["version"] == 1
         assert new["net"]["link_losses"] == 0  # table4 has no loss windows
         old_timers = old["timers"]
         assert new["timers"] == {
@@ -254,7 +257,7 @@ def _reconcile_with_fixture(produced, fixture):
         assert engine["events_scheduled"] + ignored == old_engine["events_scheduled"]
         deliveries = net["delivered"] + net["dropped_rx"]
         old_deliveries = old_net["delivered"] + old_net["dropped_rx"]
-        fired = engine["events_fired"] + net["absorbed"]
+        fired = engine["events_fired"] + net["absorbed"] + net["decided_tx"] + net["decided_rx"]
         assert fired + ignored - old_engine["events_fired"] == deliveries + ignored - old_deliveries
 
 

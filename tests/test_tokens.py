@@ -113,6 +113,7 @@ def test_options_take_their_defaults_type_and_ints_widen_to_float():
         ("count", True, "must be an integer"),
         ("rate", "fast", "must be a number"),
         ("rate", False, "must be a number"),
+        ("rate", 10**400, "must be finite, got an integer too large for a float"),
         ("mode", 3, "must be a string"),
         ("nope", 1, "does not accept"),
     ]:
