@@ -15,9 +15,10 @@ a pool worker.  It assembles the full stack for one
    measurement deadline (Steps 4-5),
 
 then extracts a :class:`~repro.core.metrics.RunResult` from the consistency
-tracker and the network's message statistics.  The run's m' comes from one
-place, the registry's closed form at the spec's topology size; no
-deployment computes it.
+tracker and the network's send counter, whose window for y opens at the
+last scheduled service change.  The run's m' comes from one place, the
+registry's closed form at the spec's topology size; no deployment computes
+it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.metrics import RunResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.scenarios import SCENARIOS
 from repro.net.failures import DisruptionPlan, FailureInjector
+from repro.net.messages import MessageLayer
 from repro.net.network import Network
 from repro.obs.sinks import MemorySink, NDJSONSink
 from repro.obs.telemetry import collect_run_telemetry
@@ -160,9 +162,11 @@ class ExperimentRunner:
         try:
             context.deployment.start()
             context.injector.start()
-            context.sim.schedule_at(spec.change_time, context.deployment.trigger_service_change)
-            for change_time in context.plan.extra_change_times:
+            change_times = (spec.change_time, *context.plan.extra_change_times)
+            for change_time in change_times:
                 context.sim.schedule_at(change_time, context.deployment.trigger_service_change)
+            # y counts from the last change: the version the metrics follow.
+            context.network.stats.window_start = max(change_times)
             context.sim.run(until=spec.deadline)
             return self.collect(context)
         finally:
@@ -180,14 +184,20 @@ class ExperimentRunner:
                 f"run {spec.describe()} never recorded a service change; "
                 "the deployment's trigger_service_change hook is broken"
             )
-        stats = context.deployment.collect_run_stats(change_time)
+        stats = context.network.stats
+        if stats.window_start != change_time:
+            raise RuntimeError(
+                f"run {spec.describe()} counted y from t={stats.window_start!r} but its "
+                f"service last changed at t={change_time!r}"
+            )
+        by_layer = stats.counts_by_layer()
         system, options, _ = SYSTEMS.resolve(spec.system)
         details = {
             "m_prime": system.m_prime_at(spec.n_users, options),
             "n_outages": len(context.injector.plan),
             "executed_events": context.sim.executed_events,
             "changed_version": changed_version,
-            "update_counts_by_kind": stats.update_counts_by_kind,
+            "update_counts_by_kind": stats.update_counts_by_kind(),
             # RunTelemetry: deterministic engine/network counters (see
             # repro.obs.telemetry for the field glossary).  Persisted
             # with the run through checkpoints and --per-run output.
@@ -195,7 +205,7 @@ class ExperimentRunner:
         }
         # Deployment-specific additions (e.g. federation consistency
         # metrics); the default hook contributes nothing.
-        details.update(context.deployment.extra_details(change_time))
+        details.update(context.deployment.extra_details())
         return RunResult(
             system=spec.system,
             failure_rate=spec.failure_rate,
@@ -205,9 +215,9 @@ class ExperimentRunner:
             user_update_times=dict(
                 sorted(context.tracker.update_times(changed_version).items())
             ),
-            update_message_count=stats.update_message_count,
-            total_discovery_messages=stats.total_discovery_messages,
-            transport_message_count=stats.transport_message_count,
+            update_message_count=sum(stats.windowed.values()),
+            total_discovery_messages=by_layer.get(MessageLayer.DISCOVERY.value, 0),
+            transport_message_count=by_layer.get(MessageLayer.TRANSPORT.value, 0),
             details=details,
         )
 

@@ -270,15 +270,13 @@ class FailureInjector(Process):
 
     Applying an outage also records when each direction it fails is known
     to come back up (:attr:`~repro.net.interfaces.NetworkInterface.tx_until`
-    / ``rx_until``), as the exact float the calendar holds for that event.
-    The direction stays down until the restore that takes its fail depth to
-    zero: the depth-th earliest of the node's pending restores for that
-    direction.  In the usual case that is the latest of the overlapping
-    outages' restores; a rejoin's reset can leave restores of outages
-    applied before it pending, and those come first.  The node's next churn
-    leave or rejoin caps it, since a leave takes the node off the network
-    and a rejoin resets its interface.  Later outages only keep the
-    direction down longer.
+    / ``rx_until``), as the exact float the calendar holds for that event:
+    the latest of the node's pending restores for that direction.  The
+    node's next churn leave or rejoin caps it, since a leave takes the node
+    off the network and a rejoin resets its interface.  Later outages only
+    keep the direction down longer.  A rejoin also starts the node's
+    pending restores afresh, so the restore of an outage applied before it
+    does nothing.
     """
 
     def __init__(
@@ -308,7 +306,8 @@ class FailureInjector(Process):
         #: Nodes that rejoined the network through churn (in event order).
         self.rejoined: List[Address] = []
         # node -> calendar times of its restores not yet fired, per direction
-        # (tx, rx), sorted; and node -> calendar times of its armed churn.
+        # (tx, rx), sorted, since its last rejoin; and node -> calendar times
+        # of its armed churn.
         self._pending: Dict[Address, Tuple[List[float], List[float]]] = {}
         self._churn_at: Dict[Address, List[float]] = {}
 
@@ -350,21 +349,27 @@ class FailureInjector(Process):
             mode=outage.mode,
             until=outage.end,
         )
-        self.after(outage.duration, self._restore, outage)
+        pending = self._pending.setdefault(outage.node, ([], []))
+        self.after(outage.duration, self._restore, outage, pending)
         restore_at = self.now + outage.duration  # the restore's calendar time
-        tx_pending, rx_pending = self._pending.setdefault(outage.node, ([], []))
+        tx_pending, rx_pending = pending
         cap = next((t for t in self._churn_at.get(outage.node, ()) if t >= self.now), inf)
         if outage.fails_tx:
             insort(tx_pending, restore_at)
-            interface.tx_until = min(tx_pending[interface.tx_fail_depth - 1], cap)
+            interface.tx_until = min(tx_pending[-1], cap)
         if outage.fails_rx:
             insort(rx_pending, restore_at)
-            interface.rx_until = min(rx_pending[interface.rx_fail_depth - 1], cap)
+            interface.rx_until = min(rx_pending[-1], cap)
             self.network.rx_until = max(self.network.rx_until, interface.rx_until)
 
-    def _restore(self, outage: InterfaceOutage) -> None:
+    def _restore(
+        self, outage: InterfaceOutage, pending: Tuple[List[float], List[float]]
+    ) -> None:
+        if pending is not self._pending.get(outage.node):
+            # A rejoin has reset the interface since this outage was applied.
+            return
         # This event's time is the one _apply recorded for it.
-        tx_pending, rx_pending = self._pending[outage.node]
+        tx_pending, rx_pending = pending
         if outage.fails_tx:
             tx_pending.remove(self.now)
         if outage.fails_rx:
@@ -399,8 +404,10 @@ class FailureInjector(Process):
             self._skip("rejoin", event.node)
             return
         # A rejoining node comes back with a fresh radio: outages applied (or
-        # skipped) while it was away must not leave a direction stuck down.
+        # skipped) before it rejoined must not leave a direction stuck down,
+        # nor end a later outage.
         endpoint.interface.reset()
+        self._pending.pop(event.node, None)
         self.network.join(endpoint)
         node.restart()
         self.rejoined.append(event.node)

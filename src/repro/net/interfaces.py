@@ -18,9 +18,8 @@ from repro.net.messages import Message
 
 @dataclass
 class InterfaceCounters:
-    """Per-interface message counters (sent/received/dropped)."""
+    """Per-interface message counters (received/dropped; the network counts sends)."""
 
-    sent: int = 0
     received: int = 0
     dropped_tx: int = 0
     dropped_rx: int = 0

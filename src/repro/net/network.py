@@ -2,8 +2,8 @@
 
 The :class:`Network` owns the set of endpoints, imposes the 10-100 microsecond
 transmission delay from Table 3, enforces interface up/down state at both the
-sending and the receiving side, and records every transmission attempt in a
-:class:`~repro.net.stats.MessageStats` instance.
+sending and the receiving side, and counts every logical send in a
+:class:`~repro.net.stats.MessageStats` counter (see :meth:`Network.record_send`).
 
 Transports (:mod:`repro.net.udp`, :mod:`repro.net.tcp`,
 :mod:`repro.net.multicast`) are thin policies built on top of the two
@@ -335,16 +335,14 @@ class Network:
         Every send record goes through here: each unicast that leaves its
         transmitter, the first multicast copy that does (with its copy
         count), and TCP's application message, acknowledgements and data
-        retransmissions.  The fields go into :attr:`stats` and, only while
-        tracing is on, into a ``net/send`` trace record at the same time, so
-        a captured trace's message-kind counts agree with the in-memory
-        statistics (the ``trace summarize`` contract).
+        retransmissions.  The fields feed the :attr:`stats` counter and,
+        only while tracing is on, a ``net/send`` trace record at the same
+        time, so every send count a run reports can be recounted from its
+        trace.
         """
         sim = self.sim
         now = sim.now
-        self.stats.record(
-            now, sender, receiver, protocol, kind, layer, update_related, multicast, copies
-        )
+        self.stats.record(now, sender, protocol, kind, layer, update_related, multicast, copies)
         tracer = sim.tracer
         if tracer.enabled:
             tracer.record(
@@ -424,7 +422,6 @@ class Network:
             return False
 
         self.record_send(sender, receiver, protocol, kind, layer, update_related, False, 1, msg_id)
-        interface.counters.sent += 1
 
         receiver_ep = endpoints.get(receiver)
         if receiver_ep is None:
@@ -548,7 +545,7 @@ class Network:
         if not state["recorded"]:
             # One logical multicast send is recorded once, with its copy count,
             # so that Table 2 style accounting counts announcements once while
-            # the redundant copies remain visible in ``total_copies``.
+            # the redundant copies remain visible in ``stats.copies``.
             state["recorded"] = True
             self.record_send(
                 message.sender,
@@ -561,7 +558,6 @@ class Network:
                 copies,
                 message.msg_id,
             )
-        sender_ep.interface.counters.sent += 1
         rand = self._rand
         min_delay = MIN_DELAY
         delay_span = MAX_DELAY - MIN_DELAY

@@ -9,8 +9,10 @@ per sweep cell under ``--trace-dir``, or a single file from
 * :func:`summarize` — record counts, time span, per-category and
   per-event histograms, and the message-kind histograms (all sends and
   update-related ones) derived from the network-layer ``net/send`` records,
-  which agree with :meth:`~repro.net.stats.MessageStats.counts_by_kind`
-  for the same run;
+  which the same call as the run's send counter writes
+  (:meth:`~repro.net.network.Network.record_send`): with ``since`` at the
+  run's change time, the update-related histogram is its
+  ``update_counts_by_kind``;
 * :func:`format_timeline` — the filtered records as a readable listing.
 
 In every filter ``since`` and ``until`` are both inclusive.

@@ -38,7 +38,9 @@ Field glossary (see also EXPERIMENTS.md, "Observability")
     are gone.
 ``net.sends``
     Logical transmissions recorded (one per unicast attempt that left the
-    transmitter, one per multicast announcement).
+    transmitter, one per multicast announcement).  This and the next four
+    fields are reads of the network's send counter
+    (:class:`~repro.net.stats.MessageStats`).
 ``net.send_copies``
     Physical copies including multicast redundancy.
 ``net.multicast_sends``
@@ -108,6 +110,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from repro.net.messages import MessageLayer
+
 if TYPE_CHECKING:  # imported for annotations only
     from repro.net.failures import FailureInjector
     from repro.net.network import Network
@@ -133,6 +137,12 @@ def collect_run_telemetry(
     queue = sim._queue
     timers = sim.timers
     stats = network.stats
+    multicast_sends = update_sends = 0
+    for (_protocol, _kind, layer, update_related, multicast), count in stats.sends.items():
+        if multicast:
+            multicast_sends += count
+        if update_related and layer is MessageLayer.DISCOVERY:
+            update_sends += count
     delivered = dropped_tx = dropped_rx = 0
     for endpoint in network.endpoints():
         counters = endpoint.interface.counters
@@ -153,11 +163,11 @@ def collect_run_telemetry(
             "cancelled": timers.cancelled_total,
         },
         "net": {
-            "sends": len(stats),
-            "send_copies": stats.total_copies,
-            "multicast_sends": stats.multicast_sends,
+            "sends": sum(stats.sends.values()),
+            "send_copies": stats.copies,
+            "multicast_sends": multicast_sends,
             "sends_by_layer": stats.counts_by_layer(),
-            "update_sends": stats.update_messages(),
+            "update_sends": update_sends,
             "delivered": delivered,
             "dropped_tx": dropped_tx,
             "dropped_rx": dropped_rx,

@@ -2,9 +2,10 @@
 
 A *deployment* is the set of nodes of one system instantiated on one network
 (the topology of Table 4), plus the operations the experiment scenario needs:
-start everything, trigger the service change, enumerate the node ids for
-failure injection, and collect the per-run message statistics the Update
-Metrics are computed from.
+start everything, trigger the service change, and enumerate the node ids for
+failure injection.  The per-run message accounting the Update Metrics are
+computed from is the network's send counter
+(:class:`~repro.net.stats.MessageStats`), which the runner reads.
 
 Deployments are constructed through :mod:`repro.protocols.registry`,
 never by hard-coding a builder; the
@@ -16,31 +17,13 @@ report cross-registry metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.consistency import ConsistencyTracker
 from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription
-from repro.net.messages import MessageLayer
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-
-
-@dataclass(frozen=True)
-class DeploymentRunStats:
-    """Per-run message accounting extracted from :class:`~repro.net.stats.MessageStats`.
-
-    ``update_message_count`` is *y* in the Update Efficiency / Efficiency
-    Degradation metrics: update-related discovery-layer messages sent at or
-    after the service-change time (see EXPERIMENTS.md for the accounting
-    rules).
-    """
-
-    update_message_count: int
-    total_discovery_messages: int
-    transport_message_count: int
-    update_counts_by_kind: Dict[str, int] = field(default_factory=dict)
 
 
 class ProtocolDeployment:
@@ -95,33 +78,11 @@ class ProtocolDeployment:
         """
         return self.primary_manager.change_service()  # type: ignore[attr-defined]
 
-    def collect_run_stats(self, change_time: float) -> DeploymentRunStats:
-        """Extract the per-run message accounting after the run finished.
-
-        Every system shares this accounting: transport-layer messages (TCP
-        segments and acknowledgements) count toward neither *y* nor the
-        discovery total, and are reported separately.
-        """
-        stats = self.network.stats
-        return DeploymentRunStats(
-            update_message_count=stats.update_messages(since=change_time),
-            total_discovery_messages=stats.total_sent(layer=MessageLayer.DISCOVERY),
-            transport_message_count=stats.transport_overhead(),
-            update_counts_by_kind={
-                kind: count
-                for kind, count in sorted(
-                    stats.counts_by_kind(
-                        layer=MessageLayer.DISCOVERY, since=change_time, update_related=True
-                    ).items()
-                )
-            },
-        )
-
-    def extra_details(self, change_time: float) -> Dict[str, object]:
+    def extra_details(self) -> Dict[str, object]:
         """Deployment-specific additions to the per-run ``details`` dict.
 
-        Called by the runner after :meth:`collect_run_stats`; the returned
-        mapping is merged into :attr:`~repro.experiments.runner.RunResult.details`.
+        Called by the runner after the run; the returned mapping is merged
+        into :attr:`~repro.experiments.runner.RunResult.details`.
         The default contributes nothing, so legacy output is unchanged —
         federated deployments use this to report cross-registry consistency
         metrics.

@@ -110,10 +110,10 @@ class JiniDeployment(ProtocolDeployment):
         }
         return sorted(edges)
 
-    def extra_details(self, change_time: float) -> Dict[str, object]:
+    def extra_details(self) -> Dict[str, object]:
         if not self.report:
             return {}
-        summary = self.monitor.summary(self.network.stats, self.registry_ids(), change_time)
+        summary = self.monitor.summary(self.network.stats, self.registry_ids())
         return {"federation": summary}
 
 

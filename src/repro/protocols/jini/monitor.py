@@ -11,7 +11,8 @@ the consistency metrics of the federated comparison:
 * **convergence time** — when the *last* registry caught up (the maximum
   staleness; ``None`` while any registry still lags);
 * **per-registry m'** — each registry's share of the update-related traffic
-  (sent messages, accounting rules of EXPERIMENTS.md).
+  (sent messages, accounting rules of EXPERIMENTS.md), read from the
+  network's windowed send counter.
 
 The monitor only does bookkeeping — it never sends messages, draws random
 numbers, or schedules events — so attaching it cannot perturb a run.  That
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.net.messages import MessageLayer
 from repro.net.stats import MessageStats
 
 
@@ -78,26 +78,14 @@ class FederationMonitor:
             return None
         return max(windows.values(), default=None)
 
-    def per_registry_update_messages(
-        self, stats: MessageStats, registry_ids: List[str], since: float
-    ) -> Dict[str, int]:
-        """Update-related discovery-layer sends per registry since ``since``
-        (each registry's observed share of *y*)."""
-        wanted = set(registry_ids)
-        counts = {registry_id: 0 for registry_id in registry_ids}
-        for rec in stats.sent:
-            if rec.time < since or not rec.update_related:
-                continue
-            if rec.layer != MessageLayer.DISCOVERY or rec.sender not in wanted:
-                continue
-            counts[rec.sender] += 1
-        return counts
-
-    def summary(
-        self, stats: MessageStats, registry_ids: List[str], change_time: float
-    ) -> Dict[str, object]:
+    def summary(self, stats: MessageStats, registry_ids: List[str]) -> Dict[str, object]:
         """The ``details["federation"]`` block of a run result."""
         windows = self.staleness_windows(registry_ids)
+        # Each registry's share of y: its windowed update-related sends.
+        sent = dict.fromkeys(registry_ids, 0)
+        for (sender, _protocol, _kind), count in stats.windowed.items():
+            if sender in sent:
+                sent[sender] += count
         return {
             "k": self.k,
             "mode": self.mode,
@@ -113,7 +101,5 @@ class FederationMonitor:
             "converged_registries": sum(
                 1 for value in windows.values() if value is not None
             ),
-            "per_registry_update_messages": self.per_registry_update_messages(
-                stats, registry_ids, change_time
-            ),
+            "per_registry_update_messages": sent,
         }

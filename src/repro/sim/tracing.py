@@ -2,8 +2,9 @@
 
 Every model component records salient events (message sent, lease expired,
 user became consistent, ...) as :class:`TraceRecord` entries.  The analysis
-layer uses the trace for debugging and for the per-run message accounting
-described in the paper's Update Efficiency metric.
+layer uses the trace for debugging and to explain a run's numbers: its
+``net/send`` records are written by the same call that feeds the network's
+send counter, so y and every other send count can be recounted from them.
 
 Records flow to a sink (:mod:`repro.obs.sinks`): the NDJSON sink streams
 records to disk with bounded memory (full traces at N=1000), and the

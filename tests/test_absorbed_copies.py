@@ -491,13 +491,15 @@ def test_overlapping_rx_outages_decide_until_the_last_restore():
     assert _net(result)["decided_rx"] == 5
 
 
-def test_restore_pending_from_before_a_rejoin_ends_a_later_outage():
+def test_restore_pending_from_before_a_rejoin_leaves_a_later_outage_alone():
     """The client's receiver fails at 230 s until 20 µs into copy 2's
     flight, but the client leaves at 235 s and rejoins at 236 s with a reset
-    interface.  A second outage from 238 s to 258 s takes the receiver down
-    again, and the first outage's restore, still pending, brings it back up
-    inside copy 2's flight.  So copies 0 and 1 are decided as dropped, and
-    copy 2 is heard."""
+    interface, which also discards the first outage's pending restore.  A
+    second outage from 238 s to 258 s takes the receiver down again, and
+    the discarded restore, due inside copy 2's flight, does not bring it
+    back up.  So all six copies are decided as dropped, the client last
+    heard the registrar at the announcement 120 s earlier, and only the
+    second outage's restore is traced."""
 
     def hazard(context, client):
         context.injector.plan = [
@@ -506,9 +508,10 @@ def test_restore_pending_from_before_a_rejoin_ends_a_later_outage():
         ]
         context.injector.churn = [NodeChurn(CLIENT, leave=235.0, rejoin=236.0)]
 
-    result, _, probes = run_scripted(hazard)
-    assert _heard(probes, PROBES[0]) == {LUS: DUE}
-    assert _net(result)["decided_rx"] == 2
+    result, trace, probes = run_scripted(hazard)
+    assert _heard(probes, PROBES[0]) == {LUS: 120.0 + 0.5 + DELAY}
+    assert _net(result)["decided_rx"] == 6
+    assert [time for time, _, event, _ in trace if event == "interface_restored"] == [258.0]
 
 
 def test_leave_inside_a_downed_sender_copy_train_stops_deciding():

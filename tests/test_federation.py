@@ -125,12 +125,13 @@ def test_push_federation_reports_converged_consistency_metrics():
     assert fed["k"] == 4 and fed["mode"] == "push"
     assert fed["converged_registries"] == 4
     assert fed["convergence_time"] is not None and fed["convergence_time"] < 60.0
-    assert set(fed["per_registry_update_messages"]) == {
-        f"jini-lus-{i}" for i in range(1, 5)
+    # Push: each registry sends its (N + 2) share minus the Manager's
+    # service_update, an update_ack and N remote_events; with the Manager's
+    # k sends they make y.
+    assert fed["per_registry_update_messages"] == {
+        f"jini-lus-{i}": N_USERS + 1 for i in range(1, 5)
     }
-    # Push: each registry forwards its own (N + 2) share minus the Manager's
-    # sends; the per-registry split still sums below the total y.
-    assert sum(fed["per_registry_update_messages"].values()) <= result.update_message_count
+    assert result.update_message_count == 4 * (N_USERS + 1) + 4
 
 
 def test_legacy_aliases_do_not_report_federation_details():

@@ -1,5 +1,7 @@
 """Hand-computed fixtures for the Update Metrics (Section 4.5)."""
 
+import math
+
 import pytest
 
 from repro.core.metrics import (
@@ -95,7 +97,6 @@ def _record(stats, time, message, copies=1):
     stats.record(
         time,
         message.sender,
-        message.receiver,
         message.protocol,
         message.kind,
         message.layer,
@@ -115,64 +116,73 @@ def _multicast(kind="msearch", protocol="upnp", update_related=True):
     )
 
 
+def _update(kind="service_update", layer=MessageLayer.DISCOVERY):
+    return Message(
+        sender="a", receiver="b", protocol="jini", kind=kind, update_related=True, layer=layer
+    )
+
+
+def _windowed_stats(window_start=0.0):
+    stats = MessageStats()
+    stats.window_start = window_start
+    return stats
+
+
+def _y(stats):
+    return sum(stats.windowed.values())
+
+
+def test_window_counts_sends_at_or_after_its_start():
+    # Rule 3 (EXPERIMENTS.md): y counts from the change time, inclusive.
+    stats = _windowed_stats(window_start=100.0)
+    _record(stats, 100.0, _update())
+    _record(stats, math.nextafter(100.0, 0.0), _update())
+    assert _y(stats) == 1
+    assert stats.windowed == {("a", "jini", "service_update"): 1}
+    # Both count among the logical sends.
+    assert stats.sends == {("jini", "service_update", MessageLayer.DISCOVERY, True, False): 2}
+
+
+def test_window_counts_nothing_until_it_opens():
+    stats = MessageStats()
+    _record(stats, 1e9, _update())
+    assert stats.windowed == {}
+    assert sum(stats.sends.values()) == 1
+
+
 def test_redundant_multicast_counts_once_logically():
     # Rule 4 (EXPERIMENTS.md): a logical multicast transmitted as 6 redundant
     # copies (UPnP/Jini, Table 3) counts once towards y; the copies remain
-    # visible through total_copies.
-    stats = MessageStats()
+    # visible through the copy total.
+    stats = _windowed_stats()
     _record(stats, 10.0, _multicast(), copies=6)
-    assert stats.update_messages() == 1
-    assert [rec.copies for rec in stats.sent] == [6]
-    assert stats.total_sent(layer=MessageLayer.DISCOVERY) == 1
-    assert stats.total_copies == 6
+    assert _y(stats) == 1
+    assert stats.sends == {("upnp", "msearch", MessageLayer.DISCOVERY, True, True): 1}
+    assert stats.counts_by_layer() == {"discovery": 1}
+    assert stats.copies == 6
 
 
 def test_unicast_messages_count_per_attempt():
     # The unicast rule: every attempt that leaves the transmitter is one
     # message — there is no copy collapsing for unicast sends.
-    stats = MessageStats()
+    stats = _windowed_stats()
     for _ in range(3):
-        _record(
-            stats,
-            10.0,
-            Message(
-                sender="a",
-                receiver="b",
-                protocol="jini",
-                kind="service_update",
-                update_related=True,
-            ),
-        )
-    assert stats.update_messages() == 3
-    assert stats.total_copies == 3
+        _record(stats, 10.0, _update())
+    assert _y(stats) == 3
+    assert stats.update_counts_by_kind() == {"jini.service_update": 3}
+    assert stats.copies == 3
 
 
 def test_transport_layer_excluded_from_update_count():
     # TCP segments are transport overhead: excluded from y (Table 2's note for
-    # the UPnP/Jini models) but reported separately.
-    stats = MessageStats()
-    _record(
-        stats,
-        5.0,
-        Message(
-            sender="a", receiver="b", protocol="jini", kind="service_update", update_related=True
-        ),
-    )
-    _record(
-        stats,
-        5.0,
-        Message(
-            sender="a",
-            receiver="b",
-            protocol="jini",
-            kind="tcp_data_retransmit",
-            update_related=True,
-            layer=MessageLayer.TRANSPORT,
-        ),
-    )
-    assert stats.update_messages() == 1
-    assert sum(rec.update_related for rec in stats.sent) == 2
-    assert stats.transport_overhead() == 1
+    # the UPnP/Jini models) but reported separately, even when flagged.
+    stats = _windowed_stats()
+    _record(stats, 5.0, _update())
+    _record(stats, 5.0, _update("tcp_data_retransmit", MessageLayer.TRANSPORT))
+    assert _y(stats) == 1
+    assert stats.update_counts_by_kind() == {"jini.service_update": 1}
+    assert sum(count for key, count in stats.sends.items() if key[3]) == 2
+    assert stats.counts_by_layer() == {"discovery": 1, "transport": 1}
 
 
 def test_metric_summary_from_runs():

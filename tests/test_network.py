@@ -67,7 +67,7 @@ def test_unicast_dropped_when_sender_tx_down():
     assert inboxes["node-1"] == []
     assert network.endpoint("node-0").interface.counters.dropped_tx == 1
     # Nothing left the transmitter, so no traffic was recorded.
-    assert len(network.stats) == 0
+    assert sum(network.stats.sends.values()) == 0
 
 
 def test_unicast_dropped_when_receiver_rx_down_at_delivery():
@@ -79,7 +79,7 @@ def test_unicast_dropped_when_receiver_rx_down_at_delivery():
     assert sent is True
     assert inboxes["node-1"] == []
     assert network.endpoint("node-1").interface.counters.dropped_rx == 1
-    assert len(network.stats) == 1
+    assert sum(network.stats.sends.values()) == 1
 
 
 def test_interface_restore_resumes_delivery():
@@ -112,7 +112,7 @@ def test_multicast_return_value_honest_when_tx_down():
     assert all(inbox == [] for inbox in inboxes.values())
     assert network.endpoint("node-0").interface.counters.dropped_tx == 1
     # Nothing left the transmitter, so no traffic was recorded (unicast rule).
-    assert len(network.stats) == 0
+    assert sum(network.stats.sends.values()) == 0
 
 
 def test_multicast_recorded_once_by_first_copy_that_leaves():
@@ -125,7 +125,7 @@ def test_multicast_recorded_once_by_first_copy_that_leaves():
     sim.run()
     assert sent is False  # the first copy was blocked ...
     assert len(inboxes["node-1"]) == 2  # ... but copies 2 and 3 got through
-    assert network.stats.total_sent() == 1  # logical send recorded exactly once
+    assert sum(network.stats.sends.values()) == 1  # logical send recorded exactly once
     assert interface.counters.dropped_tx == 1
 
 
@@ -137,8 +137,8 @@ def test_multicast_redundant_copies_recorded_once():
     assert len(inboxes["node-1"]) == 3
     assert sim.now == pytest.approx(2 * MULTICAST_COPY_SPACING, abs=MAX_DELAY)
     # ... but the logical announcement is recorded once, with its copy count.
-    assert network.stats.total_sent() == 1
-    assert network.stats.total_copies == 3
+    assert sum(network.stats.sends.values()) == 1
+    assert network.stats.copies == 3
 
 
 def test_multicast_requires_group_address():
@@ -153,10 +153,9 @@ def test_multicast_rejects_fewer_than_one_copy(copies):
     with pytest.raises(ValueError, match="copies must be >= 1"):
         network.transmit_multicast(msg("node-0", MULTICAST_GROUP), copies=copies)
     # Nothing was recorded, posted, emitted or counted.
-    assert len(network.stats) == 0
-    assert network.stats.total_copies == 0
+    assert network.stats.sends == {}
+    assert network.stats.copies == 0
     assert sim._queue._heap == []
-    assert network.endpoint("node-0").interface.counters.sent == 0
     sim.run()
     assert all(inbox == [] for inbox in inboxes.values())
     assert network.ignored == 0
@@ -365,7 +364,7 @@ def test_unaccepted_unicast_draws_its_delay_and_is_ignored():
     assert network.ignored == 1
     counters = network.endpoint("node-1").interface.counters
     assert counters.received == counters.dropped_rx == 0
-    assert len(network.stats) == 1  # the segment still left the transmitter
+    assert sum(network.stats.sends.values()) == 1  # the segment still left the transmitter
     harness.reference.random()
     assert harness.rng.stream("network", "delay").random() == harness.reference.random()
     # A delivery callback still gets the message through, accepted or not.

@@ -9,6 +9,7 @@ message accounting agrees with the in-memory :class:`MessageStats`.
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -171,13 +172,20 @@ def test_trace_capture_agrees_with_message_stats(tmp_path, system, scenario):
     runner = ExperimentRunner()
     spec = ScenarioSpec(system=system, failure_rate=0.2, seed=7, scenario=scenario, trace_path=path)
     context = runner.setup(spec)
-    runner.execute(context)
+    result = runner.execute(context)
 
+    kinds, update_kinds = Counter(), Counter()
+    for key, count in context.network.stats.sends.items():
+        protocol, kind, _layer, update_related, _multicast = key
+        kinds[f"{protocol}.{kind}"] += count
+        if update_related:
+            update_kinds[f"{protocol}.{kind}"] += count
     summary = summarize([path])
-    assert summary["message_kinds"] == context.network.stats.counts_by_kind()
-    assert summary["update_message_kinds"] == context.network.stats.counts_by_kind(
-        update_related=True
-    )
+    assert summary["message_kinds"] == kinds
+    assert summary["update_message_kinds"] == update_kinds
+    # From the change time on, the trace's update-related kinds are y's split.
+    since = summarize([path], since=result.change_time)
+    assert since["update_message_kinds"] == result.details["update_counts_by_kind"]
 
 
 # --------------------------------------------------------------------------- counters
@@ -211,40 +219,21 @@ def test_run_telemetry_is_deterministic_and_consistent():
 
     net = telemetry["net"]
     stats = context.network.stats
-    assert net["sends"] == len(stats)
-    assert net["send_copies"] == stats.total_copies
+    assert net["sends"] == sum(stats.sends.values())
+    assert net["send_copies"] == stats.copies
     assert net["sends_by_layer"] == stats.counts_by_layer()
     assert sum(net["sends_by_layer"].values()) == net["sends"]
-    assert net["update_sends"] == stats.update_messages()
+    assert net["update_sends"] == sum(
+        count
+        for (_protocol, _kind, layer, update_related, _multicast), count in stats.sends.items()
+        if update_related and layer is MessageLayer.DISCOVERY
+    )
+    # y is the windowed part of those.
+    assert net["update_sends"] >= result.update_message_count == sum(stats.windowed.values())
     assert net["dropped_tx"] >= 0 and net["dropped_rx"] >= 0  # failures at 20%
 
     again = runner.run(SPEC).details["telemetry"]
     assert again == telemetry  # counters are pure functions of seed + spec
-
-
-def test_message_stats_incremental_aggregates_match_list_scan():
-    runner = ExperimentRunner()
-    context = runner.setup(SPEC_B)  # upnp: multicast announcements + TCP transport
-    runner.execute(context)
-    stats = context.network.stats
-    sent = stats.sent
-    assert len(sent) > 0
-
-    assert stats.total_sent() == len(sent)
-    assert stats.total_copies == sum(m.copies for m in sent)
-    assert stats.multicast_sends == sum(1 for m in sent if m.multicast)
-    for layer in (MessageLayer.DISCOVERY, MessageLayer.TRANSPORT):
-        assert stats.total_sent(layer=layer) == sum(1 for m in sent if m.layer == layer)
-        # The O(1) answer must equal the windowed scan from the start of time.
-        assert stats.total_sent(layer=layer) == stats.total_sent(layer=layer, since=0.0)
-    by_layer = {
-        MessageLayer.DISCOVERY.value: stats.total_sent(layer=MessageLayer.DISCOVERY),
-        MessageLayer.TRANSPORT.value: stats.total_sent(layer=MessageLayer.TRANSPORT),
-    }
-    assert stats.counts_by_layer() == {k: v for k, v in by_layer.items() if v}
-    updates = [m for m in sent if m.update_related and m.layer == MessageLayer.DISCOVERY]
-    assert stats.update_messages() == len(updates) > 0
-    assert stats.update_messages() == stats.update_messages(since=0.0)
 
 
 # --------------------------------------------------------------------------- warm workers

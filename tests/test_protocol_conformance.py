@@ -58,13 +58,27 @@ _zero_runs = {}
 
 
 def zero_failure_run(system):
-    """One shared zero-failure run (result + full context) per system."""
+    """One shared zero-failure run (result + full context) per system.
+
+    The run is traced in memory: its ``net/send`` records carry every
+    send's fields (see :func:`send_records`).
+    """
     if system not in _zero_runs:
         runner = ExperimentRunner()
-        context = runner.setup(ScenarioSpec(system=system, failure_rate=0.0, seed=1234))
+        spec = ScenarioSpec(system=system, failure_rate=0.0, seed=1234, trace=True)
+        context = runner.setup(spec)
         result = runner.execute(context)
         _zero_runs[system] = (result, context)
     return _zero_runs[system]
+
+
+def send_records(context):
+    """The ``net/send`` trace records of a traced run, in send order."""
+    return [
+        record
+        for record in context.sim.tracer.sink.records
+        if (record.category, record.event) == ("net", "send")
+    ]
 
 
 def test_paper_comparison_systems_are_registered():
@@ -107,36 +121,30 @@ def test_zero_failure_metrics_are_perfect(system):
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_no_update_messages_counted_before_change(system):
     result, context = zero_failure_run(system)
-    records = context.network.stats.sent
-    counted = [
+    updates = [
         rec
-        for rec in records
-        if rec.update_related
-        and rec.layer is MessageLayer.DISCOVERY
-        and rec.time >= result.change_time
+        for rec in send_records(context)
+        if rec.fields["update_related"] and rec.fields["layer"] == MessageLayer.DISCOVERY.value
     ]
+    counted = [rec for rec in updates if rec.time >= result.change_time]
     assert len(counted) == result.update_message_count
     # Initial discovery does send update-related messages (registrations,
     # queries, responses) — they exist but fall outside the counting window.
-    early = [
-        rec
-        for rec in records
-        if rec.update_related
-        and rec.layer is MessageLayer.DISCOVERY
-        and rec.time < result.change_time
-    ]
+    early = [rec for rec in updates if rec.time < result.change_time]
     assert early, f"{system}: expected update-related discovery traffic before the change"
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_update_tagging_matches_protocol_declaration(system):
     _, context = zero_failure_run(system)
-    for rec in context.network.stats.sent:
-        if rec.layer is not MessageLayer.DISCOVERY:
+    for rec in send_records(context):
+        fields = rec.fields
+        if fields["layer"] != MessageLayer.DISCOVERY.value:
             continue
-        declared = rec.kind in DECLARED_KINDS[rec.protocol]
-        assert rec.update_related == declared, (
-            f"{system}: {rec.protocol}.{rec.kind} tagged update_related={rec.update_related} "
+        protocol, kind, tagged = fields["protocol"], fields["kind"], fields["update_related"]
+        declared = kind in DECLARED_KINDS[protocol]
+        assert tagged == declared, (
+            f"{system}: {protocol}.{kind} tagged update_related={tagged} "
             f"but the protocol declaration says {declared}"
         )
 

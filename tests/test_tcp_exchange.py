@@ -4,9 +4,9 @@
 before segments became field-only send records: it builds a ``Message`` for
 every SYN, SYN-ACK, ACK and data retransmission and sends SYN and SYN-ACK
 through :meth:`Network.transmit_unicast`.  Each scripted case drives it and
-:class:`TcpTransport` on two identically seeded networks (tracing off) and
-requires the same send records, id and delay streams, interface and wire
-counters, engine sequence and outcome on both sides.
+:class:`TcpTransport` on two identically seeded networks, traced in memory,
+and requires the same ordered ``net/send`` records, id and delay streams,
+interface and wire counters, engine sequence and outcome on both sides.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +25,10 @@ from repro.net.tcp import (
     RemoteException,
     TcpTransport,
 )
+from repro.obs.sinks import MemorySink
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.tracing import Tracer
 
 SEED = 2024
 ADDRESSES = ("node-a", "node-b", "node-c")
@@ -44,8 +46,7 @@ def _interfaces_up(network, sender, receiver):
 
 
 def _record(network, message):
-    network.stats.record(
-        network.sim.now,
+    network.record_send(
         message.sender,
         message.receiver,
         message.protocol,
@@ -54,6 +55,7 @@ def _record(network, message):
         message.update_related,
         message.is_multicast,
         1,
+        message.msg_id,
     )
 
 
@@ -236,7 +238,7 @@ class Side:
 
 
 def make_side(reference: bool, accepts: Optional[frozenset] = NODE_ACCEPTS) -> Side:
-    sim = Simulator()
+    sim = Simulator(tracer=Tracer(MemorySink()))
     network = Network(sim, RngRegistry(SEED))
     if reference:
         send = partial(reference_send, network)
@@ -252,23 +254,29 @@ def make_side(reference: bool, accepts: Optional[frozenset] = NODE_ACCEPTS) -> S
     return side
 
 
+#: The fields of a ``net/send`` record, in the order a snapshot lists them.
+SEND_FIELDS = (
+    "sender",
+    "receiver",
+    "protocol",
+    "kind",
+    "layer",
+    "update_related",
+    "multicast",
+    "copies",
+    "msg_id",
+)
+
+
 def snapshot(side: Side) -> dict:
     """Everything the two exchanges must agree on, read after the run."""
     network, sim = side.network, side.sim
     return {
+        # (time, *SEND_FIELDS) per send, in send order.
         "sent": [
-            (
-                rec.time,
-                rec.sender,
-                rec.receiver,
-                rec.protocol,
-                rec.kind,
-                rec.layer,
-                rec.update_related,
-                rec.multicast,
-                rec.copies,
-            )
-            for rec in network.stats.sent
+            (record.time, *(record.fields[name] for name in SEND_FIELDS))
+            for record in sim.tracer.sink.records
+            if (record.category, record.event) == ("net", "send")
         ],
         "counters": [vars(endpoint.interface.counters) for endpoint in side.endpoints],
         "inboxes": {
