@@ -1,8 +1,10 @@
 """Lease-based service caches.
 
-Users and Registries cache discovered service descriptions together with a
-lease.  Entries whose lease expires without a refresh are purged, which is
-what triggers the purge-rediscovery techniques (PR1-PR5) in the paper.
+A Registry (the FRODO Central, a Jini Lookup Service) caches registered
+service descriptions together with a registration lease.  Entries whose
+lease expires without a refresh are purged, which is what triggers the
+purge-rediscovery techniques (PR1-PR5) in the paper.  A User holds its one
+service description directly (``sd``) and keeps no lease on it.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class ServiceCache:
         self.default_lease = default_lease
         self._entries: Dict[str, CacheEntry] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, service_id: str) -> bool:
-        return service_id in self._entries
-
     def service_ids(self) -> List[str]:
         """All cached service identifiers."""
         return list(self._entries.keys())
@@ -82,10 +78,6 @@ class ServiceCache:
             return False
         entry.lease.renew(now)
         return True
-
-    def remove(self, service_id: str) -> Optional[CacheEntry]:
-        """Explicitly purge an entry (e.g. the User purges the Manager, PR5)."""
-        return self._entries.pop(service_id, None)
 
     def purge_expired(self, now: float) -> List[str]:
         """Remove all entries whose lease has expired; return their service ids."""

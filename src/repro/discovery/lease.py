@@ -28,10 +28,6 @@ class Lease:
         """``True`` while the lease has not expired."""
         return now < self.expires_at
 
-    def remaining(self, now: float) -> float:
-        """Seconds until expiry (never negative)."""
-        return max(0.0, self.expires_at - now)
-
     def renew(self, now: float, duration: float | None = None) -> None:
         """Extend the lease from ``now`` (optionally with a new duration)."""
         if duration is not None:
@@ -40,7 +36,3 @@ class Lease:
             self.duration = duration
         self.granted_at = now
         self.expires_at = now + self.duration
-
-    def expire(self) -> None:
-        """Force immediate expiry (used when a lessor explicitly purges)."""
-        self.expires_at = self.granted_at

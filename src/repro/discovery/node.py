@@ -4,7 +4,11 @@ Every FRODO / Jini / UPnP entity (User, Manager, Registry) derives from
 :class:`DiscoveryNode`, which ties together:
 
 * an :class:`~repro.net.interfaces.Endpoint` on the shared network,
-* the transports the protocol uses (UDP, TCP, multicast),
+* sending: UDP datagrams and multicasts go straight to
+  :meth:`Network.transmit_unicast <repro.net.network.Network.transmit_unicast>`
+  and :meth:`~repro.net.network.Network.transmit_multicast` (with the class's
+  :attr:`~DiscoveryNode.multicast_copies`), and TCP messages to
+  :func:`repro.net.tcp.send`,
 * message dispatch: an incoming message of kind ``"foo_bar"`` is routed to
   the method ``handle_foo_bar(message)`` if it exists, through a handler
   table the node's endpoint reads on every delivery,
@@ -13,36 +17,15 @@ Every FRODO / Jini / UPnP entity (User, Manager, Registry) derives from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, Dict, FrozenSet, Optional
 
+from repro.net import tcp
 from repro.net.addressing import Address, MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message, MessageLayer
-from repro.net.multicast import MulticastService
 from repro.net.network import Network
-from repro.net.tcp import RemoteException, TcpTransport
-from repro.net.udp import UdpTransport
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-
-
-class NodeRole(str, Enum):
-    """The three entity types of a service discovery protocol."""
-
-    USER = "user"
-    MANAGER = "manager"
-    REGISTRY = "registry"
-
-
-@dataclass
-class Transports:
-    """The transports available to a protocol node."""
-
-    udp: Optional[UdpTransport] = None
-    tcp: Optional[TcpTransport] = None
-    multicast: Optional[MulticastService] = None
 
 
 class DiscoveryNode(Process):
@@ -62,20 +45,14 @@ class DiscoveryNode(Process):
     #: The message kinds that count toward *y*: each protocol node class sets
     #: its ``messages.UPDATE_RELATED_KINDS`` here, next to :attr:`protocol`.
     update_related_kinds: FrozenSet[str] = frozenset()
+    #: Copies per multicast (Table 3): FRODO sends each one once; the Jini and
+    #: UPnP node classes set their ``messages.MULTICAST_COPIES`` (6) here.
+    multicast_copies: int = 1
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: Address,
-        role: NodeRole,
-        transports: Transports,
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network, node_id: Address) -> None:
         super().__init__(sim, node_id)
         self.network = network
         self.node_id = node_id
-        self.role = role
-        self.transports = transports
         #: kind -> bound handler, filled by :meth:`_on_message` and read by
         #: the endpoint on every delivery.
         self._handlers: Dict[str, Callable[[Message], None]] = {}
@@ -119,11 +96,13 @@ class DiscoveryNode(Process):
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
     ) -> Message:
-        """Send a unicast UDP datagram; returns the message object."""
-        if self.transports.udp is None:
-            raise RuntimeError(f"{self.node_id}: UDP transport not configured")
+        """Send a unicast UDP datagram; returns the message object.
+
+        Table 3: a datagram lost to an interface outage is discarded
+        silently, and the sender is not told.
+        """
         message = self.make_message(receiver, kind, payload)
-        self.transports.udp.send(message)
+        self.network.transmit_unicast(message)
         return message
 
     def send_tcp(
@@ -132,13 +111,15 @@ class DiscoveryNode(Process):
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
         on_delivered: Optional[Callable[[Message], None]] = None,
-        on_rex: Optional[Callable[[RemoteException], None]] = None,
+        on_rex: Optional[Callable[[tcp.RemoteException], None]] = None,
     ) -> Message:
-        """Send a message over reliable TCP; returns the message object."""
-        if self.transports.tcp is None:
-            raise RuntimeError(f"{self.node_id}: TCP transport not configured")
+        """Send a message over reliable TCP; returns the message object.
+
+        Exactly one of ``on_delivered`` and ``on_rex`` eventually fires (see
+        :func:`repro.net.tcp.send`).
+        """
         message = self.make_message(receiver, kind, payload)
-        self.transports.tcp.send(message, on_delivered=on_delivered, on_rex=on_rex)
+        tcp.send(self.network, message, on_delivered, on_rex)
         return message
 
     def send_multicast(
@@ -147,11 +128,16 @@ class DiscoveryNode(Process):
         payload: Optional[Dict[str, Any]] = None,
         copies: Optional[int] = None,
     ) -> Message:
-        """Multicast a message to every other node; returns the message object."""
-        if self.transports.multicast is None:
-            raise RuntimeError(f"{self.node_id}: multicast transport not configured")
+        """Multicast a message to every other node; returns the message object.
+
+        It goes out as :attr:`multicast_copies` copies unless ``copies``
+        overrides that for this one message (FRODO's Registry announcements
+        are sent twice while its other multicasts are sent once).
+        """
         message = self.make_message(MULTICAST_GROUP, kind, payload)
-        self.transports.multicast.announce(message, copies=copies)
+        self.network.transmit_multicast(
+            message, self.multicast_copies if copies is None else copies
+        )
         return message
 
     # ------------------------------------------------------------------ receiving
@@ -187,12 +173,12 @@ class DiscoveryNode(Process):
     def on_unhandled(self, message: Message) -> None:
         """Hook for messages without a dedicated handler (ignored by default).
 
-        Multicast copies and callback-free unicasts of kinds outside
+        Multicast copies and UDP datagrams of kinds outside
         :meth:`accepted_kinds` are counted by the network instead of
         delivered; that includes TCP's SYN and SYN-ACK, which travel as
         field-only segments and become messages only at an endpoint that
-        accepts every kind.  So only unicasts sent with a delivery callback
-        and TCP data can reach it.
+        accepts every kind.  So only TCP data can reach it from a node:
+        no node sends a unicast with a delivery callback.
         """
         if self.sim.tracer.enabled:
             self.trace("unhandled_message", kind=message.kind, sender=message.sender)
@@ -202,16 +188,5 @@ class DiscoveryNode(Process):
         super().stop()
         self._handlers.clear()
 
-    # ------------------------------------------------------------------ interface state
-    @property
-    def can_send(self) -> bool:
-        """``True`` when this node's transmitter is up."""
-        return self.endpoint.interface.can_send()
-
-    @property
-    def can_receive(self) -> bool:
-        """``True`` when this node's receiver is up."""
-        return self.endpoint.interface.can_receive()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.node_id} ({self.role.value})>"
+        return f"<{type(self).__name__} {self.node_id}>"

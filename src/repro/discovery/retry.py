@@ -39,13 +39,6 @@ class AckRetryScheduler:
         self._sim = sim
         self._pending: Dict[Hashable, _PendingExchange] = {}
 
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def outstanding(self, key: Hashable) -> bool:
-        """``True`` while an exchange with this key awaits acknowledgement."""
-        return key in self._pending
-
     def start(
         self,
         key: Hashable,

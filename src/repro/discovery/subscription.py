@@ -8,8 +8,8 @@ Users renew periodically with ``SubscriptionRenew`` style messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.discovery.lease import Lease
 from repro.net.addressing import Address
@@ -26,8 +26,6 @@ class Subscription:
     #: is known to hold.  Used by SRN2 (retry on renewal from an inconsistent
     #: User) and SRC2 (monitoring of missed updates).
     acked_version: int = 0
-    #: Arbitrary protocol-specific state (e.g. pending-retry flags).
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def is_valid(self, now: float) -> bool:
         """``True`` while the subscription lease has not expired."""
@@ -40,9 +38,6 @@ class SubscriptionTable:
     def __init__(self, default_lease: float = 1800.0) -> None:
         self.default_lease = default_lease
         self._subs: Dict[tuple, Subscription] = {}
-
-    def __len__(self) -> int:
-        return len(self._subs)
 
     @staticmethod
     def _key(subscriber: Address, service_id: str) -> tuple:
@@ -107,7 +102,3 @@ class SubscriptionTable:
                 continue
             out.append(sub)
         return out
-
-    def all(self) -> List[Subscription]:
-        """All subscription records."""
-        return list(self._subs.values())

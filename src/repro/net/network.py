@@ -5,11 +5,11 @@ transmission delay from Table 3, enforces interface up/down state at both the
 sending and the receiving side, and counts every logical send in a
 :class:`~repro.net.stats.MessageStats` counter (see :meth:`Network.record_send`).
 
-Transports (:mod:`repro.net.udp`, :mod:`repro.net.tcp`,
-:mod:`repro.net.multicast`) are thin policies built on top of the two
-primitives :meth:`Network.transmit_unicast` and :meth:`Network.transmit_multicast`.
-The TCP handshake calls the field-based core of ``transmit_unicast``
-directly, so its segments travel the same wire path without a
+Protocol nodes send UDP datagrams and multicasts through the two primitives
+:meth:`Network.transmit_unicast` and :meth:`Network.transmit_multicast`
+directly, and TCP messages through :func:`repro.net.tcp.send`.  The TCP
+handshake calls the field-based core of ``transmit_unicast`` directly, so
+its segments travel the same wire path without a
 :class:`~repro.net.messages.Message` of their own.
 """
 

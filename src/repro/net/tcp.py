@@ -235,22 +235,17 @@ class _TcpExchange:
             self.on_rex(RemoteException(self.message, reason, self.sim.now))
 
 
-class TcpTransport:
-    """Reliable unicast transport with the Table 3 failure response."""
+def send(
+    network: Network,
+    message: Message,
+    on_delivered: Optional[Callable[[Message], None]],
+    on_rex: Optional[Callable[[RemoteException], None]],
+) -> None:
+    """Send ``message`` reliably over ``network``; exactly one of the callbacks eventually fires.
 
-    def __init__(self, network: Network) -> None:
-        self.network = network
-
-    def send(
-        self,
-        message: Message,
-        on_delivered: Optional[Callable[[Message], None]] = None,
-        on_rex: Optional[Callable[[RemoteException], None]] = None,
-    ) -> None:
-        """Send ``message`` reliably; exactly one of the callbacks eventually fires.
-
-        ``on_delivered`` is invoked at the simulation time the receiver's
-        discovery layer gets the message; ``on_rex`` is invoked when TCP gives
-        up (connection set-up failed after the retry schedule).
-        """
-        _TcpExchange(self.network, message, on_delivered, on_rex)._attempt_connection()
+    ``on_delivered`` is invoked at the simulation time the receiver's
+    discovery layer gets the message; ``on_rex`` is invoked when TCP gives
+    up (connection set-up failed after the retry schedule).  Either may be
+    ``None``.
+    """
+    _TcpExchange(network, message, on_delivered, on_rex)._attempt_connection()

@@ -14,11 +14,8 @@ announcements, which are transmitted twice per period).
 from __future__ import annotations
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import Transports
 from repro.discovery.service import default_query, default_service
-from repro.net.multicast import FRODO_MULTICAST_COPIES, MulticastService
 from repro.net.network import Network
-from repro.net.udp import UdpTransport
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.frodo.central import FrodoCentral
 from repro.protocols.frodo.config import FrodoConfig, SubscriptionMode
@@ -35,22 +32,16 @@ def build_frodo(
     n_users: int = 5,
 ) -> ProtocolDeployment:
     """Instantiate the FRODO topology for the subscription ``mode``."""
-    config = FrodoConfig(subscription_mode=mode).validate()
+    config = FrodoConfig(subscription_mode=mode)
     deployment = ProtocolDeployment(sim, network, tracker)
     two_party = mode is SubscriptionMode.TWO_PARTY
 
-    transports = Transports(
-        udp=UdpTransport(network),
-        tcp=None,
-        multicast=MulticastService(network, redundancy=FRODO_MULTICAST_COPIES),
-    )
-
     # ------------------------------------------------------------------ Registry / Backup
-    central = FrodoCentral(sim, network, "frodo-registry", transports, config, capability=100)
+    central = FrodoCentral(sim, network, "frodo-registry", config, capability=100)
     deployment.registries.append(central)
 
     if two_party and config.enable_backup:
-        backup = FrodoCentral(sim, network, "frodo-backup", transports, config, capability=90)
+        backup = FrodoCentral(sim, network, "frodo-backup", config, capability=90)
         deployment.other_nodes.append(backup)
 
     # ------------------------------------------------------------------ Manager
@@ -59,7 +50,6 @@ def build_frodo(
         sim,
         network,
         manager_id,
-        transports,
         config,
         sd=default_service(manager_id),
         tracker=tracker,
@@ -72,7 +62,6 @@ def build_frodo(
             sim,
             network,
             f"frodo-user-{index + 1}",
-            transports,
             config,
             query=default_query(),
             tracker=tracker,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.discovery.cache import ServiceCache
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.retry import AckRetryScheduler
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.discovery.subscription import SubscriptionTable
@@ -53,11 +53,10 @@ class FrodoCentral(DiscoveryNode):
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: FrodoConfig,
         capability: int,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.REGISTRY, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.capability = capability
 

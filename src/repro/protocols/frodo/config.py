@@ -91,10 +91,6 @@ class FrodoConfig:
     #: The Backup takes over after this many missed announcement periods.
     backup_takeover_periods: float = 2.5
 
-    # ------------------------------------------------------------------ misc
-    #: Default lease used by User-side service caches (seconds).
-    service_cache_lease: float = 1800.0
-
     @property
     def renewal_interval(self) -> float:
         """Interval between lease renewals (``renewal_fraction * lease``)."""
@@ -104,15 +100,3 @@ class FrodoConfig:
     def backup_takeover_timeout(self) -> float:
         """Silence (in seconds) after which the Backup promotes itself."""
         return self.backup_takeover_periods * self.registry_announce_interval
-
-    def validate(self) -> "FrodoConfig":
-        """Raise :class:`ValueError` on inconsistent parameter combinations."""
-        if not 0.0 < self.renewal_fraction < 1.0:
-            raise ValueError("renewal_fraction must be in (0, 1)")
-        if self.registration_lease <= 0 or self.subscription_lease <= 0:
-            raise ValueError("leases must be positive")
-        if self.srn1_retries < 0 or self.registration_retries < 0:
-            raise ValueError("retry limits must be non-negative")
-        if self.registry_announce_copies < 1:
-            raise ValueError("registry_announce_copies must be >= 1")
-        return self

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.retry import AckRetryScheduler
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.discovery.subscription import SubscriptionTable
@@ -37,12 +37,11 @@ class FrodoManager(DiscoveryNode):
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: FrodoConfig,
         sd: ServiceDescription,
         tracker: ConsistencyTracker,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.sd = sd
         self.tracker = tracker

@@ -1,7 +1,7 @@
 """FRODO Users.
 
 A User discovers the Central (by announcing its presence and by listening to
-Central announcements), queries it for the service it needs, caches the
+Central announcements), queries it for the service it needs, holds the
 service description, and subscribes for updates — at the Central (3-party,
 for 3D/3C Managers) or directly at the Manager (2-party, for 300D Managers).
 
@@ -13,7 +13,7 @@ Recovery behaviour implemented here:
 * PR3/PR4   — the User resubscribes when the Central/Manager asks it to.
 * PR5       — when the subscription relationship collapses (no contact for a
   full lease period) or the Central reports the Manager purged, the User
-  purges the cached service and rediscovers it: unicast query to the Central
+  purges the service it holds and rediscovers it: unicast query to the Central
   first, multicast query as a fall-back, repeated periodically until the
   service is found again.
 """
@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.cache import ServiceCache
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.retry import AckRetryScheduler
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.net.addressing import Address
@@ -47,20 +46,21 @@ class FrodoUser(DiscoveryNode):
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: FrodoConfig,
         query: ServiceQuery,
         tracker: ConsistencyTracker,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.USER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.query = query
         self.tracker = tracker
 
         self.central: Optional[Address] = None
         self.manager_addr: Optional[Address] = None
+        #: The id of the service this User holds or held; a purge keeps it.
         self.service_id: Optional[str] = None
-        self.cache = ServiceCache(default_lease=config.service_cache_lease)
+        #: The service description held, ``None`` before discovery and after a purge.
+        self.sd: Optional[ServiceDescription] = None
 
         self.subscribed = False
         self.lessor: Optional[Address] = None
@@ -86,15 +86,12 @@ class FrodoUser(DiscoveryNode):
     @property
     def held_version(self) -> int:
         """The version of the service description this User currently holds."""
-        if self.service_id is None:
-            return 0
-        entry = self.cache.get(self.service_id)
-        return entry.sd.version if entry is not None else 0
+        return self.sd.version if self.sd is not None else 0
 
     @property
     def has_service(self) -> bool:
-        """``True`` when a service description is cached."""
-        return self.service_id is not None and self.cache.get(self.service_id) is not None
+        """``True`` while a service description is held."""
+        return self.sd is not None
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -176,7 +173,8 @@ class FrodoUser(DiscoveryNode):
     def _adopt_sd(self, sd: ServiceDescription) -> None:
         self.service_id = sd.service_id
         self.manager_addr = sd.manager_id
-        self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
+        if self.sd is None or sd.version >= self.sd.version:
+            self.sd = sd
         self.tracker.record_view(self.node_id, sd.version, self.now)
         self._rediscovery_timer.stop()
         self._pr5_fallback.cancel()
@@ -268,8 +266,6 @@ class FrodoUser(DiscoveryNode):
 
     def handle_subscription_renew_ack(self, message: Message) -> None:
         self.last_lessor_contact = self.now
-        if self.service_id is not None:
-            self.cache.touch(self.service_id, self.now)
         current_version = message.payload.get("current_version")
         if (
             self.config.enable_src2
@@ -307,8 +303,7 @@ class FrodoUser(DiscoveryNode):
     # ------------------------------------------------------------------ PR5: purge and rediscover
     def _purge_and_rediscover(self, reason: str) -> None:
         self.trace("purge_manager", reason=reason)
-        if self.service_id is not None:
-            self.cache.remove(self.service_id)
+        self.sd = None
         self.subscribed = False
         self.lessor = None
         if not self.config.enable_pr5:

@@ -17,12 +17,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import Transports
 from repro.discovery.service import ServiceDescription, default_query, default_service
-from repro.net.multicast import MulticastService
 from repro.net.network import Network
-from repro.net.tcp import TcpTransport
-from repro.net.udp import UdpTransport
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.jini.config import JiniConfig
 from repro.protocols.jini.manager import JiniServiceProvider
@@ -144,22 +140,15 @@ def build_jini(
     provider, clients) is part of the byte-identity contract of those
     aliases.
     """
-    config = JiniConfig().validate()
+    config = JiniConfig()
     monitor = FederationMonitor(k, mode, topology, assign)
     deployment = JiniDeployment(sim, network, tracker, monitor, report)
-
-    transports = Transports(
-        udp=UdpTransport(network),
-        tcp=TcpTransport(network),
-        multicast=MulticastService(network, redundancy=config.multicast_copies),
-    )
 
     registrars = [
         JiniLookupService(
             sim,
             network,
             f"jini-lus-{index + 1}",
-            transports,
             config,
             mode=mode,
             ttl=ttl,
@@ -181,7 +170,6 @@ def build_jini(
         sim,
         network,
         manager_id,
-        transports,
         config,
         sd=default_service(manager_id),
         tracker=tracker,
@@ -194,7 +182,6 @@ def build_jini(
             sim,
             network,
             f"jini-user-{index + 1}",
-            transports,
             config,
             query=default_query(),
             tracker=tracker,

@@ -1,8 +1,10 @@
 """Jini model parameters.
 
 Defaults follow Table 3/Table 4 and standard Jini practice: Lookup-Service
-announcements every 120 s, 1800 s registration and event leases renewed at
-half-life, redundant multicast (6 copies) and TCP for all unicast exchanges.
+announcements every 120 s, and 1800 s registration and event leases renewed
+at half-life.  Table 3's wire behaviour is not a parameter: every multicast
+goes out as ``messages.MULTICAST_COPIES`` (6) copies, a constant of the node
+classes, and every unicast exchange runs over TCP.
 As with FRODO and UPnP, every periodic grid avoids the default 2000 s
 service-change time so the zero-failure baseline is exactly m'.
 """
@@ -10,8 +12,6 @@ service-change time so the zero-failure baseline is exactly m'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.net.multicast import REDUNDANT_MULTICAST_COPIES
 
 
 @dataclass
@@ -22,8 +22,6 @@ class JiniConfig:
     #: Period of Lookup Service multicast announcements (seconds).  Ticks at
     #: 120 k s; 2000 s (the default change time) is not on the grid.
     announce_interval: float = 120.0
-    #: Redundant copies per logical multicast (Table 3: 6 for UPnP and Jini).
-    multicast_copies: int = REDUNDANT_MULTICAST_COPIES
     #: Period of a node's multicast discovery requests while it knows no
     #: Lookup Service (seconds).
     discovery_interval: float = 120.0
@@ -55,25 +53,7 @@ class JiniConfig:
     #: update requests for missed updates.
     enable_src2: bool = True
 
-    # ------------------------------------------------------------------ misc
-    #: Default lease used by client-side service caches (seconds).
-    service_cache_lease: float = 1800.0
-
     @property
     def renewal_interval(self) -> float:
         """Interval between lease renewals (``renewal_fraction * lease``)."""
         return self.renewal_fraction * self.event_lease
-
-    def validate(self) -> "JiniConfig":
-        """Raise :class:`ValueError` on inconsistent parameter combinations."""
-        if not 0.0 < self.renewal_fraction < 1.0:
-            raise ValueError("renewal_fraction must be in (0, 1)")
-        if self.registration_lease <= 0 or self.event_lease <= 0:
-            raise ValueError("leases must be positive")
-        if self.announce_interval <= 0 or self.discovery_interval <= 0:
-            raise ValueError("intervals must be positive")
-        if self.response_timeout <= 0:
-            raise ValueError("response_timeout must be positive")
-        if self.multicast_copies < 1:
-            raise ValueError("multicast_copies must be >= 1")
-        return self

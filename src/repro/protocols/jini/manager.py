@@ -38,7 +38,7 @@ from math import inf
 from typing import Dict, Optional
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -78,19 +78,19 @@ class JiniServiceProvider(DiscoveryNode):
 
     protocol = m.PROTOCOL
     update_related_kinds = m.UPDATE_RELATED_KINDS
+    multicast_copies = m.MULTICAST_COPIES
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: JiniConfig,
         sd: ServiceDescription,
         tracker: ConsistencyTracker,
         home: Optional[Address] = None,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.sd = sd
         self.tracker = tracker

@@ -30,6 +30,9 @@ from typing import FrozenSet
 
 PROTOCOL = "jini"
 
+#: Copies of every multicast (Table 3: UPnP and Jini send each one 6 times).
+MULTICAST_COPIES = 6
+
 # ------------------------------------------------------------------ discovery (multicast, 6 copies)
 REGISTRAR_ANNOUNCE = "registrar_announce"
 DISCOVERY_REQUEST = "discovery_request"

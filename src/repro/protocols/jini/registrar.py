@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.discovery.cache import ServiceCache
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
@@ -68,20 +68,20 @@ class JiniLookupService(DiscoveryNode):
 
     protocol = m.PROTOCOL
     update_related_kinds = m.UPDATE_RELATED_KINDS
+    multicast_copies = m.MULTICAST_COPIES
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: JiniConfig,
         mode: str,
         ttl: float,
         gossip_interval: float,
         monitor: FederationMonitor,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.REGISTRY, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
 
         #: Registered service descriptions (registration lease enforced).

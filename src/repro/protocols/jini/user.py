@@ -31,8 +31,7 @@ from math import inf
 from typing import Dict, Optional
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.cache import ServiceCache
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -71,19 +70,19 @@ class JiniClient(DiscoveryNode):
 
     protocol = m.PROTOCOL
     update_related_kinds = m.UPDATE_RELATED_KINDS
+    multicast_copies = m.MULTICAST_COPIES
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: JiniConfig,
         query: ServiceQuery,
         tracker: ConsistencyTracker,
         home: Optional[Address] = None,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.USER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.query = query
         self.tracker = tracker
@@ -99,7 +98,8 @@ class JiniClient(DiscoveryNode):
         self.endpoint.refresh[m.REGISTRAR_ANNOUNCE] = self._refresh_map
         self.endpoint.interface.on_rx_fail = self._release_copies
         self.service_id: Optional[str] = None
-        self.cache = ServiceCache(default_lease=config.service_cache_lease)
+        #: The service description held, ``None`` before discovery.
+        self.sd: Optional[ServiceDescription] = None
 
         self._discovery_timer = PeriodicTimer(sim, config.discovery_interval, self._discovery_tick)
         self._renew_timer = PeriodicTimer(sim, config.renewal_interval, self._renew_tick)
@@ -109,15 +109,12 @@ class JiniClient(DiscoveryNode):
     @property
     def held_version(self) -> int:
         """The version of the service description this client holds."""
-        if self.service_id is None:
-            return 0
-        entry = self.cache.get(self.service_id)
-        return entry.sd.version if entry is not None else 0
+        return self.sd.version if self.sd is not None else 0
 
     @property
     def has_service(self) -> bool:
-        """``True`` when a service description is cached."""
-        return self.service_id is not None and self.cache.get(self.service_id) is not None
+        """``True`` while a service description is held."""
+        return self.sd is not None
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -227,7 +224,7 @@ class JiniClient(DiscoveryNode):
         if self.has_service and sd.version < self.held_version:
             return
         self.service_id = sd.service_id
-        self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
+        self.sd = sd
         self.tracker.record_view(self.node_id, sd.version, self.now)
         self._lookup_retry.cancel()
         for addr, state in list(self.registrars.items()):
@@ -297,8 +294,6 @@ class JiniClient(DiscoveryNode):
         state = self.registrars.get(message.sender)
         if state is not None:
             state.last_heard = self.now
-        if self.service_id is not None:
-            self.cache.touch(self.service_id, self.now)
         self._maybe_resync(message.sender, message.payload.get("current_version"))
 
     def handle_event_renew_error(self, message: Message) -> None:

@@ -10,12 +10,8 @@ transmitted redundantly (6 copies, Table 3).
 from __future__ import annotations
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import Transports
 from repro.discovery.service import default_query, default_service
-from repro.net.multicast import MulticastService
 from repro.net.network import Network
-from repro.net.tcp import TcpTransport
-from repro.net.udp import UdpTransport
 from repro.protocols.base import ProtocolDeployment
 from repro.protocols.upnp.config import UpnpConfig
 from repro.protocols.upnp.manager import UpnpRootDevice
@@ -30,21 +26,14 @@ def build_upnp(
     n_users: int = 5,
 ) -> ProtocolDeployment:
     """Instantiate the UPnP topology (1 root device, ``n_users`` control points)."""
-    config = UpnpConfig().validate()
+    config = UpnpConfig()
     deployment = ProtocolDeployment(sim, network, tracker)
-
-    transports = Transports(
-        udp=UdpTransport(network),
-        tcp=TcpTransport(network),
-        multicast=MulticastService(network, redundancy=config.multicast_copies),
-    )
 
     device_id = "upnp-device"
     device = UpnpRootDevice(
         sim,
         network,
         device_id,
-        transports,
         config,
         sd=default_service(device_id),
         tracker=tracker,
@@ -56,7 +45,6 @@ def build_upnp(
             sim,
             network,
             f"upnp-cp-{index + 1}",
-            transports,
             config,
             query=default_query(),
             tracker=tracker,

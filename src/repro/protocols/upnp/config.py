@@ -1,17 +1,17 @@
 """UPnP model parameters.
 
-Defaults follow Table 3/Table 4 of the paper: redundant multicast (6 copies
-per logical announcement or search), TCP unicast for description fetches and
-GENA eventing, and an 1800 s subscription lease renewed at half-life.  Like
-FRODO's defaults, every periodic grid is chosen *off* the default
-service-change time (2000 s) so the zero-failure baseline is exactly m'.
+Defaults follow Table 3/Table 4 of the paper: an 1800 s subscription lease
+renewed at half-life.  Table 3's wire behaviour is not a parameter: every
+announcement or search goes out as ``messages.MULTICAST_COPIES`` (6) copies,
+a constant of the node classes, and description fetches and GENA eventing
+run over TCP.  Like FRODO's defaults, every periodic grid is chosen *off*
+the default service-change time (2000 s) so the zero-failure baseline is
+exactly m'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.net.multicast import REDUNDANT_MULTICAST_COPIES
 
 
 @dataclass
@@ -22,8 +22,6 @@ class UpnpConfig:
     #: Period of the root device's ssdp:alive announcements (seconds).
     #: Ticks at 800/1600/2400 s never coincide with the 2000 s change.
     announce_interval: float = 800.0
-    #: Redundant copies per logical multicast (Table 3: 6 for UPnP and Jini).
-    multicast_copies: int = REDUNDANT_MULTICAST_COPIES
     #: Delay before an unanswered M-SEARCH is repeated during initial discovery.
     search_retry_interval: float = 10.0
 
@@ -42,25 +40,7 @@ class UpnpConfig:
     #: exceed TCP's worst-case connection-retry schedule of ~78 s).
     response_timeout: float = 120.0
 
-    # ------------------------------------------------------------------ misc
-    #: Default lease used by control-point service caches (seconds).
-    service_cache_lease: float = 1800.0
-
     @property
     def renewal_interval(self) -> float:
         """Interval between subscription renewals (``renewal_fraction * lease``)."""
         return self.renewal_fraction * self.subscription_lease
-
-    def validate(self) -> "UpnpConfig":
-        """Raise :class:`ValueError` on inconsistent parameter combinations."""
-        if not 0.0 < self.renewal_fraction < 1.0:
-            raise ValueError("renewal_fraction must be in (0, 1)")
-        if self.subscription_lease <= 0:
-            raise ValueError("subscription_lease must be positive")
-        if self.announce_interval <= 0 or self.rediscovery_interval <= 0:
-            raise ValueError("intervals must be positive")
-        if self.response_timeout <= 0:
-            raise ValueError("response_timeout must be positive")
-        if self.multicast_copies < 1:
-            raise ValueError("multicast_copies must be >= 1")
-        return self

@@ -13,7 +13,7 @@ the control point resubscribe (PR4).
 from __future__ import annotations
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
@@ -31,18 +31,18 @@ class UpnpRootDevice(DiscoveryNode):
 
     protocol = m.PROTOCOL
     update_related_kinds = m.UPDATE_RELATED_KINDS
+    multicast_copies = m.MULTICAST_COPIES
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: UpnpConfig,
         sd: ServiceDescription,
         tracker: ConsistencyTracker,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.MANAGER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.sd = sd
         self.tracker = tracker

@@ -16,6 +16,9 @@ from typing import FrozenSet
 
 PROTOCOL = "upnp"
 
+#: Copies of every multicast (Table 3: UPnP and Jini send each one 6 times).
+MULTICAST_COPIES = 6
+
 # ------------------------------------------------------------------ SSDP (multicast, 6 copies)
 SSDP_ALIVE = "ssdp_alive"
 MSEARCH = "msearch"

@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.cache import ServiceCache
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
 from repro.net.addressing import Address
 from repro.net.messages import Message
@@ -41,25 +40,27 @@ class UpnpControlPoint(DiscoveryNode):
 
     protocol = m.PROTOCOL
     update_related_kinds = m.UPDATE_RELATED_KINDS
+    multicast_copies = m.MULTICAST_COPIES
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         node_id: Address,
-        transports: Transports,
         config: UpnpConfig,
         query: ServiceQuery,
         tracker: ConsistencyTracker,
     ) -> None:
-        super().__init__(sim, network, node_id, NodeRole.USER, transports)
+        super().__init__(sim, network, node_id)
         self.config = config
         self.query = query
         self.tracker = tracker
 
         self.device_addr: Optional[Address] = None
+        #: The id of the service this control point holds or held; a purge keeps it.
         self.service_id: Optional[str] = None
-        self.cache = ServiceCache(default_lease=config.service_cache_lease)
+        #: The service description held, ``None`` before discovery and after a purge.
+        self.sd: Optional[ServiceDescription] = None
         self.subscribed = False
         #: Start time of an in-flight description fetch (duplicate guard).
         #: Timestamps, not booleans: the reply leg is a separate TCP exchange
@@ -80,15 +81,12 @@ class UpnpControlPoint(DiscoveryNode):
     @property
     def held_version(self) -> int:
         """The version of the service description this control point holds."""
-        if self.service_id is None:
-            return 0
-        entry = self.cache.get(self.service_id)
-        return entry.sd.version if entry is not None else 0
+        return self.sd.version if self.sd is not None else 0
 
     @property
     def has_service(self) -> bool:
-        """``True`` when a service description is cached."""
-        return self.service_id is not None and self.cache.get(self.service_id) is not None
+        """``True`` while a service description is held."""
+        return self.sd is not None
 
     # ------------------------------------------------------------------ lifecycle
     def on_start(self) -> None:
@@ -164,7 +162,7 @@ class UpnpControlPoint(DiscoveryNode):
             return
         self.service_id = sd.service_id
         self.device_addr = sd.manager_id
-        self.cache.store(sd, self.now, lease_duration=self.config.service_cache_lease)
+        self.sd = sd
         self.tracker.record_view(self.node_id, sd.version, self.now)
         self._search_timer.stop()
         self._rediscovery_timer.stop()
@@ -226,8 +224,12 @@ class UpnpControlPoint(DiscoveryNode):
             self._start_rediscovery()
 
     def handle_subscribe_renew_ack(self, message: Message) -> None:
-        if self.service_id is not None:
-            self.cache.touch(self.service_id, self.now)
+        """Nothing to do: the control point keeps no lease on what it holds.
+
+        The handler stays so that the device's acknowledgement is a handled
+        kind: without it the ack would reach :meth:`on_unhandled`, which
+        writes an ``unhandled_message`` trace record for every renewal.
+        """
 
     # ------------------------------------------------------------------ eventing
     def handle_event_notify(self, message: Message) -> None:
@@ -239,8 +241,7 @@ class UpnpControlPoint(DiscoveryNode):
     # ------------------------------------------------------------------ PR5: purge and rediscover
     def _purge_and_rediscover(self, reason: str) -> None:
         self.trace("purge_device", reason=reason)
-        if self.service_id is not None:
-            self.cache.remove(self.service_id)
+        self.sd = None
         self.subscribed = False
         self._fetch_pending_since = None
         self._subscribe_pending_since = None

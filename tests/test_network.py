@@ -6,16 +6,13 @@ import sys
 import pytest
 
 from repro.core.consistency import ConsistencyTracker
-from repro.discovery.node import DiscoveryNode, NodeRole, Transports
+from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceQuery
 from repro.net.addressing import MULTICAST_GROUP
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message
 from repro.net import network as network_module
-from repro.net.multicast import MulticastService
 from repro.net.network import MAX_DELAY, MIN_DELAY, MULTICAST_COPY_SPACING, Network
-from repro.net.tcp import TcpTransport
-from repro.net.udp import UdpTransport
 from repro.obs.sinks import MemorySink
 from repro.protocols.jini import messages as jini_messages
 from repro.protocols.jini.config import JiniConfig
@@ -395,8 +392,8 @@ def test_node_accepts_the_kinds_of_its_own_class_handlers():
 
     sim = Simulator(tracer=Tracer(MemorySink()))
     network = Network(sim, RngRegistry(7))
-    sender = PingPongNode(sim, network, "sender", NodeRole.USER, Transports())
-    node = PingNode(sim, network, "node", NodeRole.USER, Transports())
+    sender = PingPongNode(sim, network, "sender")
+    node = PingNode(sim, network, "node")
     assert node.endpoint.accepts == {"ping"}
     assert sender.endpoint.accepts == {"ping", "pong"}
     network.transmit_multicast(msg("sender", MULTICAST_GROUP, kind="pong"), copies=2)
@@ -425,11 +422,8 @@ def make_ping_pair():
     """A sender and a :class:`CallerPingNode` with UDP, TCP and multicast."""
     sim = Simulator()
     network = Network(sim, RngRegistry(11))
-    transports = Transports(
-        udp=UdpTransport(network), tcp=TcpTransport(network), multicast=MulticastService(network)
-    )
-    sender = PingPongNode(sim, network, "sender", NodeRole.USER, transports)
-    node = CallerPingNode(sim, network, "node", NodeRole.USER, transports)
+    sender = PingPongNode(sim, network, "sender")
+    node = CallerPingNode(sim, network, "node")
     node.callers = []
     node.unhandled = []
     node.on_unhandled = node.unhandled.append
@@ -487,7 +481,7 @@ def test_unhandled_kind_with_a_delivery_callback_reaches_on_unhandled():
     for _ in range(2):
         message = sender.make_message("node", "pong")
         messages.append(message)
-        sender.transports.udp.send(message, on_delivered=delivered.append)
+        sender.network.transmit_unicast(message, on_delivered=delivered.append)
         sim.run()
     assert node.unhandled == messages
     assert delivered == messages
@@ -502,7 +496,6 @@ def make_jini_client(home=None):
         sim,
         network,
         "client",
-        Transports(tcp=TcpTransport(network)),
         JiniConfig(),
         query=ServiceQuery(),
         tracker=ConsistencyTracker(),

@@ -173,6 +173,13 @@ def test_every_protocol_node_carries_its_update_related_kinds():
         assert cls.update_related_kinds is messages.UPDATE_RELATED_KINDS, cls
 
 
+def test_every_protocol_node_sends_table3_multicast_copies():
+    """Table 3: UPnP and Jini send every multicast 6 times, FRODO once."""
+    copies = {"frodo": 1, "jini": 6, "upnp": 6}
+    for cls in _protocol_node_classes():
+        assert cls.multicast_copies == copies[cls.__module__.split(".")[2]], cls
+
+
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_declared_m_prime_matches_paper_tables(system):
     profile_key, form = TABLE2_FORMS[system]

@@ -4,7 +4,7 @@
 before segments became field-only send records: it builds a ``Message`` for
 every SYN, SYN-ACK, ACK and data retransmission and sends SYN and SYN-ACK
 through :meth:`Network.transmit_unicast`.  Each scripted case drives it and
-:class:`TcpTransport` on two identically seeded networks, traced in memory,
+:func:`repro.net.tcp.send` on two identically seeded networks, traced in memory,
 and requires the same ordered ``net/send`` records, id and delay streams,
 interface and wire counters, engine sequence and outcome on both sides.
 """
@@ -15,6 +15,7 @@ from typing import Callable, List, Optional
 
 import pytest
 
+from repro.net import tcp
 from repro.net.interfaces import Endpoint
 from repro.net.messages import Message, MessageLayer
 from repro.net.network import Network
@@ -23,7 +24,6 @@ from repro.net.tcp import (
     DATA_BACKOFF_FACTOR,
     MAX_DATA_RETRIES,
     RemoteException,
-    TcpTransport,
 )
 from repro.obs.sinks import MemorySink
 from repro.sim.engine import Simulator
@@ -243,7 +243,7 @@ def make_side(reference: bool, accepts: Optional[frozenset] = NODE_ACCEPTS) -> S
     if reference:
         send = partial(reference_send, network)
     else:
-        send = TcpTransport(network).send
+        send = partial(tcp.send, network)
     side = Side(sim, network, send)
     for address in ADDRESSES:
         inbox: list = []
