@@ -25,11 +25,6 @@ class UserViewRecord:
     #: (time, version) pairs, in report order.
     history: List[tuple] = field(default_factory=list)
 
-    @property
-    def current_version(self) -> int:
-        """The version the User currently holds (0 when it holds nothing)."""
-        return self.history[-1][1] if self.history else 0
-
     def first_time_at_or_above(self, version: int) -> Optional[float]:
         """First time the User's view reached ``version`` (or newer)."""
         for time, seen in self.history:
@@ -46,7 +41,6 @@ class ConsistencyTracker:
         #: version -> time the Manager switched to that version.
         self.change_times: Dict[int, float] = {}
         self.authoritative_version: int = 0
-        self.authoritative_sd: Optional[ServiceDescription] = None
 
     # ------------------------------------------------------------------ registration
     def register_user(self, user_id: str) -> None:
@@ -58,7 +52,6 @@ class ConsistencyTracker:
         """Report that the Manager's service is now at ``sd.version`` (from ``time``)."""
         if sd.version > self.authoritative_version:
             self.authoritative_version = sd.version
-            self.authoritative_sd = sd
             self.change_times[sd.version] = time
 
     def record_view(self, user_id: str, version: int, time: float) -> None:
@@ -73,10 +66,6 @@ class ConsistencyTracker:
         record.history.append((time, version))
 
     # ------------------------------------------------------------------ queries
-    def view(self, user_id: str) -> UserViewRecord:
-        """The view history of ``user_id``."""
-        return self._users[user_id]
-
     def change_time(self, version: Optional[int] = None) -> Optional[float]:
         """Time of the change to ``version`` (default: the latest change)."""
         if not self.change_times:

@@ -14,7 +14,7 @@ version to all interested Users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,6 @@ class ServiceDescription:
             version=self.version + 1,
         )
 
-    def is_newer_than(self, other: Optional["ServiceDescription"]) -> bool:
-        """``True`` when this SD supersedes ``other`` (or ``other`` is ``None``)."""
-        if other is None:
-            return True
-        return self.version > other.version
-
-    def summary(self) -> str:
-        """Short human-readable description."""
-        return (
-            f"{self.service_id} v{self.version} ({self.device_type}/{self.service_type})"
-        )
-
 
 @dataclass(frozen=True)
 class ServiceQuery:
@@ -63,6 +51,23 @@ class ServiceQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", dict(self.attributes))
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The query as a message payload, the one :meth:`from_payload` reads."""
+        return {
+            "device_type": self.device_type,
+            "service_type": self.service_type,
+            "attributes": dict(self.attributes),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "ServiceQuery":
+        """The query a message payload carries."""
+        return cls(
+            device_type=payload.get("device_type"),
+            service_type=payload.get("service_type"),
+            attributes=payload.get("attributes", {}) or {},
+        )
 
     def matches(self, sd: ServiceDescription) -> bool:
         """``True`` when ``sd`` satisfies every constraint of the query.

@@ -25,19 +25,18 @@ Recovery techniques implemented here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.discovery.cache import ServiceCache
+from repro.discovery.lease import LeaseTable, find, store, subscribe, subscribers_for
 from repro.discovery.node import DiscoveryNode
 from repro.discovery.retry import AckRetryScheduler
 from repro.discovery.service import ServiceDescription, ServiceQuery
-from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
 from repro.net.messages import Message
 from repro.net.network import Network
 from repro.protocols.frodo import messages as m
 from repro.protocols.frodo.config import FrodoConfig
-from repro.protocols.frodo.election import Candidate, ElectionState, compare_centrals
+from repro.protocols.frodo.election import Candidate, ElectionState
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 
@@ -63,17 +62,14 @@ class FrodoCentral(DiscoveryNode):
         self.active = False
         self.is_backup = False
         self.election = ElectionState(own=Candidate(capability=capability, node_id=node_id))
-        self.known_central: Optional[Candidate] = None
         self.last_central_heard: float = 0.0
 
-        #: Registered service descriptions (registration lease enforced).
-        self.registrations = ServiceCache(default_lease=config.registration_lease)
-        #: Manager address per registered service.
-        self.manager_addrs: Dict[str, Address] = {}
-        #: 3-party subscribers: pushed updates at change time, PR1, PR3.
-        self.subscriptions = SubscriptionTable(default_lease=config.subscription_lease)
+        #: Registrations by service id, purged on the scan once their lease expires.
+        self.registrations = LeaseTable(config.registration_lease)
+        #: 3-party subscriptions: pushed updates at change time, PR1, PR3.
+        self.subscriptions = LeaseTable(config.subscription_lease)
         #: 2-party interest registrations: PR1 notifications only.
-        self.watchers = SubscriptionTable(default_lease=config.subscription_lease)
+        self.watchers = LeaseTable(config.subscription_lease)
 
         self.backup_addr: Optional[Address] = None
         self._retries = AckRetryScheduler(sim)
@@ -106,7 +102,6 @@ class FrodoCentral(DiscoveryNode):
         if self.active:
             return
         self.active = True
-        self.known_central = self.election.own
         self.trace("became_central", capability=self.capability)
         self._takeover_timer.stop()
         self._announce()
@@ -142,11 +137,11 @@ class FrodoCentral(DiscoveryNode):
         if not self.active:
             return
         now = self.now
-        for service_id in self.registrations.purge_expired(now):
+        for registration in self.registrations.purge_expired(now):
+            service_id = registration.sd.service_id
             self.trace("registration_purged", service_id=service_id)
-            self.manager_addrs.pop(service_id, None)
             if self.config.enable_pr5:
-                for sub in self.subscriptions.subscribers_for(service_id, now=now):
+                for sub in subscribers_for(self.subscriptions, service_id, now):
                     self.send_udp(sub.subscriber, m.MANAGER_PURGED, {"service_id": service_id})
         for sub in self.subscriptions.purge_expired(now):
             self.trace("subscription_purged", subscriber=sub.subscriber, service_id=sub.service_id)
@@ -169,15 +164,8 @@ class FrodoCentral(DiscoveryNode):
         """Send the configuration (registered services) to the Backup."""
         if not self.config.enable_backup or self.backup_addr is None:
             return
-        snapshot = [
-            (self.registrations.get_sd(service_id), self.manager_addrs.get(service_id))
-            for service_id in self.registrations.service_ids()
-        ]
-        self.send_udp(
-            self.backup_addr,
-            m.BACKUP_SYNC,
-            {"registrations": snapshot},
-        )
+        snapshot = [registration.sd for registration in self.registrations.records()]
+        self.send_udp(self.backup_addr, m.BACKUP_SYNC, {"registrations": snapshot})
 
     # ------------------------------------------------------------------ election / peer handling
     def handle_election_announce(self, message: Message) -> None:
@@ -191,7 +179,6 @@ class FrodoCentral(DiscoveryNode):
             node_id=message.payload["central"],
         )
         self.election.observe(candidate.node_id, candidate.capability)
-        self.known_central = compare_centrals(self.known_central, candidate)
         self.last_central_heard = self.now
         if self.active and candidate > self.election.own:
             self._become_standby()
@@ -202,12 +189,8 @@ class FrodoCentral(DiscoveryNode):
         self.trace("appointed_backup", central=message.payload.get("central"))
 
     def handle_backup_sync(self, message: Message) -> None:
-        for sd, manager_addr in message.payload.get("registrations", []):
-            if sd is None:
-                continue
-            self.registrations.store(sd, self.now)
-            if manager_addr is not None:
-                self.manager_addrs[sd.service_id] = manager_addr
+        for sd in message.payload.get("registrations", []):
+            store(self.registrations, sd, self.now)
 
     def handle_node_announce(self, message: Message) -> None:
         if not self.active:
@@ -223,10 +206,7 @@ class FrodoCentral(DiscoveryNode):
         if not self.active:
             return
         sd: ServiceDescription = message.payload["sd"]
-        changed = self.registrations.store(
-            sd, self.now, lease_duration=self.config.registration_lease
-        )
-        self.manager_addrs[sd.service_id] = message.sender
+        changed = store(self.registrations, sd, self.now)
         self.send_udp(
             message.sender,
             m.REGISTRATION_ACK,
@@ -248,13 +228,11 @@ class FrodoCentral(DiscoveryNode):
             return
         service_id = message.payload["service_id"]
         version = message.payload.get("version", 0)
-        entry = self.registrations.get(service_id)
+        entry = self.registrations.renew(service_id, self.now)
         if entry is None:
             # The Manager's registration was purged (PR1): ask it to re-register.
             self.send_udp(message.sender, m.REREGISTER_REQUEST, {"service_id": service_id})
             return
-        self.registrations.touch(service_id, self.now)
-        self.manager_addrs[service_id] = message.sender
         self.send_udp(
             message.sender,
             m.REGISTRATION_RENEW_ACK,
@@ -270,8 +248,7 @@ class FrodoCentral(DiscoveryNode):
         if not self.active:
             return
         sd: ServiceDescription = message.payload["sd"]
-        self.registrations.store(sd, self.now)
-        self.manager_addrs[sd.service_id] = message.sender
+        store(self.registrations, sd, self.now)
         self.send_udp(
             message.sender,
             m.UPDATE_ACK,
@@ -279,7 +256,7 @@ class FrodoCentral(DiscoveryNode):
         )
         self.trace("update_stored", service_id=sd.service_id, version=sd.version)
         self._sync_backup()
-        for sub in self.subscriptions.subscribers_for(sd.service_id, now=self.now):
+        for sub in subscribers_for(self.subscriptions, sd.service_id, self.now):
             if sub.acked_version < sd.version:
                 self._push_update(sub.subscriber, sd)
 
@@ -287,7 +264,7 @@ class FrodoCentral(DiscoveryNode):
         """PR1: push the (re-)registered SD to interested Users that lack it."""
         targets = []
         for table in (self.subscriptions, self.watchers):
-            for sub in table.subscribers_for(sd.service_id, now=self.now):
+            for sub in subscribers_for(table, sd.service_id, self.now):
                 if sub.acked_version < sd.version:
                     targets.append(sub.subscriber)
         for user in dict.fromkeys(targets):
@@ -322,7 +299,7 @@ class FrodoCentral(DiscoveryNode):
         version = message.payload.get("version", 0)
         self._retries.acknowledge((message.sender, service_id))
         for table in (self.subscriptions, self.watchers):
-            sub = table.get(message.sender, service_id)
+            sub = table.get((message.sender, service_id))
             if sub is not None:
                 sub.acked_version = max(sub.acked_version, version)
 
@@ -330,27 +307,20 @@ class FrodoCentral(DiscoveryNode):
         """SRC2: a User explicitly requests the current service description."""
         if not self.active:
             return
-        service_id = message.payload["service_id"]
-        sd = self.registrations.get_sd(service_id)
-        if sd is None:
+        entry = self.registrations.get(message.payload["service_id"])
+        if entry is None:
             return
-        self.send_udp(message.sender, m.SERVICE_UPDATE, {"sd": sd, "from_registry": True})
+        self.send_udp(message.sender, m.SERVICE_UPDATE, {"sd": entry.sd, "from_registry": True})
 
     # ------------------------------------------------------------------ subscriptions
     def handle_subscribe_request(self, message: Message) -> None:
         if not self.active:
             return
         service_id = message.payload["service_id"]
-        held_version = message.payload.get("held_version", 0)
-        sd = self.registrations.get_sd(service_id)
-        acked = sd.version if sd is not None else held_version
-        self.subscriptions.subscribe(
-            message.sender,
-            service_id,
-            self.now,
-            lease_duration=self.config.subscription_lease,
-            acked_version=acked,
-        )
+        entry = self.registrations.get(service_id)
+        sd = entry.sd if entry is not None else None
+        acked = sd.version if sd is not None else message.payload.get("held_version", 0)
+        subscribe(self.subscriptions, message.sender, service_id, self.now, acked_version=acked)
         self.send_udp(
             message.sender,
             m.SUBSCRIBE_ACK,
@@ -362,7 +332,7 @@ class FrodoCentral(DiscoveryNode):
             return
         service_id = message.payload["service_id"]
         held_version = message.payload.get("held_version", 0)
-        sub = self.subscriptions.renew(message.sender, service_id, self.now)
+        sub = self.subscriptions.renew((message.sender, service_id), self.now)
         if sub is None:
             if self.config.enable_pr3:
                 # PR3: the User was purged; request an explicit resubscription.
@@ -379,40 +349,23 @@ class FrodoCentral(DiscoveryNode):
     def handle_interest_request(self, message: Message) -> None:
         if not self.active:
             return
-        service_id = message.payload["service_id"]
-        held_version = message.payload.get("held_version", 0)
-        self.watchers.subscribe(
+        subscribe(
+            self.watchers,
             message.sender,
-            service_id,
+            message.payload["service_id"],
             self.now,
-            lease_duration=self.config.subscription_lease,
-            acked_version=held_version,
+            acked_version=message.payload.get("held_version", 0),
         )
 
-    def handle_interest_renew(self, message: Message) -> None:
-        if not self.active:
-            return
-        service_id = message.payload["service_id"]
-        held_version = message.payload.get("held_version", 0)
-        watcher = self.watchers.renew(message.sender, service_id, self.now)
-        if watcher is None:
-            # Re-create the interest silently; the next PR1 event will refresh the User.
-            self.watchers.subscribe(
-                message.sender,
-                service_id,
-                self.now,
-                lease_duration=self.config.subscription_lease,
-                acked_version=held_version,
-            )
-        else:
-            watcher.acked_version = max(watcher.acked_version, held_version)
+    #: A renewal is the same request: a purged watcher's interest is re-created
+    #: silently, and the next PR1 event refreshes the User.
+    handle_interest_renew = handle_interest_request
 
     # ------------------------------------------------------------------ queries
     def handle_service_query(self, message: Message) -> None:
         if not self.active:
             return
-        query = self._query_from_payload(message.payload)
-        matches = self.registrations.find(query, now=self.now)
+        matches = find(self.registrations, ServiceQuery.from_payload(message.payload), self.now)
         self.send_udp(
             message.sender,
             m.SERVICE_QUERY_RESPONSE,
@@ -422,19 +375,10 @@ class FrodoCentral(DiscoveryNode):
     def handle_multicast_query(self, message: Message) -> None:
         if not self.active:
             return
-        query = self._query_from_payload(message.payload)
-        matches = self.registrations.find(query, now=self.now)
+        matches = find(self.registrations, ServiceQuery.from_payload(message.payload), self.now)
         if matches:
             self.send_udp(
                 message.sender,
                 m.SERVICE_QUERY_RESPONSE,
                 {"sds": matches, "from_registry": True},
             )
-
-    @staticmethod
-    def _query_from_payload(payload: Dict[str, object]) -> ServiceQuery:
-        return ServiceQuery(
-            device_type=payload.get("device_type"),
-            service_type=payload.get("service_type"),
-            attributes=payload.get("attributes", {}) or {},
-        )

@@ -57,10 +57,3 @@ class ElectionState:
         """The runner-up (the node the Central appoints as Backup), if any."""
         ranking = self.ranking()
         return ranking[1] if len(ranking) > 1 else None
-
-
-def compare_centrals(current: Optional[Candidate], challenger: Candidate) -> Candidate:
-    """Return whichever of two claimed Centrals should win (highest capability, then id)."""
-    if current is None:
-        return challenger
-    return max(current, challenger)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.consistency import ConsistencyTracker
+from repro.discovery.lease import LeaseTable, subscribe, subscribers_for
 from repro.discovery.node import DiscoveryNode
 from repro.discovery.retry import AckRetryScheduler
 from repro.discovery.service import ServiceDescription, ServiceQuery
-from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
 from repro.net.messages import Message
 from repro.net.network import Network
@@ -53,8 +53,9 @@ class FrodoManager(DiscoveryNode):
         #: Set when the update notification to the Central was never acknowledged.
         self.central_stale = False
 
-        #: 2-party subscription state (300D Managers only).
-        self.subscriptions = SubscriptionTable(default_lease=config.subscription_lease)
+        #: 2-party subscriptions (300D Managers only).  Nothing purges this
+        #: table, so a renewal finds a lapsed subscription and renews it.
+        self.subscriptions = LeaseTable(config.subscription_lease)
         #: SRN2: Users whose update notification could not be delivered.
         self.inconsistent_users: set[Address] = set()
 
@@ -184,7 +185,7 @@ class FrodoManager(DiscoveryNode):
         self.trace("service_changed", version=self.sd.version)
         self._send_update_to_central()
         if self.two_party:
-            for sub in self.subscriptions.subscribers_for(self.service_id, now=self.now):
+            for sub in subscribers_for(self.subscriptions, self.service_id, self.now):
                 self._push_update_to_user(sub.subscriber)
         return self.sd
 
@@ -244,7 +245,7 @@ class FrodoManager(DiscoveryNode):
         self._retries.acknowledge(("user_update", message.sender))
         self.inconsistent_users.discard(message.sender)
         sub = self.subscriptions.get(
-            message.sender, message.payload.get("service_id", self.service_id)
+            (message.sender, message.payload.get("service_id", self.service_id))
         )
         if sub is not None:
             sub.acked_version = max(sub.acked_version, version)
@@ -256,12 +257,8 @@ class FrodoManager(DiscoveryNode):
         service_id = message.payload.get("service_id", self.service_id)
         if service_id != self.service_id:
             return
-        self.subscriptions.subscribe(
-            message.sender,
-            service_id,
-            self.now,
-            lease_duration=self.config.subscription_lease,
-            acked_version=self.sd.version,
+        subscribe(
+            self.subscriptions, message.sender, service_id, self.now, acked_version=self.sd.version
         )
         self.inconsistent_users.discard(message.sender)
         self.send_udp(
@@ -275,7 +272,7 @@ class FrodoManager(DiscoveryNode):
             return
         service_id = message.payload.get("service_id", self.service_id)
         held_version = message.payload.get("held_version", 0)
-        sub = self.subscriptions.renew(message.sender, service_id, self.now)
+        sub = self.subscriptions.renew((message.sender, service_id), self.now)
         if sub is None:
             if self.config.enable_pr4:
                 # PR4: the User was purged; ask it to resubscribe.
@@ -290,12 +287,7 @@ class FrodoManager(DiscoveryNode):
 
     # ------------------------------------------------------------------ queries
     def handle_multicast_query(self, message: Message) -> None:
-        query = ServiceQuery(
-            device_type=message.payload.get("device_type"),
-            service_type=message.payload.get("service_type"),
-            attributes=message.payload.get("attributes", {}) or {},
-        )
-        if query.matches(self.sd):
+        if ServiceQuery.from_payload(message.payload).matches(self.sd):
             self.send_udp(
                 message.sender,
                 m.SERVICE_QUERY_RESPONSE,

@@ -137,27 +137,12 @@ class FrodoUser(DiscoveryNode):
     def _query_central(self) -> None:
         if self.central is None:
             return
-        self.send_udp(
-            self.central,
-            m.SERVICE_QUERY,
-            {
-                "device_type": self.query.device_type,
-                "service_type": self.query.service_type,
-                "attributes": dict(self.query.attributes),
-            },
-        )
+        self.send_udp(self.central, m.SERVICE_QUERY, self.query.to_payload())
 
     def _multicast_query(self) -> None:
         if self.has_service:
             return
-        self.send_multicast(
-            m.MULTICAST_QUERY,
-            {
-                "device_type": self.query.device_type,
-                "service_type": self.query.service_type,
-                "attributes": dict(self.query.attributes),
-            },
-        )
+        self.send_multicast(m.MULTICAST_QUERY, self.query.to_payload())
 
     def handle_service_query_response(self, message: Message) -> None:
         matches = [

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.discovery.cache import ServiceCache
+from repro.discovery.lease import LeaseTable, find, store, subscribe, subscribers_for
 from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
-from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
 from repro.net.messages import Message
 from repro.net.network import Network
@@ -84,12 +83,10 @@ class JiniLookupService(DiscoveryNode):
         super().__init__(sim, network, node_id)
         self.config = config
 
-        #: Registered service descriptions (registration lease enforced).
-        self.registrations = ServiceCache(default_lease=config.registration_lease)
-        #: Manager address per registered service.
-        self.manager_addrs: Dict[str, Address] = {}
-        #: Remote-event registrations (event lease enforced).
-        self.event_registrations = SubscriptionTable(default_lease=config.event_lease)
+        #: Registrations by service id, purged on the scan once their lease expires.
+        self.registrations = LeaseTable(config.registration_lease)
+        #: Remote-event registrations, purged on the same scan.
+        self.event_registrations = LeaseTable(config.event_lease)
 
         self._announce_timer = PeriodicTimer(sim, config.announce_interval, self._announce)
         self._purge_timer = PeriodicTimer(sim, config.purge_scan_interval, self._purge_scan)
@@ -139,8 +136,7 @@ class JiniLookupService(DiscoveryNode):
     # ------------------------------------------------------------------ service registration
     def handle_register(self, message: Message) -> None:
         sd: ServiceDescription = message.payload["sd"]
-        self.registrations.store(sd, self.now, lease_duration=self.config.registration_lease)
-        self.manager_addrs[sd.service_id] = message.sender
+        store(self.registrations, sd, self.now)
         self.send_tcp(
             message.sender,
             m.REGISTER_ACK,
@@ -157,14 +153,12 @@ class JiniLookupService(DiscoveryNode):
     def handle_register_renew(self, message: Message) -> None:
         service_id = message.payload["service_id"]
         version = message.payload.get("version", 0)
-        entry = self.registrations.get(service_id)
+        entry = self.registrations.renew(service_id, self.now)
         if entry is None:
             # UnknownLeaseException: the registration was purged; the Manager
             # re-registers, which fires PR1 events to interested clients.
             self.send_tcp(message.sender, m.REGISTER_RENEW_ERROR, {"service_id": service_id})
             return
-        self.registrations.touch(service_id, self.now)
-        self.manager_addrs[service_id] = message.sender
         self.send_tcp(
             message.sender,
             m.REGISTER_RENEW_ACK,
@@ -178,8 +172,7 @@ class JiniLookupService(DiscoveryNode):
     # ------------------------------------------------------------------ update propagation
     def handle_service_update(self, message: Message) -> None:
         sd: ServiceDescription = message.payload["sd"]
-        self.registrations.store(sd, self.now)
-        self.manager_addrs[sd.service_id] = message.sender
+        store(self.registrations, sd, self.now)
         self.send_tcp(
             message.sender,
             m.UPDATE_ACK,
@@ -191,13 +184,13 @@ class JiniLookupService(DiscoveryNode):
 
     def _fire_events(self, sd: ServiceDescription) -> None:
         """Notify every live event registration that has not seen this version."""
-        for sub in self.event_registrations.subscribers_for(sd.service_id, now=self.now):
+        for sub in subscribers_for(self.event_registrations, sd.service_id, self.now):
             if sub.acked_version < sd.version:
                 self._send_event(sub.subscriber, sd)
 
     def _send_event(self, user: Address, sd: ServiceDescription) -> None:
         def _delivered(_msg: Message) -> None:
-            sub = self.event_registrations.get(user, sd.service_id)
+            sub = self.event_registrations.get((user, sd.service_id))
             if sub is not None:
                 sub.acked_version = max(sub.acked_version, sd.version)
 
@@ -229,11 +222,11 @@ class JiniLookupService(DiscoveryNode):
     def handle_notify_request(self, message: Message) -> None:
         service_id = message.payload["service_id"]
         held_version = message.payload.get("held_version", 0)
-        self.event_registrations.subscribe(
+        subscribe(
+            self.event_registrations,
             message.sender,
             service_id,
             self.now,
-            lease_duration=self.config.event_lease,
             acked_version=held_version,
         )
         entry = self.registrations.get(service_id)
@@ -250,7 +243,7 @@ class JiniLookupService(DiscoveryNode):
     def handle_event_renew(self, message: Message) -> None:
         service_id = message.payload["service_id"]
         held_version = message.payload.get("held_version", 0)
-        sub = self.event_registrations.renew(message.sender, service_id, self.now)
+        sub = self.event_registrations.renew((message.sender, service_id), self.now)
         if sub is None:
             # PR3: the event registration was purged; the client re-registers.
             self.send_tcp(message.sender, m.EVENT_RENEW_ERROR, {"service_id": service_id})
@@ -268,16 +261,12 @@ class JiniLookupService(DiscoveryNode):
 
     # ------------------------------------------------------------------ lookup
     def handle_lookup(self, message: Message) -> None:
-        query = ServiceQuery(
-            device_type=message.payload.get("device_type"),
-            service_type=message.payload.get("service_type"),
-            attributes=message.payload.get("attributes", {}) or {},
-        )
-        matches = self.registrations.find(query, now=self.now)
+        query = ServiceQuery.from_payload(message.payload)
+        matches = find(self.registrations, query, self.now)
         if not matches and self.fed_mode != "push":
             # Stale-entry fallback: a lease-expired entry is better than an
             # empty answer while the federation refreshes it.
-            matches = self.registrations.find(query)
+            matches = find(self.registrations, query)
             if matches:
                 self.trace("stale_fallback", count=len(matches))
         if self.fed_mode == "pull" and (
@@ -289,9 +278,8 @@ class JiniLookupService(DiscoveryNode):
     # ------------------------------------------------------------------ purge scan
     def _purge_scan(self) -> None:
         now = self.now
-        for service_id in self.registrations.purge_expired(now):
-            self.trace("registration_purged", service_id=service_id)
-            self.manager_addrs.pop(service_id, None)
+        for registration in self.registrations.purge_expired(now):
+            self.trace("registration_purged", service_id=registration.sd.service_id)
         for sub in self.event_registrations.purge_expired(now):
             self.trace("event_registration_purged", subscriber=sub.subscriber)
 
@@ -324,12 +312,7 @@ class JiniLookupService(DiscoveryNode):
     def _held_sds(self) -> List[ServiceDescription]:
         """Every held service description, lease-expired entries included
         (the receiver judges by version, not by our lease)."""
-        sds = []
-        for service_id in self.registrations.service_ids():
-            sd = self.registrations.get_sd(service_id)
-            if sd is not None:
-                sds.append(sd)
-        return sds
+        return [registration.sd for registration in self.registrations.records()]
 
     def handle_fed_pull(self, message: Message) -> None:
         def _rex(_rex: RemoteException) -> None:
@@ -344,11 +327,10 @@ class JiniLookupService(DiscoveryNode):
 
     def _merge_remote(self, sd: ServiceDescription) -> None:
         """Adopt a federation-supplied entry when it is at least as new."""
-        held = self.registrations.get_sd(sd.service_id)
-        if held is not None and sd.version < held.version:
+        held = self.registrations.get(sd.service_id)
+        if held is not None and sd.version < held.sd.version:
             return
-        newer = held is None or sd.version > held.version
-        self.registrations.store(sd, self.now, lease_duration=self.config.registration_lease)
+        newer = store(self.registrations, sd, self.now)
         # Equal versions revalidate freshness; newer versions also fire the
         # remote events this registry's subscribers are waiting for.
         self._note_stored(sd)

@@ -191,16 +191,7 @@ class JiniClient(DiscoveryNode):
         def _rex(_rex: RemoteException) -> None:
             self._drop_registrar(addr, reason="lookup_rex")
 
-        self.send_tcp(
-            addr,
-            m.LOOKUP,
-            {
-                "device_type": self.query.device_type,
-                "service_type": self.query.service_type,
-                "attributes": dict(self.query.attributes),
-            },
-            on_rex=_rex,
-        )
+        self.send_tcp(addr, m.LOOKUP, self.query.to_payload(), on_rex=_rex)
 
     def _retry_lookup(self) -> None:
         if self.has_service or not self.registrars:

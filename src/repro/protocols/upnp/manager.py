@@ -13,9 +13,9 @@ the control point resubscribe (PR4).
 from __future__ import annotations
 
 from repro.core.consistency import ConsistencyTracker
+from repro.discovery.lease import LeaseTable, subscribe, subscribers_for
 from repro.discovery.node import DiscoveryNode
 from repro.discovery.service import ServiceDescription, ServiceQuery
-from repro.discovery.subscription import SubscriptionTable
 from repro.net.addressing import Address
 from repro.net.messages import Message
 from repro.net.network import Network
@@ -46,7 +46,8 @@ class UpnpRootDevice(DiscoveryNode):
         self.config = config
         self.sd = sd
         self.tracker = tracker
-        self.subscriptions = SubscriptionTable(default_lease=config.subscription_lease)
+        #: GENA subscribers; a failed event delivery drops one (never purged otherwise).
+        self.subscriptions = LeaseTable(config.subscription_lease)
         self._announce_timer = PeriodicTimer(sim, config.announce_interval, self._announce_alive)
 
     # ------------------------------------------------------------------ properties
@@ -79,12 +80,7 @@ class UpnpRootDevice(DiscoveryNode):
         )
 
     def handle_msearch(self, message: Message) -> None:
-        query = ServiceQuery(
-            device_type=message.payload.get("device_type"),
-            service_type=message.payload.get("service_type"),
-            attributes=message.payload.get("attributes", {}) or {},
-        )
-        if query.matches(self.sd):
+        if ServiceQuery.from_payload(message.payload).matches(self.sd):
             self.send_udp(message.sender, m.SEARCH_RESPONSE, {"sd": self.sd})
 
     # ------------------------------------------------------------------ description
@@ -96,12 +92,8 @@ class UpnpRootDevice(DiscoveryNode):
         service_id = message.payload.get("service_id", self.service_id)
         if service_id != self.service_id:
             return
-        self.subscriptions.subscribe(
-            message.sender,
-            service_id,
-            self.now,
-            lease_duration=self.config.subscription_lease,
-            acked_version=self.sd.version,
+        subscribe(
+            self.subscriptions, message.sender, service_id, self.now, acked_version=self.sd.version
         )
         self.send_tcp(
             message.sender,
@@ -111,10 +103,9 @@ class UpnpRootDevice(DiscoveryNode):
 
     def handle_subscribe_renew(self, message: Message) -> None:
         service_id = message.payload.get("service_id", self.service_id)
-        sub = self.subscriptions.renew(message.sender, service_id, self.now)
-        if sub is None:
-            # PR4: the subscriber was dropped (failed event delivery or lease
-            # expiry); a 412-style error makes it resubscribe afresh.
+        if self.subscriptions.renew((message.sender, service_id), self.now) is None:
+            # PR4: the subscriber was dropped after a failed event delivery;
+            # a 412-style error makes it resubscribe afresh.
             self.send_tcp(message.sender, m.SUBSCRIBE_ERROR, {"service_id": service_id})
             return
         self.send_tcp(message.sender, m.SUBSCRIBE_RENEW_ACK, {"service_id": service_id})
@@ -125,7 +116,7 @@ class UpnpRootDevice(DiscoveryNode):
         self.sd = self.sd.with_update(self.now)
         self.tracker.record_authoritative(self.sd, self.now)
         self.trace("service_changed", version=self.sd.version)
-        for sub in self.subscriptions.subscribers_for(self.service_id, now=self.now):
+        for sub in subscribers_for(self.subscriptions, self.service_id, self.now):
             self._notify_subscriber(sub.subscriber)
         return self.sd
 
@@ -135,7 +126,7 @@ class UpnpRootDevice(DiscoveryNode):
         version = self.sd.version
 
         def _dropped(_rex: RemoteException) -> None:
-            self.subscriptions.unsubscribe(user, service_id)
+            self.subscriptions.pop((user, service_id))
             self.trace("subscriber_dropped", user=user, version=version)
 
         self.send_tcp(

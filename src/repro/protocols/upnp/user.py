@@ -100,14 +100,7 @@ class UpnpControlPoint(DiscoveryNode):
 
     # ------------------------------------------------------------------ SSDP discovery
     def _send_msearch(self) -> None:
-        self.send_multicast(
-            m.MSEARCH,
-            {
-                "device_type": self.query.device_type,
-                "service_type": self.query.service_type,
-                "attributes": dict(self.query.attributes),
-            },
-        )
+        self.send_multicast(m.MSEARCH, self.query.to_payload())
 
     def _search_tick(self) -> None:
         if self.has_service:

@@ -40,11 +40,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.master_seed, *key_t))
             self._streams[key_t] = rng
         return rng
-
-    def spawn(self, *key: Any) -> "RngRegistry":
-        """Return a child registry whose master seed is derived from ``key``."""
-        return RngRegistry(derive_seed(self.master_seed, "spawn", *key))
-
-    def uniform(self, low: float, high: float, *key: Any) -> float:
-        """Convenience: one uniform draw from the stream named ``key``."""
-        return self.stream(*key).uniform(low, high)
